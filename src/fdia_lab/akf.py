@@ -15,6 +15,19 @@ Two per-sample state machines over the same predict/update skeleton:
 
 Measurements are vectors of any width; the rest of this package drives the
 filters with the scalar sinusoidal measurement model.
+
+Determinism: ``run`` returns a columnar ``FilterRun``. For a config with two
+states, identity transition and noise gain and a scalar measurement (the
+sinusoidal model) it runs a kernel on Python floats; every other config
+stacks ``step``, the general numpy implementation that stays the oracle.
+The kernel performs the oracle's operations in the oracle's order, so it
+is bit-identical to ``step`` wherever numpy's BLAS does not fuse
+multiply-adds (OpenBLAS's Sandybridge kernel, say) and within rounding
+elsewhere. Its results depend on no BLAS kernel, so artifacts are
+byte-identical on a given machine and no longer move with the OpenBLAS
+kernel numpy picks. The classic filter amplifies rounding (a covariance
+diagonal goes negative at tick 0), so its demo trajectory used to depend
+on that kernel; see the README.
 """
 
 from __future__ import annotations
@@ -25,8 +38,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, SingularMatrixError
-from .io_utils import write_csv
+from .errors import ConfigError, DataError, DimensionError, SingularMatrixError
+from .io_utils import write_columns
 from .numerics import PIVOT_RTOL, solve_matrix
 from .signal_model import SignalParams, Trace, observation_row
 
@@ -212,27 +225,151 @@ def step(state: FilterState, z_t, cfg: FilterConfig,
     return update_improved(state, z_t, cfg)
 
 
-def run(trace: Trace, cfg: FilterConfig, variant: Variant) -> list[StepOutput]:
-    """Filter every sample of a trace in order."""
-    if len(trace) == 0:
+@dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
+class FilterRun:
+    """A whole run's step outputs as columns; row i belongs to step i."""
+
+    t: np.ndarray            # (n,) step index
+    x_pred: np.ndarray       # (n, states)
+    x_hat: np.ndarray        # (n, states)
+    innovation: np.ndarray   # (n, k)
+    gain: np.ndarray         # (n, states, k)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows: slice) -> FilterRun:
+        if not isinstance(rows, slice):
+            raise TypeError("a FilterRun is indexed by slices of rows")
+        return FilterRun(self.t[rows], self.x_pred[rows], self.x_hat[rows],
+                         self.innovation[rows], self.gain[rows])
+
+    @classmethod
+    def from_steps(cls, steps: FilterRun | Sequence[StepOutput]) -> FilterRun:
+        """Stack ``StepOutput``s into columns; a FilterRun passes through."""
+        if isinstance(steps, FilterRun):
+            return steps
+        if len(steps) == 0:
+            return cls(np.empty(0, dtype=int), np.empty((0, 0)), np.empty((0, 0)),
+                       np.empty((0, 0)), np.empty((0, 0, 0)))
+        return cls(np.array([s.t for s in steps]),
+                   np.stack([s.x_pred for s in steps]),
+                   np.stack([s.x_hat for s in steps]),
+                   np.stack([s.innovation for s in steps]),
+                   np.stack([s.gain for s in steps]))
+
+
+def _is_scalar_two_state(cfg: FilterConfig) -> bool:
+    """True iff ``cfg`` is the shape the 2-state kernel handles: two states,
+    identity transition and noise gain, and a scalar measurement."""
+    init, eye = cfg.init, np.eye(2)
+    shapes = [np.shape(a) for a in (init.x0, init.proc_mean0, init.err_cov0,
+                                    init.proc_cov0, init.meas_cov0, init.meas_mean0)]
+    return (np.array_equal(cfg.transition, eye) and np.array_equal(cfg.noise_gain, eye)
+            and shapes == [(2,), (2,), (2, 2), (2, 2), (1, 1), (1,)]
+            and (cfg.meas_cov_fixed is None or np.shape(cfg.meas_cov_fixed) == (1, 1)))
+
+
+def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
+                          variant: Variant) -> FilterRun:
+    """``update_classic``/``update_improved`` on Python floats for the
+    2-state, scalar-measurement model.
+
+    Every operation is the one the oracle's numpy calls perform, in the
+    same order, with products by the identity transition and noise gain
+    dropped (they are exact). Matrices are carried entry by entry, so a
+    non-symmetric initial covariance is handled as the oracle handles it.
+    """
+    classic = variant is Variant.CLASSIC
+    if not classic and cfg.meas_cov_fixed is None:
+        raise ConfigError("improved variant requires meas_cov_fixed")
+    init, g = cfg.init, cfg.forgetting
+    x0, x1 = np.asarray(init.x0, dtype=float).tolist()
+    (p00, p01), (p10, p11) = np.asarray(init.err_cov0, dtype=float).tolist()
+    pm0, pm1 = np.asarray(init.proc_mean0, dtype=float).tolist()
+    (m00, m01), (m10, m11) = np.asarray(init.proc_cov0, dtype=float).tolist()
+    if classic:
+        sm, nc = float(init.meas_mean0[0]), float(init.meas_cov0[0, 0])
+    else:
+        sm, nc = 0.0, float(cfg.meas_cov_fixed[0, 0])
+    out = []
+    for t, (z, h0, h1) in enumerate(zip(zs.tolist(), rows[:, 0, 0].tolist(),
+                                        rows[:, 0, 1].tolist())):
+        # predict
+        xp0, xp1 = x0 + pm0, x1 + pm1
+        c00, c01, c10, c11 = p00 + m00, p01 + m01, p10 + m10, p11 + m11
+        # gain and measurement update
+        hx = h0 * xp0 + h1 * xp1
+        e = (z - hx) - sm
+        hc0, hc1 = h0 * c00 + h1 * c10, h0 * c01 + h1 * c11
+        hph = hc0 * h0 + hc1 * h1
+        s = hph + nc
+        if abs(s) <= PIVOT_RTOL * max(abs(s), 1e-300):
+            raise SingularMatrixError(column=0, pivot=float(s))
+        k0, k1 = (c00 * h0 + c01 * h1) / s, (c10 * h0 + c11 * h1) / s
+        g0, g1 = k0 * e, k1 * e
+        xn0, xn1 = xp0 + g0, xp1 + g1
+        a00, a01 = 1.0 - k0 * h0, 0.0 - k0 * h1
+        a10, a11 = 0.0 - k1 * h0, 1.0 - k1 * h1
+        q00, q01 = a00 * c00 + a01 * c10, a00 * c01 + a01 * c11
+        q10, q11 = a10 * c00 + a11 * c10, a10 * c01 + a11 * c11
+        n00, n01, n11 = 0.5 * (q00 + q00), 0.5 * (q01 + q10), 0.5 * (q11 + q11)
+        # forgetting-factor noise statistics
+        c = (1.0 - g) / (1.0 - g ** (t + 1))
+        oc = 1.0 - c
+        pm0, pm1 = oc * pm0 + c * (xn0 - x0), oc * pm1 + c * (xn1 - x1)
+        if classic:
+            m00 = oc * m00 + c * ((g0 * g0 + n00) - p00)
+            m01 = oc * m01 + c * ((g0 * g1 + n01) - p01)
+            m10 = oc * m10 + c * ((g1 * g0 + n01) - p10)
+            m11 = oc * m11 + c * ((g1 * g1 + n11) - p11)
+            sm = oc * sm + c * (z - hx)
+            nc = oc * nc + c * (e * e - hph)
+        else:
+            m00, m01 = oc * m00 + c * (g0 * g0), oc * m01 + c * (g0 * g1)
+            m10, m11 = oc * m10 + c * (g1 * g0), oc * m11 + c * (g1 * g1)
+        x0, x1, p00, p01, p10, p11 = xn0, xn1, n00, n01, n01, n11
+        out.extend((xp0, xp1, xn0, xn1, e, k0, k1))
+    cols = np.array(out).reshape(len(zs), 7)
+    return FilterRun(t=np.arange(len(zs)), x_pred=cols[:, 0:2], x_hat=cols[:, 2:4],
+                     innovation=cols[:, 4:5], gain=cols[:, 5:7, None])
+
+
+def run(trace: Trace, cfg: FilterConfig, variant: Variant,
+        obs_rows: np.ndarray | None = None) -> FilterRun:
+    """Filter every sample of a trace in order; step i reads ``cfg.obs_at(i)``.
+
+    A config of the 2-state, scalar-measurement shape (see
+    ``_is_scalar_two_state``) runs on the float kernel; every other config
+    stacks ``step``, which stays the reference both are tested against.
+    ``obs_rows`` may pass in the kernel's (n, 1, 2) observation rows when the
+    caller already has them; they must equal ``cfg.obs_at(i)`` stacked.
+    """
+    n = len(trace)
+    if n == 0:
         raise ConfigError("trace must be non-empty")
+    bad = np.flatnonzero(~np.isfinite(trace.z))
+    if len(bad):
+        raise DataError(f"measurement at tick {int(trace.ticks[bad[0]])} is not finite")
+    if _is_scalar_two_state(cfg):
+        if obs_rows is None:
+            rows = [np.atleast_2d(cfg.obs_at(t)) for t in range(n)]
+            # a row of another shape is left to the oracle, which raises at its step
+            if all(h.shape == (1, 2) for h in rows):
+                return _run_scalar_two_state(trace.z, np.array(rows, dtype=float),
+                                             cfg, variant)
+        elif np.shape(obs_rows) == (n, 1, 2):
+            return _run_scalar_two_state(trace.z, np.asarray(obs_rows, dtype=float),
+                                         cfg, variant)
+        else:
+            raise DimensionError(f"observation rows of shape {np.shape(obs_rows)} "
+                                 f"do not match {n} scalar measurements of 2 states")
     state = initial_state(cfg)
     outputs = []
     for z_t in trace.z:
         state, out = step(state, z_t, cfg, variant)
         outputs.append(out)
-    return outputs
-
-
-def run_measurements(zs: Sequence, cfg: FilterConfig,
-                     variant: Variant) -> list[StepOutput]:
-    """Filter a bare measurement sequence (vector or scalar entries)."""
-    state = initial_state(cfg)
-    outputs = []
-    for z_t in zs:
-        state, out = step(state, z_t, cfg, variant)
-        outputs.append(out)
-    return outputs
+    return FilterRun.from_steps(outputs)
 
 
 def config_for_sinusoid(params: SignalParams, z0: float,
@@ -261,18 +398,12 @@ def config_for_sinusoid(params: SignalParams, z0: float,
     )
 
 
-def write_filter_log_csv(trace: Trace, outputs: Sequence[StepOutput], path) -> None:
+def write_filter_log_csv(trace: Trace, run: FilterRun, path) -> None:
     """Per-sample log for the scalar-measurement 2-state model."""
-    if outputs and (outputs[0].x_hat.shape != (2,) or outputs[0].innovation.shape != (1,)):
+    if run.x_hat.shape[1:] != (2,) or run.innovation.shape[1:] != (1,):
         raise DimensionError("filter log format expects 2 states and a scalar measurement")
-    rows = []
-    for z_t, out in zip(trace.z, outputs):
-        rows.append([
-            out.t, z_t,
-            out.x_pred[0], out.x_pred[1],
-            out.x_hat[0], out.x_hat[1],
-            out.innovation[0],
-            out.gain[0, 0], out.gain[1, 0],
-        ])
-    write_csv(path, ["t", "z", "x_pred1", "x_pred2", "x_hat1", "x_hat2",
-                     "e", "gain1", "gain2"], rows)
+    write_columns(path, ["t", "z", "x_pred1", "x_pred2", "x_hat1", "x_hat2",
+                         "e", "gain1", "gain2"],
+                  [run.t, trace.z, run.x_pred[:, 0], run.x_pred[:, 1],
+                   run.x_hat[:, 0], run.x_hat[:, 1], run.innovation[:, 0],
+                   run.gain[:, 0, 0], run.gain[:, 1, 0]])

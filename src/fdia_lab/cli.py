@@ -20,15 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import akf, attack, evaluation, fusion, passive_detect
+from . import akf, attack, evaluation, passive_detect
 from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split,
                             window, write_dataset_csv)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import read_csv, read_json, write_csv, write_json
+from .io_utils import read_csv, read_json, write_columns, write_csv, write_json
 from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
                  save_checkpoint, train, write_history_csv)
-from .signal_model import (SignalParams, SignalState, Trace, observation_row,
+from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
                            read_labels_csv, read_trace_csv, simulate,
                            write_labels_csv, write_trace_csv)
 
@@ -221,27 +221,18 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
     return 0
 
 
-def _passive_channel(trace: Trace, cfg: ExperimentConfig, variant: akf.Variant):
-    """Run one filter variant and compute calibrated passive verdicts.
-
-    Returns the verdict stream (both channels, armed after the warm-up),
-    the fitted residual threshold, and the armed residual-channel flags
-    that feed the fusion rule.
-    """
+def _passive_channel(trace: Trace, cfg: ExperimentConfig, variant: akf.Variant,
+                     obs_rows: np.ndarray) -> passive_detect.PassiveVerdicts:
+    """Run one filter variant and compute its calibrated passive verdicts
+    (both channels, armed after the warm-up; ``residual_flag`` feeds the
+    fusion rule)."""
     filter_cfg = akf.config_for_sinusoid(cfg.signal, float(trace.z[0]),
                                          forgetting=cfg.forgetting)
-    outputs = akf.run(trace, filter_cfg, variant)
-    obs_rows = [observation_row(int(t), cfg.signal.omega) for t in trace.ticks]
+    run = akf.run(trace, filter_cfg, variant, obs_rows)
     euclid_th, resid_th = passive_detect.calibrate_channels(
-        outputs, trace.z, obs_rows, warmup=cfg.warmup, k=cfg.threshold_k)
-    verdicts = passive_detect.evaluate_stream(outputs, trace.z, obs_rows,
-                                              euclid_th, resid_th,
-                                              armed_from=cfg.warmup)
-    residual_flags = np.array([
-        v.t >= cfg.warmup and passive_detect.decide(v.residual_r, resid_th)
-        for v in verdicts
-    ])
-    return verdicts, resid_th, residual_flags
+        run, trace.z, obs_rows, warmup=cfg.warmup, k=cfg.threshold_k)
+    return passive_detect.evaluate_stream(run, trace.z, obs_rows, euclid_th,
+                                          resid_th, armed_from=cfg.warmup)
 
 
 def _metrics_entry(flags, labels, onset):
@@ -275,16 +266,18 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
               akf.Variant.CLASSIC: "classic_akf"}
     other = (akf.Variant.CLASSIC if cfg.variant is akf.Variant.IMPROVED
              else akf.Variant.IMPROVED)
-    verdicts, resid_th, residual_flags = _passive_channel(trace, cfg, cfg.variant)
+    obs_rows = observation_rows(trace.ticks, cfg.signal.omega)
+    verdicts = _passive_channel(trace, cfg, cfg.variant, obs_rows)
     passive_detect.write_verdicts_csv(verdicts, cfg.outputs / "verdicts_passive.csv")
-    entries = {key_of[cfg.variant]: _metrics_entry(residual_flags, label_flags,
-                                                   onset)}
+    entries = {key_of[cfg.variant]: _metrics_entry(verdicts.residual_flag,
+                                                   label_flags, onset)}
 
     try:
-        other_verdicts, _, other_flags = _passive_channel(trace, cfg, other)
+        other_verdicts = _passive_channel(trace, cfg, other, obs_rows)
         passive_detect.write_verdicts_csv(
             other_verdicts, cfg.outputs / f"verdicts_passive_{other.value}.csv")
-        entries[key_of[other]] = _metrics_entry(other_flags, label_flags, onset)
+        entries[key_of[other]] = _metrics_entry(other_verdicts.residual_flag,
+                                                label_flags, onset)
     except NumericalError as exc:
         entries[key_of[other]] = {"diverged": True, "error": str(exc)}
 
@@ -316,25 +309,17 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
         active_flags[length - 1:] = probs[:, 1] > probs[:, 0]
         entries["gru_cnn"] = _metrics_entry(active_flags, label_flags, onset)
 
-    write_csv(cfg.outputs / "verdicts_active.csv", ["t", "p_attack", "flag"],
-              zip(trace.ticks, p_attack, active_flags))
+    write_columns(cfg.outputs / "verdicts_active.csv", ["t", "p_attack", "flag"],
+                  [trace.ticks, p_attack, active_flags])
 
-    # fused = residual decision OR classifier flag; before the warm-up window
-    # only the classifier contributes (the residual threshold does not exist
-    # yet), afterwards each tick goes through the fusion rule proper
-    armed_start = int(np.searchsorted(trace.ticks, cfg.warmup))
-    fused_flags = active_flags.copy()
-    armed = fusion.combine_streams(
-        [v.residual_r for v in verdicts[armed_start:]], resid_th,
-        active_flags[armed_start:], ticks=trace.ticks[armed_start:])
-    fused_flags[armed_start:] = [fv.fused for fv in armed]
-    fused_rows = [
-        [int(t), v.residual_r, bool(rf), bool(af), bool(ff)]
-        for t, v, rf, af, ff in zip(trace.ticks, verdicts, residual_flags,
-                                    active_flags, fused_flags)
-    ]
-    write_csv(cfg.outputs / "verdicts_fused.csv",
-              ["t", "r_N", "flag_N", "flag_GC", "flag_fused"], fused_rows)
+    # fused = residual decision OR classifier flag; the residual flags are
+    # already false before the warm-up ends (the threshold does not exist
+    # yet), so there only the classifier contributes
+    fused_flags = verdicts.residual_flag | active_flags
+    write_columns(cfg.outputs / "verdicts_fused.csv",
+                  ["t", "r_N", "flag_N", "flag_GC", "flag_fused"],
+                  [trace.ticks, verdicts.residual_r, verdicts.residual_flag,
+                   active_flags, fused_flags])
     entries["fused"] = _metrics_entry(fused_flags, label_flags, onset)
 
     _merge_metrics(cfg, entries)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .io_utils import parse_cell, read_csv, write_csv
+from .io_utils import parse_cell, read_csv, write_columns
 
 
 @dataclass
@@ -253,16 +253,12 @@ def merge_datasets(datasets: list[RawDataset]) -> RawDataset:
 
 
 def write_dataset_csv(d: RawDataset, path) -> None:
-    n = len(d)
-    ticks = d.ticks if d.ticks is not None else np.arange(n)
+    ticks = d.ticks if d.ticks is not None else np.arange(len(d))
     header = ["t", *d.columns] + (["label"] if d.labels is not None else [])
-    rows = []
-    for i in range(n):
-        row = [int(ticks[i]), *d.values[i]]
-        if d.labels is not None:
-            row.append(int(d.labels[i]))
-        rows.append(row)
-    write_csv(path, header, rows)
+    columns = [np.asarray(ticks).astype(int), *d.values.T]
+    if d.labels is not None:
+        columns.append(np.asarray(d.labels).astype(int))
+    write_columns(path, header, columns)
 
 
 def read_dataset_csv(path) -> RawDataset:

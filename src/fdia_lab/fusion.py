@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .io_utils import write_csv
 from .passive_detect import Thresholds, decide
 
 
@@ -35,9 +34,3 @@ def combine_streams(residuals: Sequence[float], th: Thresholds,
         ticks = range(len(residuals))
     return [combine(r, th, a, t)
             for r, a, t in zip(residuals, active_flags, ticks)]
-
-
-def write_fused_csv(verdicts: Sequence[FusionVerdict], th: Thresholds, path) -> None:
-    rows = [[v.t, v.residual, decide(v.residual, th), v.active_flag, v.fused]
-            for v in verdicts]
-    write_csv(path, ["t", "r_N", "flag_N", "flag_GC", "flag_fused"], rows)

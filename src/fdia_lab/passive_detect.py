@@ -11,14 +11,14 @@ rule attains the expected two-sided false-alarm rate (~0.27% at k = 3).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .io_utils import write_csv
+from .akf import FilterRun
+from .errors import ConfigError, DataError, DimensionError
+from .io_utils import write_columns
 from .numerics import Vector, as_vector, norm2
 
 MIN_CALIBRATION_SAMPLES = 100
@@ -83,21 +83,47 @@ def decide(metric: float, th: Thresholds) -> bool:
     return metric >= th.limit
 
 
+def _channels(outputs, zs, obs_rows) -> tuple[FilterRun, np.ndarray, np.ndarray]:
+    """Per-tick signed deviation H x_pred - z and residual metric, as arrays.
+
+    The same arithmetic as ``euclidean_deviation`` and ``residual_metric``
+    tick by tick, with the same DataErrors, which here name the tick.
+    """
+    run = FilterRun.from_steps(outputs)
+    n = len(run)
+    z = np.asarray(zs, dtype=float)
+    if len(z) != n:
+        raise DimensionError(f"{len(z)} measurements for {n} filter steps")
+    if n == 0:
+        return run, np.empty(0), np.empty(0)
+    x, x_hat = run.x_pred, run.x_hat
+    h = np.asarray(obs_rows, dtype=float).reshape(n, -1, x.shape[1])[:, 0, :]
+    deviations = (h * x).sum(axis=1) - z
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(x_hat).all(axis=1)
+    if not finite.all():
+        raise DataError(f"filter state is non-finite at tick {run.t[np.argmin(finite)]}")
+    nx = np.sqrt((x * x).sum(axis=1))
+    nh = np.sqrt((x_hat * x_hat).sum(axis=1))
+    zero = (nx == 0.0) | (nh == 0.0)
+    if zero.any():
+        raise DataError("residual metric undefined for zero-norm state "
+                        f"at tick {run.t[np.argmax(zero)]}")
+    diff = x - x_hat
+    residuals = np.sqrt((diff * diff).sum(axis=1)) / (nx * nh)
+    return run, deviations, residuals
+
+
 def channel_samples(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     """Signed per-tick calibration samples for both channels.
 
     Euclidean channel: H x_pred - z (zero-mean under no attack).
     Residual channel: the normalized residual with the sign of the
     Euclidean deviation attached, likewise zero-mean by symmetry.
+    ``outputs`` is a FilterRun or a sequence of StepOutput.
     """
-    deviations = np.empty(len(outputs))
-    signed_residuals = np.empty(len(outputs))
-    for i, (out, z_t, h) in enumerate(zip(outputs, zs, obs_rows)):
-        dev = float((h @ out.x_pred)[0]) - float(z_t)
-        deviations[i] = dev
-        r = residual_metric(out.x_pred, out.x_hat)
-        signed_residuals[i] = math.copysign(r, dev) if dev != 0.0 else r
-    return deviations, signed_residuals
+    _, deviations, residuals = _channels(outputs, zs, obs_rows)
+    return deviations, np.where(deviations != 0.0,
+                                np.copysign(residuals, deviations), residuals)
 
 
 def calibrate_channels(outputs, zs, obs_rows, warmup: int,
@@ -114,24 +140,42 @@ def calibrate_channels(outputs, zs, obs_rows, warmup: int,
             Thresholds(sigma=calibrate_sigma(signed_res), k=k))
 
 
+@dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
+class PassiveVerdicts:
+    """A stream's verdicts as columns; iterating yields PassiveVerdict rows."""
+
+    t: np.ndarray
+    euclidean_d: np.ndarray
+    residual_r: np.ndarray
+    residual_flag: np.ndarray   # armed residual-channel decision, the fusion input
+    flag: np.ndarray            # armed union of both channel decisions
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self) -> Iterator[PassiveVerdict]:
+        for row in zip(self.t.tolist(), self.euclidean_d.tolist(),
+                       self.residual_r.tolist(), self.flag.tolist()):
+            yield PassiveVerdict(*row)
+
+
 def evaluate_stream(outputs, zs, obs_rows, euclid_th: Thresholds,
-                    resid_th: Thresholds, armed_from: int = 0) -> list[PassiveVerdict]:
+                    resid_th: Thresholds, armed_from: int = 0) -> PassiveVerdicts:
     """Per-tick verdicts; the flag is the union of both channel decisions.
 
     Ticks before ``armed_from`` (typically the calibration warm-up window)
     record their metric values but never flag: the thresholds do not exist
     yet while they are being fitted.
     """
-    verdicts = []
-    for out, z_t, h in zip(outputs, zs, obs_rows):
-        d = euclidean_deviation(float((h @ out.x_pred)[0]), float(z_t))
-        r = residual_metric(out.x_pred, out.x_hat)
-        armed = out.t >= armed_from
-        flag = armed and (decide(d, euclid_th) or decide(r, resid_th))
-        verdicts.append(PassiveVerdict(t=out.t, euclidean_d=d, residual_r=r, flag=flag))
-    return verdicts
+    run, deviations, residuals = _channels(outputs, zs, obs_rows)
+    d = np.abs(deviations)
+    armed = run.t >= armed_from
+    residual_flag = armed & (residuals >= resid_th.limit)
+    flag = residual_flag | (armed & (d >= euclid_th.limit))
+    return PassiveVerdicts(t=run.t, euclidean_d=d, residual_r=residuals,
+                           residual_flag=residual_flag, flag=flag)
 
 
-def write_verdicts_csv(verdicts: Sequence[PassiveVerdict], path) -> None:
-    rows = [[v.t, v.euclidean_d, v.residual_r, v.flag] for v in verdicts]
-    write_csv(path, ["t", "euclidean_d", "residual_r", "flag"], rows)
+def write_verdicts_csv(verdicts: PassiveVerdicts, path) -> None:
+    write_columns(path, ["t", "euclidean_d", "residual_r", "flag"],
+                  [verdicts.t, verdicts.euclidean_d, verdicts.residual_r, verdicts.flag])

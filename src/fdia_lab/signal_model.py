@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .io_utils import read_csv, write_csv
+from .io_utils import parse_column, read_csv, write_columns
 from .numerics import Matrix
 
 
@@ -75,6 +75,19 @@ def observation_row(t: int, omega: float) -> Matrix:
     return np.array([[math.cos(angle), -math.sin(angle)]])
 
 
+def observation_rows(ticks, omega: float) -> np.ndarray:
+    """``observation_row`` at every tick, stacked to shape (n, 1, 2).
+
+    The trigonometry goes through ``math`` like ``observation_row`` does, so
+    the two agree bit for bit whatever numpy's own sin/cos would round to.
+    """
+    angles = (omega * np.asarray(ticks, dtype=float)).tolist()
+    rows = np.empty((len(angles), 1, 2))
+    rows[:, 0, 0] = [math.cos(a) for a in angles]
+    rows[:, 0, 1] = [-math.sin(a) for a in angles]
+    return rows
+
+
 def simulate(params: SignalParams, initial: SignalState, n: int) -> Trace:
     """Run the process for n ticks; deterministic for a fixed seed.
 
@@ -104,29 +117,31 @@ def amplitude_phase(state: SignalState) -> tuple[float, float]:
     return math.hypot(state.x1, state.x2), math.atan2(state.x2, state.x1)
 
 
+TRACE_HEADER = ["t", "x1", "x2", "z"]
+LABELS_HEADER = ["t", "label"]
+
+
 def write_trace_csv(trace: Trace, path) -> None:
-    rows = zip(trace.ticks, trace.states[:, 0], trace.states[:, 1], trace.z)
-    write_csv(path, ["t", "x1", "x2", "z"], rows)
+    write_columns(path, TRACE_HEADER,
+                  [trace.ticks, trace.states[:, 0], trace.states[:, 1], trace.z])
 
 
 def read_trace_csv(path) -> Trace:
     header, rows = read_csv(path)
-    if header != ["t", "x1", "x2", "z"]:
+    if header != TRACE_HEADER:
         raise DataError(f"unexpected trace header: {header}")
-    ticks = np.array([int(r[0]) for r in rows])
-    states = np.array([[float(r[1]), float(r[2])] for r in rows]).reshape(len(rows), 2)
-    z = np.array([float(r[3]) for r in rows])
-    return Trace(ticks=ticks, states=states, z=z)
+    ticks, x1, x2, z = (parse_column(path, rows, i, name, int if name == "t" else float)
+                        for i, name in enumerate(header))
+    return Trace(ticks=ticks, states=np.column_stack([x1, x2]), z=z)
 
 
 def write_labels_csv(ticks: np.ndarray, labels: np.ndarray, path) -> None:
-    write_csv(path, ["t", "label"], zip(ticks, labels.astype(int)))
+    write_columns(path, LABELS_HEADER, [ticks, labels.astype(int)])
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
     header, rows = read_csv(path)
-    if header != ["t", "label"]:
+    if header != LABELS_HEADER:
         raise DataError(f"unexpected labels header: {header}")
-    ticks = np.array([int(r[0]) for r in rows])
-    labels = np.array([int(r[1]) for r in rows])
-    return ticks, labels
+    return (parse_column(path, rows, 0, "t", int),
+            parse_column(path, rows, 1, "label", int))

@@ -1,9 +1,15 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from fdia_lab import akf
-from fdia_lab.errors import ConfigError
-from fdia_lab.signal_model import SignalParams, SignalState, observation_row, simulate
+from fdia_lab.errors import ConfigError, DataError, DimensionError, SingularMatrixError
+from fdia_lab.signal_model import (SignalParams, SignalState, Trace, observation_row,
+                                   observation_rows, simulate)
 
 
 def scalar_config(h_row, g=0.95, x0=(0.0, 0.0), q0=None, m0=None, n0=1.0,
@@ -276,7 +282,7 @@ def test_noiseless_run_has_tiny_innovations():
     params = SignalParams(omega=0.25, seed=0)
     trace = simulate(params, SignalState(1.0, 0.0), 300)
     outputs = akf.run(trace, exact_noiseless_config(params.omega), akf.Variant.IMPROVED)
-    assert max(abs(o.innovation[0]) for o in outputs) <= 1e-9
+    assert np.abs(outputs.innovation[:, 0]).max() <= 1e-9
 
 
 def test_classic_collapses_on_exact_noiseless_data():
@@ -285,9 +291,11 @@ def test_classic_collapses_on_exact_noiseless_data():
     # when there is literally no noise. The improved variant is unaffected.
     params = SignalParams(omega=0.25, seed=0)
     trace = simulate(params, SignalState(1.0, 0.0), 300)
-    from fdia_lab.errors import SingularMatrixError
+    cfg = exact_noiseless_config(params.omega)
     with pytest.raises(SingularMatrixError):
-        akf.run(trace, exact_noiseless_config(params.omega), akf.Variant.CLASSIC)
+        akf.run(trace, cfg, akf.Variant.CLASSIC)
+    with pytest.raises(SingularMatrixError):
+        oracle_run(trace, cfg, akf.Variant.CLASSIC)
 
 
 def test_run_deterministic():
@@ -296,9 +304,8 @@ def test_run_deterministic():
     cfg = akf.config_for_sinusoid(params, float(trace.z[0]))
     a = akf.run(trace, cfg, akf.Variant.IMPROVED)
     b = akf.run(trace, cfg, akf.Variant.IMPROVED)
-    for oa, ob in zip(a, b):
-        np.testing.assert_array_equal(oa.x_hat, ob.x_hat)
-        np.testing.assert_array_equal(oa.gain, ob.gain)
+    np.testing.assert_array_equal(a.x_hat, b.x_hat)
+    np.testing.assert_array_equal(a.gain, b.gain)
 
 
 def test_improved_tracks_below_measurement_noise():
@@ -309,8 +316,7 @@ def test_improved_tracks_below_measurement_noise():
         trace = simulate(params, SignalState(1.0, 0.0), 2000)
         cfg = akf.config_for_sinusoid(params, float(trace.z[0]))
         outputs = akf.run(trace, cfg, akf.Variant.IMPROVED)
-        errs = [np.linalg.norm(o.x_hat - trace.states[i])
-                for i, o in enumerate(outputs) if i >= 200]
+        errs = np.linalg.norm(outputs.x_hat[200:] - trace.states[200:], axis=1)
         assert np.mean(errs) < params.sigma_meas, f"seed {seed}"
 
 
@@ -366,3 +372,171 @@ def test_filter_log_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,z,x_pred1,x_pred2,x_hat1,x_hat2,e,gain1,gain2"
     assert len(lines) == 51
+
+
+# --- float kernel against the step oracle ---------------------------------------
+
+DEMO = SignalParams(omega=0.3141592653589793, sigma_process=0.001,
+                    sigma_meas=0.002, seed=7)
+COLUMNS = ("x_pred", "x_hat", "innovation", "gain")
+
+
+def oracle_run(trace, cfg, variant):
+    """``akf.step`` stacked over the trace: the reference ``akf.run`` keeps."""
+    state = akf.initial_state(cfg)
+    outputs = []
+    for z in trace.z:
+        state, out = akf.step(state, z, cfg, variant)
+        outputs.append(out)
+    return akf.FilterRun.from_steps(outputs)
+
+
+def demo_trace(n):
+    return simulate(DEMO, SignalState(1.0, 0.0), n)
+
+
+def test_improved_kernel_matches_oracle_over_20k_steps():
+    trace = demo_trace(20_000)
+    cfg = akf.config_for_sinusoid(DEMO, float(trace.z[0]))
+    kernel = akf.run(trace, cfg, akf.Variant.IMPROVED)
+    oracle = oracle_run(trace, cfg, akf.Variant.IMPROVED)
+    np.testing.assert_array_equal(kernel.t, oracle.t)
+    for name in ("x_pred", "x_hat", "innovation"):
+        np.testing.assert_allclose(getattr(kernel, name), getattr(oracle, name),
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+    # The gain is where the oracle's own BLAS rounding shows most: while the
+    # covariance collapses from eye(2) in the first ~50 steps, FMA kernels
+    # move it by up to 1.3e-12 relative (OpenBLAS SkylakeX; 0 without FMA,
+    # see the Sandybridge test below).
+    np.testing.assert_allclose(kernel.gain, oracle.gain, rtol=1e-11, atol=1e-11)
+
+
+def test_classic_kernel_matches_oracle_over_first_30_ticks():
+    trace = demo_trace(30)
+    cfg = akf.config_for_sinusoid(DEMO, float(trace.z[0]))
+    kernel = akf.run(trace, cfg, akf.Variant.CLASSIC)
+    oracle = oracle_run(trace, cfg, akf.Variant.CLASSIC)
+    for name in COLUMNS:
+        np.testing.assert_allclose(getattr(kernel, name), getattr(oracle, name),
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", list(akf.Variant))
+def test_kernel_matches_oracle_on_transcription_inputs(variant):
+    # the three-step inputs of acceptance criterion 5: non-zero initial noise
+    # means, a non-diagonal initial covariance and a fixed noise of 0.3
+    omega = 0.35
+    cfg = akf.FilterConfig(
+        transition=np.eye(2), noise_gain=np.eye(2),
+        obs_at=lambda t: observation_row(t, omega),
+        init=akf.FilterInit(x0=np.array([1.0, -0.1]),
+                            err_cov0=np.array([[0.9, 0.1], [0.1, 1.1]]),
+                            proc_cov0=np.array([[0.25, 0.0], [0.0, 0.15]]),
+                            meas_cov0=np.array([[0.3]]),
+                            proc_mean0=np.array([0.02, -0.01]),
+                            meas_mean0=np.array([0.005])),
+        forgetting=0.97, meas_cov_fixed=np.array([[0.3]]))
+    trace = Trace(ticks=np.arange(3), states=np.zeros((3, 2)),
+                  z=np.array([1.05, 0.62, -0.41]))
+    kernel = akf.run(trace, cfg, variant)
+    oracle = oracle_run(trace, cfg, variant)
+    for name in COLUMNS:
+        np.testing.assert_allclose(getattr(kernel, name), getattr(oracle, name),
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_run_uses_oracle_outside_kernel_shape():
+    # a non-identity transition is not the kernel's model: run stacks step
+    params = SignalParams(omega=0.3, sigma_process=1e-3, sigma_meas=0.01, seed=4)
+    trace = simulate(params, SignalState(1.0, 0.0), 40)
+    base = akf.config_for_sinusoid(params, float(trace.z[0]))
+    cfg = akf.FilterConfig(transition=np.array([[1.0, 0.01], [0.0, 1.0]]),
+                           noise_gain=base.noise_gain, obs_at=base.obs_at,
+                           init=base.init, forgetting=base.forgetting,
+                           meas_cov_fixed=base.meas_cov_fixed)
+    run = akf.run(trace, cfg, akf.Variant.IMPROVED)
+    oracle = oracle_run(trace, cfg, akf.Variant.IMPROVED)
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(run, name), getattr(oracle, name))
+
+
+def test_run_takes_precomputed_observation_rows():
+    trace = demo_trace(200)
+    cfg = akf.config_for_sinusoid(DEMO, float(trace.z[0]))
+    rows = observation_rows(trace.ticks, DEMO.omega)
+    for variant in akf.Variant:
+        given = akf.run(trace, cfg, variant, rows)
+        own = akf.run(trace, cfg, variant)
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(given, name), getattr(own, name))
+    with pytest.raises(DimensionError):
+        akf.run(trace, cfg, akf.Variant.IMPROVED, rows[:-1])
+
+
+@pytest.mark.parametrize("variant", list(akf.Variant))
+def test_nan_measurement_names_the_tick(variant):
+    trace = demo_trace(50)
+    z = trace.z.copy()
+    z[17] = np.nan
+    bad = Trace(ticks=trace.ticks, states=trace.states, z=z)
+    cfg = akf.config_for_sinusoid(DEMO, float(z[0]))
+    with pytest.raises(DataError, match="tick 17"):
+        akf.run(bad, cfg, variant)
+
+
+def test_filter_run_slices_rows():
+    trace = demo_trace(20)
+    run = akf.run(trace, akf.config_for_sinusoid(DEMO, float(trace.z[0])),
+                  akf.Variant.IMPROVED)
+    part = run[5:9]
+    assert len(part) == 4
+    np.testing.assert_array_equal(part.t, [5, 6, 7, 8])
+    np.testing.assert_array_equal(part.gain, run.gain[5:9])
+    with pytest.raises(TypeError):
+        run[0]
+
+
+def _dynamic_arch_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
+
+
+NON_FMA_ORACLE = """
+import sys
+import numpy as np
+from fdia_lab import akf
+from fdia_lab.signal_model import SignalParams, SignalState, simulate
+params = SignalParams(omega=0.3141592653589793, sigma_process=0.001,
+                      sigma_meas=0.002, seed=7)
+trace = simulate(params, SignalState(1.0, 0.0), int(sys.argv[1]))
+cfg = akf.config_for_sinusoid(params, float(trace.z[0]))
+for variant in akf.Variant:
+    state = akf.initial_state(cfg)
+    x_hat = []
+    for z in trace.z:
+        state, out = akf.step(state, z, cfg, variant)
+        x_hat.append(out.x_hat)
+    print(np.stack(x_hat).tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or not _dynamic_arch_openblas(),
+                    reason="needs numpy on a DYNAMIC_ARCH OpenBLAS on x86_64")
+def test_kernel_bit_equals_oracle_without_fma():
+    # OpenBLAS's Sandybridge kernel has no fused multiply-add, so the oracle's
+    # numpy calls round exactly as the kernel's float operations do
+    n = 2000
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", NON_FMA_ORACLE, str(n)], env=env,
+                         check=True, capture_output=True, text=True, timeout=300)
+    oracle_hex = out.stdout.split()
+    trace = demo_trace(n)
+    cfg = akf.config_for_sinusoid(DEMO, float(trace.z[0]))
+    for variant, expected in zip(akf.Variant, oracle_hex, strict=True):
+        kernel = akf.run(trace, cfg, variant)
+        assert kernel.x_hat.tobytes().hex() == expected, variant

@@ -3,7 +3,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from fdia_lab import akf, fusion, passive_detect
 from fdia_lab.cli import main
 
 BASE_CONFIG = {
@@ -166,3 +168,30 @@ def test_train_epochs_override_and_determinism(tmp_path):
     first = (out / "checkpoint.json").read_bytes()
     assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
     assert (out / "checkpoint.json").read_bytes() == first
+
+
+def test_detect_builds_no_per_tick_objects(tmp_path, monkeypatch):
+    cfg_path, out = write_config(tmp_path, out_name="columns")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"detect built a {type(self).__name__}")
+
+    for cls in (akf.StepOutput, passive_detect.PassiveVerdict, fusion.FusionVerdict):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert main(["detect", "--config", str(cfg_path)]) == 0
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 0
+
+
+@pytest.mark.parametrize("cell", ["", "nan"])
+def test_detect_bad_trace_cell_is_data_error(tmp_path, capsys, cell):
+    cfg_path, out = write_config(tmp_path, out_name="badcell")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    lines = (out / "trace.csv").read_text().splitlines()
+    t, x1, x2, _ = lines[42].split(",")
+    lines[42] = ",".join([t, x1, x2, cell])
+    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
+    assert "trace.csv: row 42, column 'z'" in capsys.readouterr().err

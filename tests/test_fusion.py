@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdia_lab.evaluation import confusion, metrics
-from fdia_lab.fusion import combine, combine_streams, write_fused_csv
+from fdia_lab.fusion import combine, combine_streams
 from fdia_lab.passive_detect import Thresholds
 
 TH = Thresholds(sigma=1.0, k=3.0)  # limit = 3.0
@@ -71,12 +71,3 @@ def test_combine_streams_assigns_ticks():
     assert [v.t for v in verdicts] == [10, 11]
     assert [v.fused for v in verdicts] == [False, True]
 
-
-def test_fused_csv(tmp_path):
-    verdicts = [combine(0.5, TH, False, t=0), combine(6.0, TH, True, t=1)]
-    path = tmp_path / "fused.csv"
-    write_fused_csv(verdicts, TH, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,r_N,flag_N,flag_GC,flag_fused"
-    assert lines[1] == "0,0.5,0,0,0"
-    assert lines[2] == "1,6.0,1,1,1"

@@ -1,0 +1,57 @@
+import numpy as np
+import pytest
+
+from fdia_lab.errors import DataError
+from fdia_lab.io_utils import parse_column, write_columns, write_csv
+
+HEADER = ["t", "value", "flag", "count"]
+
+
+def write_both(tmp_path, header, columns):
+    rows_path, cols_path = tmp_path / "rows.csv", tmp_path / "cols.csv"
+    write_csv(rows_path, header, zip(*columns))
+    write_columns(cols_path, header, columns)
+    return rows_path.read_bytes(), cols_path.read_bytes()
+
+
+def test_column_writer_equals_row_writer_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=400) * 10.0 ** rng.integers(-20, 20, size=400)
+    values[::7] = np.nan
+    values[:6] = [0.0, -0.0, np.inf, -np.inf, 1e16, 5e-324]
+    columns = [np.arange(400), values, rng.random(400) < 0.3,
+               rng.integers(-5, 5, size=400)]
+    by_rows, by_columns = write_both(tmp_path, HEADER, columns)
+    assert by_rows == by_columns
+    assert b"\n7,,0," in by_rows or b"\n7,,1," in by_rows  # NaN is the empty cell
+
+
+def test_column_writer_takes_lists_and_float32(tmp_path):
+    columns = [[0, 1, 2], np.array([0.1, np.nan, 2.5], dtype=np.float32),
+               [True, False, True], np.array([3, 4, 5], dtype=np.int32)]
+    by_rows, by_columns = write_both(tmp_path, HEADER, columns)
+    assert by_rows == by_columns
+
+
+def test_column_writer_empty_table(tmp_path):
+    by_rows, by_columns = write_both(tmp_path, HEADER, [np.array([])] * 4)
+    assert by_rows == by_columns == b"t,value,flag,count\n"
+
+
+def test_column_writer_rejects_ragged_columns(tmp_path):
+    with pytest.raises(DataError):
+        write_columns(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+    with pytest.raises(DataError):
+        write_columns(tmp_path / "x.csv", ["a"], [np.zeros(3), np.zeros(3)])
+    with pytest.raises(DataError):
+        write_columns(tmp_path / "x.csv", ["a"], [np.zeros((3, 2))])
+
+
+def test_parse_column_values_and_errors():
+    rows = [["0", "1.5"], ["1", "-2e-3"], ["2", "7"]]
+    np.testing.assert_array_equal(parse_column("f.csv", rows, 0, "t", int), [0, 1, 2])
+    np.testing.assert_array_equal(parse_column("f.csv", rows, 1, "z"), [1.5, -2e-3, 7.0])
+    with pytest.raises(DataError, match="f.csv: row 2, column 't' is not a number: '1.0'"):
+        parse_column("f.csv", [["0"], ["1.0"]], 0, "t", int)
+    with pytest.raises(DataError, match="f.csv: row 1, column 'z' is not finite: 'inf'"):
+        parse_column("f.csv", [["inf"], ["1"]], 0, "z")

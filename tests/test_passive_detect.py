@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from fdia_lab import akf
 from fdia_lab.errors import DataError
-from fdia_lab.passive_detect import (Thresholds, calibrate_channels, calibrate_sigma,
-                                     decide, euclidean_deviation, evaluate_stream,
+from fdia_lab.passive_detect import (PassiveVerdict, Thresholds, calibrate_channels,
+                                     calibrate_sigma, channel_samples, decide,
+                                     euclidean_deviation, evaluate_stream,
                                      residual_metric, write_verdicts_csv)
-from fdia_lab.signal_model import SignalParams, SignalState, observation_row, simulate
+from fdia_lab.signal_model import (SignalParams, SignalState, observation_row,
+                                   observation_rows, simulate)
 
 
 def test_calibrate_sigma_rejects_short_window():
@@ -114,3 +118,68 @@ def test_verdicts_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,euclidean_d,residual_r,flag"
     assert len(lines) == 701
+
+
+# --- columns against the per-tick detectors ------------------------------------
+
+def as_steps(run):
+    return [akf.StepOutput(t=int(run.t[i]), x_pred=run.x_pred[i], x_hat=run.x_hat[i],
+                           innovation=run.innovation[i], gain=run.gain[i])
+            for i in range(len(run))]
+
+
+def test_channel_samples_match_per_tick_detectors():
+    trace, outputs, obs = run_filtered_trace(3000, seed=8)
+    devs, signed = channel_samples(outputs, trace.z, obs)
+    ref_devs, ref_signed = [], []
+    for x_pred, x_hat, z, h in zip(outputs.x_pred, outputs.x_hat, trace.z, obs):
+        dev = float((h @ x_pred)[0]) - float(z)
+        r = residual_metric(x_pred, x_hat)
+        ref_devs.append(dev)
+        ref_signed.append(math.copysign(r, dev) if dev != 0.0 else r)
+    np.testing.assert_allclose(devs, ref_devs, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(signed, ref_signed, rtol=1e-12, atol=1e-15)
+
+
+def test_evaluate_stream_matches_per_tick_decisions():
+    trace, outputs, obs = run_filtered_trace(3000, seed=8)
+    euclid_th = Thresholds(sigma=0.002)
+    resid_th = Thresholds(sigma=0.001)
+    verdicts = evaluate_stream(outputs, trace.z, obs, euclid_th, resid_th, armed_from=700)
+    assert len(verdicts) == 3000
+    for i, v in enumerate(verdicts):
+        assert isinstance(v, PassiveVerdict) and v.t == i
+        d = euclidean_deviation(float((obs[i] @ outputs.x_pred[i])[0]), trace.z[i])
+        r = residual_metric(outputs.x_pred[i], outputs.x_hat[i])
+        assert v.euclidean_d == pytest.approx(d, rel=1e-12, abs=1e-15)
+        assert v.residual_r == pytest.approx(r, rel=1e-12, abs=1e-15)
+        armed = i >= 700
+        assert verdicts.residual_flag[i] == (armed and decide(v.residual_r, resid_th))
+        assert v.flag == (armed and (decide(v.euclidean_d, euclid_th)
+                                     or decide(v.residual_r, resid_th)))
+
+
+def test_step_list_and_filter_run_give_equal_verdicts():
+    trace, outputs, obs = run_filtered_trace(800, seed=2)
+    rows = observation_rows(trace.ticks, 2 * np.pi / 20)
+    th_a = calibrate_channels(outputs, trace.z, rows, warmup=600)
+    th_b = calibrate_channels(as_steps(outputs), trace.z, obs, warmup=600)
+    assert th_a == th_b
+    a = evaluate_stream(outputs, trace.z, rows, *th_a, armed_from=600)
+    b = evaluate_stream(as_steps(outputs), trace.z, obs, *th_b, armed_from=600)
+    for name in ("t", "euclidean_d", "residual_r", "residual_flag", "flag"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("value, message", [(0.0, "zero-norm state at tick 3"),
+                                            (np.nan, "non-finite at tick 3")])
+def test_bad_filter_state_names_the_tick(value, message):
+    trace, outputs, obs = run_filtered_trace(10, seed=1)
+    x_pred = outputs.x_pred.copy()
+    x_pred[3] = value
+    broken = akf.FilterRun(outputs.t, x_pred, outputs.x_hat, outputs.innovation,
+                           outputs.gain)
+    with pytest.raises(DataError, match=message):
+        channel_samples(broken, trace.z, obs)
+    with pytest.raises(DataError, match=message):
+        evaluate_stream(broken, trace.z, obs, Thresholds(1.0), Thresholds(1.0))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fdia_lab.errors import ConfigError
+from fdia_lab.errors import ConfigError, DataError
 from fdia_lab.signal_model import (SignalParams, SignalState, amplitude_phase,
-                                   observation_row, read_trace_csv, simulate,
+                                   observation_row, observation_rows, read_labels_csv,
+                                   read_trace_csv, simulate, write_labels_csv,
                                    write_trace_csv)
 
 
@@ -91,3 +92,43 @@ def test_trace_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.ticks, trace.ticks)
     np.testing.assert_array_equal(back.states, trace.states)
     np.testing.assert_array_equal(back.z, trace.z)
+
+
+def test_observation_rows_bit_equal_stacked_rows():
+    ticks = np.arange(100_000)
+    for omega in (0.3141592653589793, 2 * math.pi / 20, 0.25, 0.35):
+        stacked = np.stack([observation_row(int(t), omega) for t in ticks])
+        rows = observation_rows(ticks, omega)
+        assert rows.shape == (100_000, 1, 2)
+        assert rows.tobytes() == stacked.tobytes(), omega
+
+
+def test_labels_csv_roundtrip(tmp_path):
+    path = tmp_path / "labels.csv"
+    write_labels_csv(np.arange(5), np.array([0, 0, 1, 1, 0]), path)
+    assert path.read_text() == "t,label\n0,0\n1,0\n2,1\n3,1\n4,0\n"
+    ticks, labels = read_labels_csv(path)
+    np.testing.assert_array_equal(ticks, np.arange(5))
+    np.testing.assert_array_equal(labels, [0, 0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("cell, problem", [("", "is empty"),
+                                           ("abc", "is not a number: 'abc'"),
+                                           ("nan", "is not finite: 'nan'"),
+                                           ("-inf", "is not finite: '-inf'")])
+def test_trace_reader_names_the_bad_cell(tmp_path, cell, problem):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,x1,x2,z\n0,1.0,0.0,1.0\n1,1.0,0.0,0.9\n"
+                    f"2,1.0,0.0,{cell}\n3,1.0,0.0,0.7\n")
+    with pytest.raises(DataError) as err:
+        read_trace_csv(path)
+    assert str(err.value) == f"{path}: row 3, column 'z' {problem}"
+
+
+@pytest.mark.parametrize("text, where", [("t,label\n0,0\n1,\n", "row 2, column 'label'"),
+                                         ("t,label\n0,0\n1.5,1\n", "row 2, column 't'")])
+def test_labels_reader_names_the_bad_cell(tmp_path, text, where):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"labels.csv: {where}"):
+        read_labels_csv(path)
