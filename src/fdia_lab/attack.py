@@ -107,9 +107,52 @@ def inject(z_t: Vector, scenario: AttackScenario, t: int) -> Vector:
     return z_t + scenario.selection.as_array() * attack_sequence_value(scenario, z_t, t)
 
 
+def active_mask(scenario: AttackScenario, ticks: np.ndarray) -> np.ndarray:
+    """``active_at`` for every tick of an integer array, as a boolean mask."""
+    ticks = np.asarray(ticks)
+    since = ticks - scenario.onset
+    active = (since >= 0) & (since < scenario.duration)
+    if scenario.period is not None:
+        active &= since % scenario.period < scenario.duty
+    return active
+
+
+def inject_series(z: np.ndarray, scenario: AttackScenario,
+                  ticks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``inject`` over a scalar-measurement series z (n,) at the given ticks.
+
+    Returns the attacked series and the mask of active ticks. Each active
+    tick gets the same arithmetic as ``inject`` on its 1-vector, so the
+    result is bit-identical to the per-tick loop; the sinusoid is taken
+    with ``math.sin`` tick by tick for that reason.
+    """
+    z = as_vector(z)
+    ticks = np.asarray(ticks)
+    if ticks.shape != z.shape:
+        raise DimensionError(f"{len(ticks)} ticks for {len(z)} measurements")
+    if len(scenario.selection.deltas) != 1:
+        raise DimensionError(
+            f"measurement has 1 sensors, scenario selects over "
+            f"{len(scenario.selection.deltas)}"
+        )
+    active = active_mask(scenario, ticks)
+    hit = np.flatnonzero(active)
+    if scenario.kind is AttackKind.RANDOM_SINUSOID:
+        omega = scenario.sinusoid_omega
+        value = scenario.amplitude * np.array(
+            [math.sin(omega * t) for t in ticks[hit].tolist()])
+    elif scenario.kind is AttackKind.FRACTION_SCALE:
+        value = scenario.fraction * z[hit]
+    else:
+        value = np.asarray(scenario.bias, dtype=float)
+    attacked = z.copy()
+    attacked[hit] = z[hit] + scenario.selection.as_array() * value
+    return attacked, active
+
+
 def labels_for(scenario: AttackScenario, n: int) -> np.ndarray:
     """Per-tick 0/1 attack labels for a trace of length n."""
-    return np.array([1 if active_at(scenario, t) else 0 for t in range(n)])
+    return active_mask(scenario, np.arange(n)).astype(int)
 
 
 def build_stealthy(h: Matrix, d: Vector) -> Vector:

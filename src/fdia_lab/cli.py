@@ -159,11 +159,8 @@ def _merge_metrics(cfg: ExperimentConfig, entries: dict) -> None:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     cfg.outputs.mkdir(parents=True, exist_ok=True)
     trace = simulate(cfg.signal, cfg.initial, cfg.n)
-    z_attacked = np.array([
-        attack.inject(np.array([z_t]), cfg.scenario, int(t))[0]
-        for t, z_t in zip(trace.ticks, trace.z)
-    ])
-    labels = attack.labels_for(cfg.scenario, cfg.n)
+    z_attacked, active = attack.inject_series(trace.z, cfg.scenario, trace.ticks)
+    labels = active.astype(int)
     attacked = Trace(ticks=trace.ticks, states=trace.states, z=z_attacked)
 
     write_trace_csv(attacked, cfg.outputs / "trace.csv")

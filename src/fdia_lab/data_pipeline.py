@@ -4,8 +4,10 @@ Mean imputation, clustered SMOTE-style oversampling of the minority
 (attack) class, Z-score standardization fitted on the training split,
 matrix assembly, stratified splitting, and sliding-window extraction.
 
-Dataset CSV schema: header ``t,<feature...>,label`` with an empty cell
-meaning a missing value; the label column is optional.
+Dataset CSV schema: header ``t,<feature...>,label`` with an empty feature
+cell meaning a missing value; the label column is optional. Any other
+unparsable or non-finite cell is a DataError naming its file, row and
+column.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .io_utils import parse_cell, read_csv, write_columns
+from .io_utils import parse_column, read_csv, write_columns
 
 
 @dataclass
@@ -269,9 +271,12 @@ def read_dataset_csv(path) -> RawDataset:
     feature_cols = header[1:-1] if has_labels else header[1:]
     if not feature_cols:
         raise DataError("dataset CSV has no feature columns")
-    ticks = np.array([int(float(r[0])) for r in rows])
-    stop = -1 if has_labels else len(header)
-    values = np.array([[parse_cell(c) for c in r[1:stop]] for r in rows])
-    values = values.reshape(len(rows), len(feature_cols))
-    labels = np.array([int(float(r[-1])) for r in rows]) if has_labels else None
+    ticks = parse_column(path, rows, 0, "t").astype(int)
+    values = np.column_stack([
+        parse_column(path, rows, j, name, empty_is_missing=True)
+        for j, name in enumerate(feature_cols, start=1)
+    ])
+    labels = None
+    if has_labels:
+        labels = parse_column(path, rows, len(header) - 1, "label").astype(int)
     return RawDataset(columns=feature_cols, values=values, labels=labels, ticks=ticks)

@@ -97,23 +97,28 @@ def _parses(text: str, kind) -> bool:
 
 
 def parse_column(path, rows: Sequence[Sequence[str]], index: int, name: str,
-                 kind=float) -> np.ndarray:
+                 kind=float, empty_is_missing: bool = False) -> np.ndarray:
     """Column ``index`` of ``read_csv`` rows as a finite array of ``kind``.
 
     An empty, unparsable or non-finite cell raises DataError naming the
     file, the row (1-based, as ``read_csv`` counts them) and the column.
+    With ``empty_is_missing`` (float columns only) an empty cell reads as
+    NaN, a missing value, instead.
     """
     cells = [row[index] for row in rows]
+    convert = parse_cell if empty_is_missing else kind
     try:
-        values = np.array([kind(c) for c in cells], dtype=kind)
+        values = np.array([convert(c) for c in cells], dtype=kind)
     except ValueError:
-        bad = next(i for i, c in enumerate(cells) if not _parses(c, kind))
+        bad = next(i for i, c in enumerate(cells) if not _parses(c, convert))
         problem = "is empty" if cells[bad] == "" else f"is not a number: {cells[bad]!r}"
     else:
-        finite = np.isfinite(values)
-        if finite.all():
+        nonfinite = np.flatnonzero(~np.isfinite(values)).tolist()
+        if empty_is_missing:
+            nonfinite = [i for i in nonfinite if cells[i] != ""]
+        if not nonfinite:
             return values
-        bad = int(np.argmin(finite))
+        bad = nonfinite[0]
         problem = f"is not finite: {cells[bad]!r}"
     raise DataError(f"{path}: row {bad + 1}, column '{name}' {problem}")
 

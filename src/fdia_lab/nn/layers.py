@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError, DimensionError
 
@@ -53,22 +52,9 @@ class DenseLayer:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def gru_step(x_t: np.ndarray, h_prev: np.ndarray, p: GruParams):
-    """Batched cell update; x_t (B, D), h_prev (B, H). Returns (h, cache)."""
-    r = _sigmoid(x_t @ p.w_xr + h_prev @ p.w_hr + p.b_r)
-    z = _sigmoid(x_t @ p.w_xz + h_prev @ p.w_hz + p.b_z)
-    rh = r * h_prev
-    cand = np.tanh(x_t @ p.w_xh + rh @ p.w_hh + p.b_h)
-    h = z * h_prev + (1.0 - z) * cand
-    return h, (x_t, h_prev, r, z, cand, rh)
+    """Logistic function without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def gru_cell(x_t: np.ndarray, h_prev: np.ndarray, p: GruParams) -> np.ndarray:
@@ -77,23 +63,46 @@ def gru_cell(x_t: np.ndarray, h_prev: np.ndarray, p: GruParams) -> np.ndarray:
     h_prev = np.asarray(h_prev, dtype=float)
     if x_t.shape != (p.input_dim,) or h_prev.shape != (p.hidden,):
         raise DimensionError("gru_cell input shapes do not match the parameters")
-    h, _ = gru_step(x_t[None, :], h_prev[None, :], p)
-    return h[0]
+    seq, _ = gru_forward(x_t[None, None, :], p, h0=h_prev[None, :])
+    return seq[0, 0]
 
 
-def gru_forward(x: np.ndarray, p: GruParams):
-    """Run the cell over a batch of windows; x (B, L, D) -> (B, L, H)."""
+def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
+    """Run the cell over a batch of windows; x (B, L, D) -> (B, L, H).
+
+    ``h0`` (B, H) is the state before the first tick (zeros when omitted).
+    The input projections of every tick are one matmul before the loop;
+    inside it the reset and update gates share one recurrent matmul and
+    one sigmoid. The cache holds tick-major stacked arrays: the inputs
+    (L, B, D), the states h_0..h_L (L + 1, B, H), the gates [r | z]
+    (L, B, 2H), the candidates and r * h_prev (L, B, H).
+    """
     b, length, d = x.shape
+    hd = p.hidden
     if d != p.input_dim:
         raise DimensionError(f"window feature width {d} != GRU input_dim {p.input_dim}")
-    h = np.zeros((b, p.hidden))
-    seq = np.empty((b, length, p.hidden))
-    caches = []
+    xs = np.ascontiguousarray(x.transpose(1, 0, 2))
+    proj = (xs @ np.hstack([p.w_xr, p.w_xz, p.w_xh])
+            + np.concatenate([p.b_r, p.b_z, p.b_h]))
+    w_hrz = np.hstack([p.w_hr, p.w_hz])
+    hs = np.empty((length + 1, b, hd))
+    if h0 is None:
+        hs[0] = 0.0
+    elif np.shape(h0) != (b, hd):
+        raise DimensionError(f"initial state {np.shape(h0)} != ({b}, {hd})")
+    else:
+        hs[0] = h0
+    rz = np.empty((length, b, 2 * hd))
+    cand = np.empty((length, b, hd))
+    rh = np.empty((length, b, hd))
     for t in range(length):
-        h, cache = gru_step(x[:, t], h, p)
-        seq[:, t] = h
-        caches.append(cache)
-    return seq, caches
+        h = hs[t]
+        rz[t] = _sigmoid(proj[t, :, :2 * hd] + h @ w_hrz)
+        r, z = rz[t, :, :hd], rz[t, :, hd:]
+        np.multiply(r, h, out=rh[t])
+        np.tanh(proj[t, :, 2 * hd:] + rh[t] @ p.w_hh, out=cand[t])
+        np.add(z * h, (1.0 - z) * cand[t], out=hs[t + 1])
+    return hs[1:].transpose(1, 0, 2), (xs, hs, rz, cand, rh)
 
 
 def gru_sequence(window: np.ndarray, p: GruParams) -> np.ndarray:
@@ -106,103 +115,139 @@ def gru_sequence(window: np.ndarray, p: GruParams) -> np.ndarray:
 
 
 def gru_backward(dseq: np.ndarray, caches, p: GruParams) -> dict[str, np.ndarray]:
-    """Backprop through time given the gradient of every stacked hidden state."""
-    grads = {
-        "w_xr": np.zeros_like(p.w_xr), "w_hr": np.zeros_like(p.w_hr),
-        "w_xz": np.zeros_like(p.w_xz), "w_hz": np.zeros_like(p.w_hz),
-        "w_xh": np.zeros_like(p.w_xh), "w_hh": np.zeros_like(p.w_hh),
-        "b_r": np.zeros_like(p.b_r), "b_z": np.zeros_like(p.b_z),
-        "b_h": np.zeros_like(p.b_h),
+    """Backprop through time given the gradient of every stacked hidden state.
+
+    Only the recurrent chain dh runs tick by tick; the local gate
+    derivatives come from forward values for all ticks at once, and the
+    weight and bias gradients are stacked matmuls and sums after the loop.
+    """
+    xs, hs, rz, cand, rh = caches
+    length, b, hd = cand.shape
+    h_prev = hs[:-1]
+    r, z = rz[..., :hd], rz[..., hd:]
+    # d pre-activation / dh for the update gate and the candidate, and
+    # d pre-activation / d(r * h_prev) for the reset gate
+    z_gain = (h_prev - cand) * z * (1.0 - z)
+    cand_gain = (1.0 - z) * (1.0 - cand * cand)
+    r_gain = h_prev * r * (1.0 - r)
+    w_hrz_t = np.hstack([p.w_hr, p.w_hz]).T
+    w_hh_t = p.w_hh.T
+    dseq = dseq.transpose(1, 0, 2)
+    dpre = np.empty((length, b, 3 * hd))  # [reset | update | candidate]
+    dh_next = np.zeros((b, hd))
+    for t in range(length - 1, -1, -1):
+        dh = dseq[t] + dh_next
+        np.multiply(dh, z_gain[t], out=dpre[t, :, hd:2 * hd])
+        np.multiply(dh, cand_gain[t], out=dpre[t, :, 2 * hd:])
+        drh = dpre[t, :, 2 * hd:] @ w_hh_t
+        np.multiply(drh, r_gain[t], out=dpre[t, :, :hd])
+        dh_next = dh * z[t] + drh * r[t] + dpre[t, :, :2 * hd] @ w_hrz_t
+
+    dpre = dpre.reshape(length * b, 3 * hd)
+    g_x = xs.reshape(length * b, -1).T @ dpre
+    g_h = h_prev.reshape(length * b, hd).T @ dpre[:, :2 * hd]
+    g_b = dpre.sum(axis=0)
+    return {
+        "w_xr": g_x[:, :hd], "w_hr": g_h[:, :hd],
+        "w_xz": g_x[:, hd:2 * hd], "w_hz": g_h[:, hd:],
+        "w_xh": g_x[:, 2 * hd:], "w_hh": rh.reshape(length * b, hd).T @ dpre[:, 2 * hd:],
+        "b_r": g_b[:hd], "b_z": g_b[hd:2 * hd], "b_h": g_b[2 * hd:],
     }
-    dh_next = np.zeros_like(dseq[:, 0])
-    for t in range(dseq.shape[1] - 1, -1, -1):
-        x_t, h_prev, r, z, cand, rh = caches[t]
-        dh = dseq[:, t] + dh_next
-
-        dz = dh * (h_prev - cand)
-        dcand = dh * (1.0 - z)
-        dh_prev = dh * z
-
-        dpre_c = dcand * (1.0 - cand * cand)
-        grads["w_xh"] += x_t.T @ dpre_c
-        grads["w_hh"] += rh.T @ dpre_c
-        grads["b_h"] += dpre_c.sum(axis=0)
-        drh = dpre_c @ p.w_hh.T
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
-
-        dpre_z = dz * z * (1.0 - z)
-        grads["w_xz"] += x_t.T @ dpre_z
-        grads["w_hz"] += h_prev.T @ dpre_z
-        grads["b_z"] += dpre_z.sum(axis=0)
-        dh_prev = dh_prev + dpre_z @ p.w_hz.T
-
-        dpre_r = dr * r * (1.0 - r)
-        grads["w_xr"] += x_t.T @ dpre_r
-        grads["w_hr"] += h_prev.T @ dpre_r
-        grads["b_r"] += dpre_r.sum(axis=0)
-        dh_prev = dh_prev + dpre_r @ p.w_hr.T
-
-        dh_next = dh_prev
-    return grads
 
 
 def conv_forward(x: np.ndarray, layer: ConvLayer):
-    """Valid cross-correlation plus ReLU; x (B, h, w, cin) -> (B, oh, ow, k)."""
+    """Valid cross-correlation plus ReLU; x (B, h, w, cin) -> (B, oh, ow, k).
+
+    The im2col matrix (kh * kw * cin + 1, B * oh * ow) has one row per
+    kernel tap in (m, n, c) order, the order of the kernels' own axes,
+    filled from kh * kw shifted slices of the channels-first input, and a
+    last row of ones that carries the bias. The layer is then one matmul;
+    the cache keeps that matrix and the activation for the backward pass.
+    """
     kernels, bias = layer.kernels, layer.bias
-    _, kh, kw, cin = kernels.shape
+    k, kh, kw, cin = kernels.shape
     if x.ndim != 4 or x.shape[3] != cin:
         raise DimensionError(f"conv input {x.shape} does not match kernels {kernels.shape}")
-    if x.shape[1] < kh or x.shape[2] < kw:
+    b, h, w, _ = x.shape
+    if h < kh or w < kw:
         raise DimensionError(f"conv input {x.shape[1:3]} smaller than kernel ({kh}, {kw})")
-    patches = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (B, oh, ow, cin, kh, kw)
-    pre = np.einsum("bijcmn,omnc->bijo", patches, kernels, optimize=True) + bias
-    return np.maximum(pre, 0.0), (x, patches, pre)
+    oh, ow = h - kh + 1, w - kw + 1
+    size = kh * kw * cin
+    x_cf = x.transpose(3, 0, 1, 2)
+    cols = np.empty((size + 1, b, oh, ow))
+    taps = cols[:size].reshape(kh, kw, cin, b, oh, ow)
+    for m in range(kh):
+        for n in range(kw):
+            taps[m, n] = x_cf[:, :, m:m + oh, n:n + ow]
+    cols[size] = 1.0
+    cols = cols.reshape(size + 1, -1)
+    weights = np.hstack([kernels.reshape(k, size), bias[:, None]])
+    out = np.maximum(weights @ cols, 0.0)
+    out = np.ascontiguousarray(out.T).reshape(b, oh, ow, k)
+    return out, (x.shape, cols, out)
 
 
 def conv_backward(dout: np.ndarray, cache, layer: ConvLayer):
-    """Returns (dx, dkernels, dbias)."""
-    x, patches, pre = cache
+    """Returns (dx, dkernels, dbias).
+
+    One matmul with the cached im2col matrix gives the kernel and bias
+    gradients; dx is one matmul plus kh * kw shifted adds.
+    """
+    x_shape, cols, out = cache
     kernels = layer.kernels
-    _, kh, kw, _ = kernels.shape
-    dpre = dout * (pre > 0.0)
-    dbias = dpre.sum(axis=(0, 1, 2))
-    dkernels = np.einsum("bijo,bijcmn->omnc", dpre, patches, optimize=True)
-    pad = ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0))
-    dpre_pad = np.pad(dpre, pad)
-    windows = sliding_window_view(dpre_pad, (kh, kw), axis=(1, 2))  # (B, h, w, o, kh, kw)
-    flipped = kernels[:, ::-1, ::-1, :]
-    dx = np.einsum("bpqomn,omnc->bpqc", windows, flipped, optimize=True)
-    return dx, dkernels, dbias
+    k, kh, kw, cin = kernels.shape
+    b, oh, ow, _ = out.shape
+    dpre = (dout * (out > 0.0)).reshape(-1, k)
+    grad = cols @ dpre
+    dkernels = grad[:-1].T.reshape(kernels.shape)
+    # the gradient of every im2col row, laid out (m, n, c, B, oh, ow), is
+    # added at its tap's shift into a channels-first dx
+    dcols = (kernels.reshape(k, -1).T @ dpre.T).reshape(kh, kw, cin, b, oh, ow)
+    dx = np.zeros((cin, *x_shape[:3]))
+    for m in range(kh):
+        for n in range(kw):
+            dx[:, :, m:m + oh, n:n + ow] += dcols[m, n]
+    dx = np.ascontiguousarray(np.moveaxis(dx, 0, -1))
+    return dx, dkernels, grad[-1]
 
 
-def pool_forward(x: np.ndarray, window: int = 2):
-    """Non-overlapping max pooling; odd trailing rows/cols are padded with -inf."""
+def pool_forward(x: np.ndarray, window: int = 2, cache: bool = True):
+    """Non-overlapping max pooling; odd trailing rows/cols act as -inf padding.
+
+    The maximum is taken over the window * window strided slices of x. The
+    cache (skipped with ``cache=False``) records, per output cell, the first
+    tile position in row-major order that holds the maximum, argmax's tie
+    rule, for the backward pass.
+    """
     if x.ndim != 4:
         raise DimensionError("pool input must be (batch, rows, cols, channels)")
-    b, h, w, ch = x.shape
-    pad_h = (-h) % window
-    pad_w = (-w) % window
-    padded = np.pad(x, ((0, 0), (0, pad_h), (0, pad_w), (0, 0)),
-                    constant_values=-np.inf)
-    oh, ow = padded.shape[1] // window, padded.shape[2] // window
-    tiles = (padded.reshape(b, oh, window, ow, window, ch)
-             .transpose(0, 1, 3, 2, 4, 5)
-             .reshape(b, oh, ow, window * window, ch))
-    idx = np.argmax(tiles, axis=3)
-    out = np.take_along_axis(tiles, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    out = x[:, ::window, ::window, :].copy()
+    for pos in range(1, window * window):
+        a, c = divmod(pos, window)
+        tile = x[:, a::window, c::window, :]
+        best = out[:, :tile.shape[1], :tile.shape[2]]
+        np.maximum(best, tile, out=best)
+    if not cache:
+        return out, None
+    idx = np.zeros(out.shape, dtype=np.intp)
+    # last position first, so that the first one holding the maximum wins
+    for pos in range(window * window - 1, -1, -1):
+        a, c = divmod(pos, window)
+        tile = x[:, a::window, c::window, :]
+        rows, cols = tile.shape[1:3]
+        np.copyto(idx[:, :rows, :cols], pos, where=tile == out[:, :rows, :cols])
     return out, (x.shape, window, idx)
 
 
 def pool_backward(dout: np.ndarray, cache) -> np.ndarray:
-    (b, h, w, ch), window, idx = cache
-    oh, ow = dout.shape[1], dout.shape[2]
-    dtiles = np.zeros((b, oh, ow, window * window, ch))
-    np.put_along_axis(dtiles, idx[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
-    dpadded = (dtiles.reshape(b, oh, ow, window, window, ch)
-               .transpose(0, 1, 3, 2, 4, 5)
-               .reshape(b, oh * window, ow * window, ch))
-    return dpadded[:, :h, :w, :]
+    x_shape, window, idx = cache
+    dx = np.empty(x_shape)
+    for pos in range(window * window):
+        a, c = divmod(pos, window)
+        tile = dx[:, a::window, c::window, :]
+        rows, cols = tile.shape[1:3]
+        tile[...] = np.where(idx[:, :rows, :cols] == pos, dout[:, :rows, :cols], 0.0)
+    return dx
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

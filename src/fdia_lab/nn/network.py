@@ -23,6 +23,7 @@ from .layers import (ConvLayer, DenseLayer, GruParams, conv_backward, conv_forwa
 
 CHECKPOINT_FORMAT = "gru-cnn-checkpoint"
 CHECKPOINT_VERSION = 1
+INFER_CHUNK = 1024  # windows per inference forward pass
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,14 @@ def parameters(net: Network) -> dict[str, np.ndarray]:
     }
 
 
-def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None = None):
+def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None = None,
+            cache: bool = True):
     """Class probabilities for a batch of windows (B, L, D).
 
     Passing an ``rng`` selects training mode (dropout active when the
     configured rate is positive); without one inference is deterministic
-    and dropout-free.
+    and dropout-free. With ``cache=False`` no layer's backward cache is
+    kept and ``None`` is returned in place of the cache.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3:
@@ -141,23 +144,29 @@ def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None =
             f"window batch {windows.shape[1:]} does not match configured "
             f"({cfg.window_len}, {cfg.input_dim})"
         )
-    seq, gru_caches = gru_forward(windows, net.gru)
-    fmap = seq[:, :, :, None]
-    c1, c1_cache = conv_forward(fmap, net.conv1)
-    p1, p1_cache = pool_forward(c1, cfg.pool)
-    c2, c2_cache = conv_forward(p1, net.conv2)
-    p2, p2_cache = pool_forward(c2, cfg.pool)
+    caches = []
+
+    def keep(result):
+        out, layer_cache = result
+        if cache:
+            caches.append(layer_cache)
+        return out
+
+    seq = keep(gru_forward(windows, net.gru))
+    c1 = keep(conv_forward(seq[:, :, :, None], net.conv1))
+    p1 = keep(pool_forward(c1, cfg.pool, cache))
+    c2 = keep(conv_forward(p1, net.conv2))
+    p2 = keep(pool_forward(c2, cfg.pool, cache))
     flat = p2.reshape(len(windows), -1)
     mask = None
     if rng is not None and cfg.dropout > 0.0:
         dropped, mask = dropout_forward(flat, cfg.dropout, rng)
     else:
         dropped = flat
-    logits = dropped @ net.dense.weights + net.dense.bias
-    probs = softmax(logits)
-    cache = (gru_caches, c1_cache, p1_cache, c2_cache, p2_cache,
-             p2.shape, dropped, mask)
-    return probs, cache
+    probs = softmax(dropped @ net.dense.weights + net.dense.bias)
+    if not cache:
+        return probs, None
+    return probs, (*caches, p2.shape, dropped, mask)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -203,8 +212,11 @@ def gradients(net: Network, windows: np.ndarray, labels: np.ndarray,
 
 
 def predict_proba(net: Network, windows: np.ndarray) -> np.ndarray:
-    probs, _ = forward(net, windows)
-    return probs
+    """Class probabilities (B, 2), computed ``INFER_CHUNK`` windows at a time
+    without backward caches, so memory stays bounded for any B."""
+    windows = np.asarray(windows, dtype=float)
+    return np.concatenate([forward(net, windows[start:start + INFER_CHUNK], cache=False)[0]
+                           for start in range(0, len(windows), INFER_CHUNK)])
 
 
 def predict(net: Network, window: np.ndarray) -> bool:

@@ -8,8 +8,8 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..io_utils import write_csv
-from .network import Network, NetworkConfig, forward, cross_entropy, gradients, \
-    init_network, parameters
+from .network import Network, NetworkConfig, cross_entropy, gradients, \
+    init_network, parameters, predict_proba
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
             losses.append(loss)
         train_loss = float(np.mean(losses))
         if val_windows is not None and len(val_windows):
-            val_probs, _ = forward(net, val_windows)
-            val_loss = cross_entropy(val_probs, val_labels)
+            val_loss = cross_entropy(predict_proba(net, val_windows), val_labels)
         else:
             val_loss = float("nan")
         history.append((epoch, train_loss, val_loss))

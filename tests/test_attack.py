@@ -3,11 +3,12 @@ import pytest
 
 from conftest import random_dc_system
 from fdia_lab.attack import (AttackKind, AttackScenario, SensorSelection,
-                             attacked_residual_bound, build_stealthy, inject,
-                             labels_for, load_scenario, save_scenario,
-                             scenario_from_json, scenario_to_json)
+                             active_at, active_mask, attacked_residual_bound,
+                             build_stealthy, inject, inject_series, labels_for,
+                             load_scenario, save_scenario, scenario_from_json,
+                             scenario_to_json)
 from fdia_lab.dc_estimation import bad_data_check, objective, wls_estimate
-from fdia_lab.errors import ConfigError, DimensionError
+from fdia_lab.errors import ConfigError, DataError, DimensionError
 
 
 def fraction_scenario(onset=10, duration=5, fraction=0.05, sensors=(True,)):
@@ -54,6 +55,50 @@ def test_labels_match_active_window():
     scen = fraction_scenario(onset=3, duration=4)
     np.testing.assert_array_equal(labels_for(scen, 10),
                                   [0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
+
+
+SERIES_SCENARIOS = {
+    "fraction": dict(kind=AttackKind.FRACTION_SCALE, fraction=0.05),
+    "sinusoid": dict(kind=AttackKind.RANDOM_SINUSOID, amplitude=0.3,
+                     sinusoid_omega=0.7 * 2 * np.pi / 20),
+    "stealthy": dict(kind=AttackKind.STEALTHY, bias=np.array([0.125])),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_SCENARIOS)
+@pytest.mark.parametrize("cycle", [{}, {"period": 7, "duty": 3}])
+@pytest.mark.parametrize("selected", [True, False])
+def test_inject_series_bit_identical_to_per_tick_inject(rng, name, cycle, selected):
+    scen = AttackScenario(selection=SensorSelection((selected,)), onset=40,
+                          duration=300, **SERIES_SCENARIOS[name], **cycle)
+    ticks = np.arange(500)
+    z = rng.normal(0.0, 3.0, size=len(ticks))
+    z[::11] = -0.0
+    attacked, active = inject_series(z, scen, ticks)
+    per_tick = np.array([inject(np.array([z_t]), scen, int(t))[0]
+                         for t, z_t in zip(ticks, z)])
+    assert attacked.tobytes() == per_tick.tobytes()
+    np.testing.assert_array_equal(active, [active_at(scen, int(t)) for t in ticks])
+    np.testing.assert_array_equal(labels_for(scen, len(ticks)), active.astype(int))
+
+
+def test_active_mask_duty_cycle_and_window_edges():
+    scen = AttackScenario(selection=SensorSelection((True,)),
+                          kind=AttackKind.FRACTION_SCALE, onset=3, duration=9,
+                          fraction=1.0, period=4, duty=2)
+    ticks = np.arange(15)
+    np.testing.assert_array_equal(active_mask(scen, ticks),
+                                  [active_at(scen, t) for t in range(15)])
+    assert labels_for(scen, 15).dtype == np.asarray([1]).dtype
+
+
+def test_inject_series_rejects_multi_sensor_scenario_and_bad_values():
+    with pytest.raises(DimensionError):
+        inject_series(np.ones(5), fraction_scenario(sensors=(True, False)), np.arange(5))
+    with pytest.raises(DataError):
+        inject_series(np.array([1.0, np.nan]), fraction_scenario(), np.arange(2))
+    with pytest.raises(DimensionError):
+        inject_series(np.ones(5), fraction_scenario(), np.arange(4))
 
 
 def test_random_sinusoid_requires_params():

@@ -195,3 +195,34 @@ def test_detect_bad_trace_cell_is_data_error(tmp_path, capsys, cell):
     capsys.readouterr()
     assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
     assert "trace.csv: row 42, column 'z'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column,cell,problem", [
+    (0, "abc", "column 't' is not a number: 'abc'"),
+    (0, "", "column 't' is empty"),
+    (2, "yes", "column 'label' is not a number: 'yes'"),
+    (1, "abc", "column 'z' is not a number: 'abc'"),
+    (1, "inf", "column 'z' is not finite: 'inf'"),
+    (1, "-inf", "column 'z' is not finite: '-inf'"),
+])
+def test_train_bad_dataset_cell_is_data_error(tmp_path, capsys, column, cell, problem):
+    cfg_path, out = write_config(tmp_path, out_name="baddata")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    lines = (out / "dataset.csv").read_text().splitlines()
+    cells = lines[7].split(",")
+    cells[column] = cell
+    lines[7] = ",".join(cells)
+    (out / "dataset.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 3
+    assert f"dataset.csv: row 7, {problem}" in capsys.readouterr().err
+
+
+def test_train_reads_empty_feature_cell_as_missing(tmp_path):
+    cfg_path, out = write_config(tmp_path, out_name="missing")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    lines = (out / "dataset.csv").read_text().splitlines()
+    t, _, label = lines[7].split(",")
+    lines[7] = ",".join([t, "", label])
+    (out / "dataset.csv").write_text("\n".join(lines) + "\n")
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0

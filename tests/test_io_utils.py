@@ -55,3 +55,16 @@ def test_parse_column_values_and_errors():
         parse_column("f.csv", [["0"], ["1.0"]], 0, "t", int)
     with pytest.raises(DataError, match="f.csv: row 1, column 'z' is not finite: 'inf'"):
         parse_column("f.csv", [["inf"], ["1"]], 0, "z")
+
+
+def test_parse_column_empty_is_missing():
+    rows = [["1.5"], [""], ["-2"]]
+    values = parse_column("f.csv", rows, 0, "x", empty_is_missing=True)
+    np.testing.assert_array_equal(np.isnan(values), [False, True, False])
+    assert values[0] == 1.5 and values[2] == -2.0
+    with pytest.raises(DataError, match="f.csv: row 2, column 'x' is empty"):
+        parse_column("f.csv", rows, 0, "x")
+    for cell, problem in (("abc", "is not a number: 'abc'"), ("-inf", "is not finite: '-inf'"),
+                          ("nan", "is not finite: 'nan'")):
+        with pytest.raises(DataError, match=f"f.csv: row 3, column 'x' {problem}"):
+            parse_column("f.csv", [["1"], [""], [cell]], 0, "x", empty_is_missing=True)

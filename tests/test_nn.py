@@ -1,12 +1,18 @@
 import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fdia_lab.data_pipeline import Standardizer
+from fdia_lab.errors import DimensionError
 from fdia_lab.nn import (AdamState, NetworkConfig, TrainConfig, adam_step,
                          conv_forward, dense_softmax, forward, gradients, gru_cell,
                          gru_sequence, init_network, load_checkpoint, parameters,
-                         pool_forward, predict, save_checkpoint, train)
-from fdia_lab.nn.layers import ConvLayer, DenseLayer, GruParams, dropout_forward
-from fdia_lab.nn.network import cross_entropy
+                         pool_forward, predict, predict_proba, save_checkpoint, train)
+from fdia_lab.nn import layers
+from fdia_lab.nn.layers import (ConvLayer, DenseLayer, GruParams, conv_backward,
+                                dropout_forward, gru_backward, gru_forward,
+                                pool_backward)
+from fdia_lab.nn.network import INFER_CHUNK, cross_entropy
 
 TINY = NetworkConfig(input_dim=3, window_len=4, hidden=4, conv1_kernels=2,
                      conv1_size=2, conv2_kernels=2, conv2_size=2, pool=2,
@@ -356,3 +362,212 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     windows = rng.normal(size=(2, 4, 3))
     np.testing.assert_array_equal(forward(net, windows)[0],
                                   forward(back, windows)[0])
+
+
+# --- whole-batch kernels against per-step / einsum / argmax references ------------
+#
+# The references below are the straightforward formulation of each layer:
+# an einsum over sliding windows for the convolution, argmax over -inf padded
+# tiles for the pooling, and one cell step at a time for the GRU. The
+# kernels sum in another order, so they agree within 1e-12, not bit for
+# bit; pooling only selects and is compared exactly.
+
+TOL = dict(rtol=1e-12, atol=1e-12)
+
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_conv_forward(x, layer):
+    patches = sliding_window_view(x, layer.kernels.shape[1:3], axis=(1, 2))
+    pre = np.einsum("bijcmn,omnc->bijo", patches, layer.kernels) + layer.bias
+    return np.maximum(pre, 0.0), (patches, pre)
+
+
+def ref_conv_backward(dout, cache, layer):
+    patches, pre = cache
+    _, kh, kw, _ = layer.kernels.shape
+    dpre = dout * (pre > 0.0)
+    dkernels = np.einsum("bijo,bijcmn->omnc", dpre, patches)
+    dpre_pad = np.pad(dpre, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+    windows = sliding_window_view(dpre_pad, (kh, kw), axis=(1, 2))
+    flipped = layer.kernels[:, ::-1, ::-1, :]
+    dx = np.einsum("bpqomn,omnc->bpqc", windows, flipped)
+    return dx, dkernels, dpre.sum(axis=(0, 1, 2))
+
+
+def ref_pool_forward(x, window):
+    b, h, w, ch = x.shape
+    padded = np.pad(x, ((0, 0), (0, (-h) % window), (0, (-w) % window), (0, 0)),
+                    constant_values=-np.inf)
+    oh, ow = padded.shape[1] // window, padded.shape[2] // window
+    tiles = (padded.reshape(b, oh, window, ow, window, ch)
+             .transpose(0, 1, 3, 2, 4, 5).reshape(b, oh, ow, window * window, ch))
+    idx = np.argmax(tiles, axis=3)
+    out = np.take_along_axis(tiles, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return out, (x.shape, window, idx)
+
+
+def ref_pool_backward(dout, cache):
+    (b, h, w, ch), window, idx = cache
+    oh, ow = dout.shape[1], dout.shape[2]
+    dtiles = np.zeros((b, oh, ow, window * window, ch))
+    np.put_along_axis(dtiles, idx[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
+    dpadded = (dtiles.reshape(b, oh, ow, window, window, ch)
+               .transpose(0, 1, 3, 2, 4, 5).reshape(b, oh * window, ow * window, ch))
+    return dpadded[:, :h, :w, :]
+
+
+def ref_gru_forward(x, p, h0):
+    h = h0
+    seq, caches = [], []
+    for t in range(x.shape[1]):
+        x_t, h_prev = x[:, t], h
+        r = ref_sigmoid(x_t @ p.w_xr + h_prev @ p.w_hr + p.b_r)
+        z = ref_sigmoid(x_t @ p.w_xz + h_prev @ p.w_hz + p.b_z)
+        rh = r * h_prev
+        cand = np.tanh(x_t @ p.w_xh + rh @ p.w_hh + p.b_h)
+        h = z * h_prev + (1.0 - z) * cand
+        seq.append(h)
+        caches.append((x_t, h_prev, r, z, cand, rh))
+    return np.stack(seq, axis=1), caches
+
+
+def ref_gru_backward(dseq, caches, p):
+    grads = {name: np.zeros_like(getattr(p, name)) for name in
+             ("w_xr", "w_hr", "w_xz", "w_hz", "w_xh", "w_hh", "b_r", "b_z", "b_h")}
+    dh_next = np.zeros_like(dseq[:, 0])
+    for t in range(dseq.shape[1] - 1, -1, -1):
+        x_t, h_prev, r, z, cand, rh = caches[t]
+        dh = dseq[:, t] + dh_next
+        dpre_c = dh * (1.0 - z) * (1.0 - cand * cand)
+        grads["w_xh"] += x_t.T @ dpre_c
+        grads["w_hh"] += rh.T @ dpre_c
+        grads["b_h"] += dpre_c.sum(axis=0)
+        drh = dpre_c @ p.w_hh.T
+        dpre_z = dh * (h_prev - cand) * z * (1.0 - z)
+        grads["w_xz"] += x_t.T @ dpre_z
+        grads["w_hz"] += h_prev.T @ dpre_z
+        grads["b_z"] += dpre_z.sum(axis=0)
+        dpre_r = drh * h_prev * r * (1.0 - r)
+        grads["w_xr"] += x_t.T @ dpre_r
+        grads["w_hr"] += h_prev.T @ dpre_r
+        grads["b_r"] += dpre_r.sum(axis=0)
+        dh_next = (dh * z + drh * r + dpre_z @ p.w_hz.T + dpre_r @ p.w_hr.T)
+    return grads
+
+
+@pytest.mark.parametrize("shape,kernel", [((3, 7, 9, 2), (4, 3, 2)),
+                                          ((2, 5, 5, 1), (3, 3, 3)),
+                                          ((4, 16, 16, 1), (4, 3, 3)),
+                                          ((2, 7, 6, 4), (8, 3, 3))])
+def test_conv_matches_einsum_reference(rng, shape, kernel):
+    count, kh, kw = kernel
+    layer = ConvLayer(kernels=rng.normal(size=(count, kh, kw, shape[3])),
+                      bias=rng.normal(size=count))
+    x = rng.normal(size=shape)
+    out, cache = conv_forward(x, layer)
+    ref_out, ref_cache = ref_conv_forward(x, layer)
+    np.testing.assert_allclose(out, ref_out, **TOL)
+    dout = rng.normal(size=out.shape)
+    for got, want in zip(conv_backward(dout, cache, layer),
+                         ref_conv_backward(dout, ref_cache, layer)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, **TOL)
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 8, 3), (3, 7, 9, 2), (1, 5, 4, 1), (2, 1, 3, 2)])
+@pytest.mark.parametrize("window", [2, 3])
+def test_pool_matches_argmax_reference_with_ties(rng, shape, window):
+    # small integers make tied maxima common; the first in row-major order wins
+    x = rng.integers(-2, 2, size=shape).astype(float)
+    out, cache = pool_forward(x, window)
+    ref_out, ref_cache = ref_pool_forward(x, window)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(pool_forward(x, window, cache=False)[0], ref_out)
+    dout = rng.normal(size=out.shape)
+    np.testing.assert_array_equal(pool_backward(dout, cache),
+                                  ref_pool_backward(dout, ref_cache))
+
+
+def test_pool_all_negative_infinity_tile():
+    x = np.full((1, 3, 3, 1), -np.inf)
+    x[0, 0, 0, 0] = 1.0
+    out, cache = pool_forward(x, 2)
+    ref_out, ref_cache = ref_pool_forward(x, 2)
+    np.testing.assert_array_equal(out, ref_out)
+    dout = np.arange(1.0, 5.0).reshape(1, 2, 2, 1)
+    np.testing.assert_array_equal(pool_backward(dout, cache),
+                                  ref_pool_backward(dout, ref_cache))
+
+
+@pytest.mark.parametrize("input_dim,hidden,batch,length", [(1, 16, 32, 16), (3, 5, 4, 7)])
+def test_gru_matches_per_step_reference(rng, input_dim, hidden, batch, length):
+    p = random_gru(rng, input_dim=input_dim, hidden=hidden)
+    x = rng.normal(size=(batch, length, input_dim))
+    h0 = rng.normal(size=(batch, hidden))
+    for start in (None, h0):
+        seq, cache = gru_forward(x, p, h0=start)
+        ref_seq, ref_cache = ref_gru_forward(
+            x, p, np.zeros((batch, hidden)) if start is None else start)
+        np.testing.assert_allclose(seq, ref_seq, **TOL)
+        dseq = rng.normal(size=seq.shape)
+        grads = gru_backward(dseq, cache, p)
+        ref_grads = ref_gru_backward(dseq, ref_cache, p)
+        assert grads.keys() == ref_grads.keys()
+        for name, want in ref_grads.items():
+            assert grads[name].shape == want.shape
+            np.testing.assert_allclose(grads[name], want, **TOL, err_msg=name)
+
+
+def test_sigmoid_bit_identical_to_masked_reference(rng):
+    x = np.concatenate([rng.normal(0.0, 20.0, size=1000),
+                        [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf]])
+    np.testing.assert_array_equal(layers._sigmoid(x), ref_sigmoid(x))
+
+
+def test_gru_initial_state_shape_checked(rng):
+    p = random_gru(rng, input_dim=2, hidden=3)
+    with pytest.raises(DimensionError):
+        gru_forward(np.zeros((2, 4, 2)), p, h0=np.zeros((3, 3)))
+
+
+def test_gru_cell_and_sequence_run_on_gru_forward(rng, monkeypatch):
+    assert not hasattr(layers, "gru_step")
+    calls = []
+    original = layers.gru_forward
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "gru_forward", counted)
+    p = random_gru(rng, input_dim=2, hidden=3)
+    gru_cell(np.ones(2), np.ones(3), p)
+    gru_sequence(np.ones((5, 2)), p)
+    assert calls == [(1, 1, 2), (1, 5, 2)]
+
+
+def test_predict_proba_chunks_match_per_chunk_forward(rng):
+    net = init_network(TINY, seed=12)
+    windows = rng.normal(size=(2 * INFER_CHUNK + 1, 4, 3))
+    probs = predict_proba(net, windows)
+    chunks = [forward(net, windows[start:start + INFER_CHUNK])[0]
+              for start in range(0, len(windows), INFER_CHUNK)]
+    assert [len(c) for c in chunks] == [INFER_CHUNK, INFER_CHUNK, 1]
+    np.testing.assert_allclose(probs, np.concatenate(chunks), **TOL)
+    np.testing.assert_allclose(probs, forward(net, windows)[0], **TOL)
+
+
+def test_forward_without_cache_returns_same_probabilities(rng):
+    net = init_network(TINY, seed=13)
+    windows = rng.normal(size=(6, 4, 3))
+    probs, cache = forward(net, windows, cache=False)
+    assert cache is None
+    np.testing.assert_array_equal(probs, forward(net, windows)[0])
