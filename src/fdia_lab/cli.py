@@ -205,7 +205,8 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
     net, history = train(train_w, train_y, cfg.network, cfg.train,
                          val_windows=test_w, val_labels=test_y)
 
-    probs = predict_proba(net, test_w)
+    # the last validation pass already scored the holdout with this network
+    probs = history.val_probs if history.val_probs is not None else predict_proba(net, test_w)
     preds = probs[:, 1] > probs[:, 0]
     report = evaluation.metrics(evaluation.confusion(preds, test_y.astype(bool)))
 

@@ -51,12 +51,6 @@ class DenseLayer:
     bias: np.ndarray     # (classes,)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp only ever sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def gru_cell(x_t: np.ndarray, h_prev: np.ndarray, p: GruParams) -> np.ndarray:
     """Single-vector cell update (reset gate, update gate, candidate mix)."""
     x_t = np.asarray(x_t, dtype=float)
@@ -71,38 +65,59 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
     """Run the cell over a batch of windows; x (B, L, D) -> (B, L, H).
 
     ``h0`` (B, H) is the state before the first tick (zeros when omitted).
-    The input projections of every tick are one matmul before the loop;
-    inside it the reset and update gates share one recurrent matmul and
-    one sigmoid. The cache holds tick-major stacked arrays: the inputs
-    (L, B, D), the states h_0..h_L (L + 1, B, H), the gates [r | z]
-    (L, B, 2H), the candidates and r * h_prev (L, B, H).
+    The recurrence runs feature-major, on (H, B) states, so that the gates
+    [r | z] of a tick are two contiguous blocks. The input projections of
+    every tick are one matmul before the loop; inside it the reset and
+    update gates share one recurrent matmul and one sigmoid, and every
+    tick writes into the preallocated cache. The cache holds tick-major,
+    feature-major arrays: the inputs (L, D, B), the states h_0..h_L
+    (L + 1, H, B), the gates [r | z] (L, 2H, B), the candidates and
+    r * h_prev (L, H, B). The returned states are a C-contiguous (B, L, H)
+    copy, which the convolution reads far faster than a transposed view.
     """
     b, length, d = x.shape
     hd = p.hidden
     if d != p.input_dim:
         raise DimensionError(f"window feature width {d} != GRU input_dim {p.input_dim}")
-    xs = np.ascontiguousarray(x.transpose(1, 0, 2))
-    proj = (xs @ np.hstack([p.w_xr, p.w_xz, p.w_xh])
-            + np.concatenate([p.b_r, p.b_z, p.b_h]))
-    w_hrz = np.hstack([p.w_hr, p.w_hz])
-    hs = np.empty((length + 1, b, hd))
+    # the (B, L, H) output is allocated before the caches, so that freeing
+    # them leaves one free block for the next layer's large arrays (lower
+    # peak RSS when inference runs chunk after chunk)
+    seq = np.empty((b, length, hd))
+    xs = np.ascontiguousarray(x.transpose(1, 2, 0))
+    proj = np.hstack([p.w_xr, p.w_xz, p.w_xh]).T @ xs
+    proj += np.concatenate([p.b_r, p.b_z, p.b_h])[:, None]
+    # the logistic sigmoid is 0.5 * tanh(x / 2) + 0.5, which cannot
+    # overflow; the gate pre-activations are formed already halved, from
+    # halved weights and projections (exact: a power-of-two scale)
+    proj[:, :2 * hd] *= 0.5
+    w_hrz_t = 0.5 * np.hstack([p.w_hr, p.w_hz]).T
+    w_hh_t = p.w_hh.T
+    hs = np.empty((length + 1, hd, b))
     if h0 is None:
         hs[0] = 0.0
     elif np.shape(h0) != (b, hd):
         raise DimensionError(f"initial state {np.shape(h0)} != ({b}, {hd})")
     else:
-        hs[0] = h0
-    rz = np.empty((length, b, 2 * hd))
-    cand = np.empty((length, b, hd))
-    rh = np.empty((length, b, hd))
-    for t in range(length):
-        h = hs[t]
-        rz[t] = _sigmoid(proj[t, :, :2 * hd] + h @ w_hrz)
-        r, z = rz[t, :, :hd], rz[t, :, hd:]
-        np.multiply(r, h, out=rh[t])
-        np.tanh(proj[t, :, 2 * hd:] + rh[t] @ p.w_hh, out=cand[t])
-        np.add(z * h, (1.0 - z) * cand[t], out=hs[t + 1])
-    return hs[1:].transpose(1, 0, 2), (xs, hs, rz, cand, rh)
+        hs[0] = np.transpose(h0)
+    rz = np.empty((length, 2 * hd, b))
+    cand = np.empty((length, hd, b))
+    rh = np.empty((length, hd, b))
+    for h, h_new, gates, c, rh_t, proj_t in zip(hs[:-1], hs[1:], rz, cand, rh, proj):
+        np.matmul(w_hrz_t, h, out=gates)
+        gates += proj_t[:2 * hd]
+        np.tanh(gates, out=gates)
+        gates *= 0.5
+        gates += 0.5
+        np.multiply(gates[:hd], h, out=rh_t)
+        np.matmul(w_hh_t, rh_t, out=c)
+        c += proj_t[2 * hd:]
+        np.tanh(c, out=c)
+        # z * h + (1 - z) * cand, as cand + z * (h - cand)
+        np.subtract(h, c, out=h_new)
+        h_new *= gates[hd:]
+        h_new += c
+    seq[...] = hs[1:].transpose(2, 0, 1)
+    return seq, (xs, hs, rz, cand, rh)
 
 
 def gru_sequence(window: np.ndarray, p: GruParams) -> np.ndarray:
@@ -117,40 +132,55 @@ def gru_sequence(window: np.ndarray, p: GruParams) -> np.ndarray:
 def gru_backward(dseq: np.ndarray, caches, p: GruParams) -> dict[str, np.ndarray]:
     """Backprop through time given the gradient of every stacked hidden state.
 
-    Only the recurrent chain dh runs tick by tick; the local gate
-    derivatives come from forward values for all ticks at once, and the
-    weight and bias gradients are stacked matmuls and sums after the loop.
+    Only the recurrent chain dh runs tick by tick, feature-major like the
+    forward pass, so every product lands in a contiguous (H, B) block; the
+    local gate derivatives come from forward values for all ticks at once.
+    One matmul per tick sums the four paths into the previous state's
+    gradient, and the weight and bias gradients are matmuls and sums over
+    all ticks after the loop.
     """
     xs, hs, rz, cand, rh = caches
-    length, b, hd = cand.shape
+    length, hd, b = cand.shape
     h_prev = hs[:-1]
-    r, z = rz[..., :hd], rz[..., hd:]
-    # d pre-activation / dh for the update gate and the candidate, and
-    # d pre-activation / d(r * h_prev) for the reset gate
-    z_gain = (h_prev - cand) * z * (1.0 - z)
-    cand_gain = (1.0 - z) * (1.0 - cand * cand)
+    r, z = rz[:, :hd], rz[:, hd:]
+    one_minus_z = 1.0 - z
+    # d pre-activation / dh of the update gate and of the candidate, and
+    # d pre-activation / d(r * h_prev) of the reset gate
+    z_gain = (h_prev - cand) * z * one_minus_z
+    cand_gain = one_minus_z * (1.0 - cand * cand)
     r_gain = h_prev * r * (1.0 - r)
-    w_hrz_t = np.hstack([p.w_hr, p.w_hz]).T
-    w_hh_t = p.w_hh.T
-    dseq = dseq.transpose(1, 0, 2)
-    dpre = np.empty((length, b, 3 * hd))  # [reset | update | candidate]
-    dh_next = np.zeros((b, hd))
-    for t in range(length - 1, -1, -1):
-        dh = dseq[t] + dh_next
-        np.multiply(dh, z_gain[t], out=dpre[t, :, hd:2 * hd])
-        np.multiply(dh, cand_gain[t], out=dpre[t, :, 2 * hd:])
-        drh = dpre[t, :, 2 * hd:] @ w_hh_t
-        np.multiply(drh, r_gain[t], out=dpre[t, :, :hd])
-        dh_next = dh * z[t] + drh * r[t] + dpre[t, :, :2 * hd] @ w_hrz_t
+    # per tick: [drh * r | reset | update | candidate pre-activation
+    # gradient | dh * z], with drh = d(r * h_prev); dh_prev is one matmul
+    # of these with [I | w_hr | w_hz | 0 | I]
+    terms = np.empty((length, 5, hd, b))
+    eye = np.eye(hd)
+    to_prev = np.hstack([eye, p.w_hr, p.w_hz, np.zeros((hd, hd)), eye])
+    dseq = np.ascontiguousarray(dseq.transpose(1, 2, 0))
+    dh_next = np.zeros((hd, b))
+    for dseq_t, r_t, r_gain_t, z_t, z_gain_t, cand_gain_t, out in zip(
+            dseq[::-1], r[::-1], r_gain[::-1], z[::-1], z_gain[::-1],
+            cand_gain[::-1], terms[::-1]):
+        dh = dseq_t + dh_next
+        np.multiply(dh, z_gain_t, out=out[2])
+        np.multiply(dh, cand_gain_t, out=out[3])
+        np.multiply(dh, z_t, out=out[4])
+        drh = p.w_hh @ out[3]
+        np.multiply(drh, r_t, out=out[0])
+        np.multiply(drh, r_gain_t, out=out[1])
+        dh_next = to_prev @ out.reshape(5 * hd, b)
 
-    dpre = dpre.reshape(length * b, 3 * hd)
-    g_x = xs.reshape(length * b, -1).T @ dpre
-    g_h = h_prev.reshape(length * b, hd).T @ dpre[:, :2 * hd]
-    g_b = dpre.sum(axis=0)
+    def by_feature(a):
+        """(L, F, B) -> (F, L * B), columns in (tick, window) order."""
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    dpre = by_feature(terms[:, 1:4].reshape(length, 3 * hd, b))  # [reset | update | candidate]
+    g_x = by_feature(xs) @ dpre.T
+    g_h = by_feature(h_prev) @ dpre[:2 * hd].T
+    g_b = dpre.sum(axis=1)
     return {
         "w_xr": g_x[:, :hd], "w_hr": g_h[:, :hd],
         "w_xz": g_x[:, hd:2 * hd], "w_hz": g_h[:, hd:],
-        "w_xh": g_x[:, 2 * hd:], "w_hh": rh.reshape(length * b, hd).T @ dpre[:, 2 * hd:],
+        "w_xh": g_x[:, 2 * hd:], "w_hh": by_feature(rh) @ dpre[2 * hd:].T,
         "b_r": g_b[:hd], "b_z": g_b[hd:2 * hd], "b_h": g_b[2 * hd:],
     }
 

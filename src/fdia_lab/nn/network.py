@@ -10,7 +10,7 @@ loss to every parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,11 +73,27 @@ class NetworkConfig:
 
 @dataclass
 class Network:
+    """The classifier's layers. Construction copies every parameter into one
+    C-contiguous vector ``flat``, in ``parameters()`` order, and rebinds each
+    parameter field to a reshaped view of its segment, so the optimizer can
+    update all of them in one pass over ``flat``."""
+
     config: NetworkConfig
     gru: GruParams
     conv1: ConvLayer
     conv2: ConvLayer
     dense: DenseLayer
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        params = parameters(self)
+        self.flat = np.concatenate(list(params.values()), axis=None, dtype=float)
+        offset = 0
+        for name, arr in params.items():
+            layer, attr = name.split(".")
+            view = self.flat[offset:offset + arr.size].reshape(arr.shape)
+            setattr(getattr(self, layer), attr, view)
+            offset += arr.size
 
 
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, DimensionError
 from ..io_utils import write_csv
 from .network import Network, NetworkConfig, cross_entropy, gradients, \
     init_network, parameters, predict_proba
@@ -34,39 +34,55 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """First and second moment vectors, shaped like the flat parameter
+    vector (allocated on the first step), and the step count."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, cfg: TrainConfig) -> AdamState:
-    """One bias-corrected Adam update, applied to the arrays in place."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              cfg: TrainConfig) -> AdamState:
+    """One bias-corrected Adam update of the flat parameter vector, in place.
+
+    The update is elementwise, so one pass over ``Network.flat`` gives the
+    same numbers as one pass per parameter array.
+    """
+    if grads.shape != params.shape:
+        raise DimensionError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        p -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    m, v = state.m, state.v
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grads
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grads * grads
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    params -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     return state
+
+
+class History(list):
+    """Per-epoch (epoch, train_loss, val_loss) rows. ``val_probs`` keeps the
+    class probabilities of the last validation pass, which are those of the
+    returned network (None without validation windows or epochs)."""
+
+    val_probs: np.ndarray | None = None
 
 
 def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
           cfg: TrainConfig, val_windows: np.ndarray | None = None,
           val_labels: np.ndarray | None = None,
-          initial: Network | None = None) -> tuple[Network, list[tuple[int, float, float]]]:
+          initial: Network | None = None) -> tuple[Network, History]:
     """Mini-batch Adam over the given epochs with seeded shuffling.
 
-    Returns the trained network and per-epoch (epoch, train_loss,
-    val_loss) rows; val_loss is NaN when no validation set is given.
-    With epochs = 0 the freshly initialized network is returned untouched.
+    Returns the trained network and its ``History``; val_loss is NaN when
+    no validation set is given. With epochs = 0 the freshly initialized
+    network is returned untouched.
     """
     windows = np.asarray(windows, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -79,12 +95,12 @@ def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
     init_seed, shuffle_seed, dropout_seed = [int(s.generate_state(1)[0])
                                              for s in seq.spawn(3)]
     net = initial if initial is not None else init_network(net_cfg, seed=init_seed)
-    params = parameters(net)
+    names = list(parameters(net))
     adam = AdamState()
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
 
-    history: list[tuple[int, float, float]] = []
+    history = History()
     n = len(windows)
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
@@ -93,11 +109,13 @@ def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
             batch_idx = order[start:start + cfg.batch]
             loss, grads = gradients(net, windows[batch_idx], labels[batch_idx],
                                     rng=dropout_rng)
-            adam_step(params, grads, adam, cfg)
+            flat_grads = np.concatenate([grads[name] for name in names], axis=None)
+            adam_step(net.flat, flat_grads, adam, cfg)
             losses.append(loss)
         train_loss = float(np.mean(losses))
         if val_windows is not None and len(val_windows):
-            val_loss = cross_entropy(predict_proba(net, val_windows), val_labels)
+            history.val_probs = predict_proba(net, val_windows)
+            val_loss = cross_entropy(history.val_probs, val_labels)
         else:
             val_loss = float("nan")
         history.append((epoch, train_loss, val_loss))

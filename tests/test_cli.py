@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdia_lab import akf, fusion, passive_detect
+from fdia_lab import akf, cli, evaluation, fusion, nn, passive_detect
 from fdia_lab.cli import main
+from fdia_lab.data_pipeline import read_dataset_csv
 
 BASE_CONFIG = {
     "signal": {"omega": 2 * math.pi / 20, "sigma_process": 1e-3,
@@ -168,6 +169,32 @@ def test_train_epochs_override_and_determinism(tmp_path):
     first = (out / "checkpoint.json").read_bytes()
     assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
     assert (out / "checkpoint.json").read_bytes() == first
+
+
+def test_train_reuses_last_validation_pass_for_holdout(tmp_path, monkeypatch):
+    cfg_path, out = write_config(tmp_path, out_name="holdout")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    calls = []
+
+    def counted(net, windows):
+        calls.append(len(windows))
+        return nn.predict_proba(net, windows)
+
+    monkeypatch.setattr(cli, "predict_proba", counted)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert calls == []
+    holdout = json.loads((out / "metrics.json").read_text())["gru_cnn_holdout"]
+    # the same numbers as scoring the holdout again with the saved network
+    cfg = cli.load_config(cfg_path)
+    _, _, _, test_w, test_y = cli._prepared_splits(
+        cfg, read_dataset_csv(out / "dataset.csv"))
+    probs = nn.predict_proba(nn.load_checkpoint(out / "checkpoint.json")[0], test_w)
+    report = evaluation.metrics(evaluation.confusion(probs[:, 1] > probs[:, 0],
+                                                     test_y.astype(bool)))
+    assert holdout == evaluation.report_dict(report)
+    # without epochs there is no validation pass to reuse
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
+    assert calls == [len(test_w)]
 
 
 def test_detect_builds_no_per_tick_objects(tmp_path, monkeypatch):

@@ -263,32 +263,159 @@ def test_gradients_linear_in_duplicated_samples(rng):
 # --- adam -----------------------------------------------------------------------
 
 def test_adam_zero_gradient_keeps_parameters():
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.zeros(2)}
+    params = np.array([1.0, -2.0])
+    grads = np.zeros(2)
     state = AdamState()
     adam_step(params, grads, state, TrainConfig())
-    np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+    np.testing.assert_array_equal(params, [1.0, -2.0])
 
 
 def test_adam_first_step_magnitude_is_lr_signed():
     cfg = TrainConfig(lr=0.01)
-    params = {"w": np.array([0.0, 0.0])}
-    grads = {"w": np.array([0.3, -0.7])}
+    params = np.array([0.0, 0.0])
+    grads = np.array([0.3, -0.7])
     adam_step(params, grads, AdamState(), cfg)
     # bias-corrected first step: lr * g / (|g| + eps) ~ lr * sign(g)
-    np.testing.assert_allclose(params["w"], [-0.01, 0.01], rtol=1e-6)
+    np.testing.assert_allclose(params, [-0.01, 0.01], rtol=1e-6)
 
 
 def test_adam_deterministic():
     def run():
-        params = {"w": np.array([0.5, -0.5])}
+        params = np.array([0.5, -0.5])
         state = AdamState()
         cfg = TrainConfig(lr=0.05)
         for i in range(10):
-            grads = {"w": np.array([np.sin(i), np.cos(i)])}
+            grads = np.array([np.sin(i), np.cos(i)])
             adam_step(params, grads, state, cfg)
-        return params["w"]
+        return params
     np.testing.assert_array_equal(run(), run())
+
+
+def test_adam_rejects_mismatched_gradient():
+    with pytest.raises(DimensionError):
+        adam_step(np.zeros(3), np.zeros(2), AdamState(), TrainConfig())
+
+
+def ref_adam_step(params, grads, state, cfg):
+    """The per-array update: one bias-corrected pass per named array."""
+    state["step"] += 1
+    t = state["step"]
+    for name, p in params.items():
+        g = grads[name]
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        m_hat = m / (1.0 - cfg.beta1 ** t)
+        v_hat = v / (1.0 - cfg.beta2 ** t)
+        p -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def test_flat_adam_bit_identical_to_per_array_loop(rng):
+    cfg = TrainConfig(lr=0.01)
+    net = init_network(TINY, seed=14)
+    ref = {name: arr.copy() for name, arr in parameters(net).items()}
+    ref_state = {"m": {}, "v": {}, "step": 0}
+    state = AdamState()
+    for _ in range(20):
+        grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), size=arr.shape)
+                 for name, arr in ref.items()}
+        ref_adam_step(ref, grads, ref_state, cfg)
+        adam_step(net.flat, np.concatenate([grads[name] for name in ref], axis=None),
+                  state, cfg)
+    assert state.step == 20
+    for name, arr in parameters(net).items():
+        np.testing.assert_array_equal(arr, ref[name], err_msg=name)
+    np.testing.assert_array_equal(state.m, np.concatenate(list(ref_state["m"].values()),
+                                                          axis=None))
+    np.testing.assert_array_equal(state.v, np.concatenate(list(ref_state["v"].values()),
+                                                          axis=None))
+
+
+# --- flat parameter store ------------------------------------------------------------
+
+def ref_init_parameters(cfg, seed):
+    """The per-array initialization: one Glorot draw per weight array, in
+    the order GRU, conv1, conv2, dense, with zero biases."""
+    rng = np.random.default_rng(seed)
+
+    def glorot(shape, fan_in, fan_out):
+        r = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-r, r, size=shape)
+
+    d, hd = cfg.input_dim, cfg.hidden
+    params = {
+        "gru.w_xr": glorot((d, hd), d, hd), "gru.w_hr": glorot((hd, hd), hd, hd),
+        "gru.w_xz": glorot((d, hd), d, hd), "gru.w_hz": glorot((hd, hd), hd, hd),
+        "gru.w_xh": glorot((d, hd), d, hd), "gru.w_hh": glorot((hd, hd), hd, hd),
+        "gru.b_r": np.zeros(hd), "gru.b_z": np.zeros(hd), "gru.b_h": np.zeros(hd),
+    }
+    for layer, count, size, cin in (("conv1", cfg.conv1_kernels, cfg.conv1_size, 1),
+                                     ("conv2", cfg.conv2_kernels, cfg.conv2_size,
+                                      cfg.conv1_kernels)):
+        params[f"{layer}.kernels"] = glorot((count, size, size, cin),
+                                            size * size * cin, size * size * count)
+        params[f"{layer}.bias"] = np.zeros(count)
+    features = cfg.feature_count()
+    params["dense.weights"] = glorot((features, 2), features, 2)
+    params["dense.bias"] = np.zeros(2)
+    return params
+
+
+DEMO_SHAPED = NetworkConfig(input_dim=1, window_len=16, hidden=16, conv1_kernels=4,
+                            conv1_size=3, conv2_kernels=8, conv2_size=3, pool=2,
+                            dropout=0.5)
+
+
+@pytest.mark.parametrize("cfg,seed", [(TINY, 0), (TINY, 21), (DEMO_SHAPED, 7)])
+def test_init_network_matches_per_array_draws(cfg, seed):
+    net = init_network(cfg, seed=seed)
+    params = parameters(net)
+    ref = ref_init_parameters(cfg, seed)
+    assert list(params) == list(ref)
+    for name, want in ref.items():
+        assert params[name].shape == want.shape
+        np.testing.assert_array_equal(params[name], want, err_msg=name)
+
+
+def test_parameters_are_views_of_one_flat_vector():
+    net = init_network(DEMO_SHAPED, seed=3)
+    assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+    params = parameters(net)
+    assert sum(arr.size for arr in params.values()) == net.flat.size == 1346
+    offset = 0
+    for name, arr in params.items():
+        assert arr.flags.c_contiguous, name
+        assert np.shares_memory(arr, net.flat), name
+        # laid out in parameters() order
+        np.testing.assert_array_equal(net.flat[offset:offset + arr.size], arr.ravel())
+        offset += arr.size
+
+
+def test_ravel_perturbation_reaches_forward_and_flat(rng):
+    net = init_network(TINY, seed=15)
+    windows = rng.normal(size=(2, 4, 3))
+    before = forward(net, windows)[0]
+    for name, arr in parameters(net).items():
+        flat = arr.ravel()
+        assert np.shares_memory(flat, net.flat), name
+        flat[0] += 0.5
+    assert not np.array_equal(forward(net, windows)[0], before)
+    np.testing.assert_array_equal(
+        net.flat, np.concatenate(list(parameters(net).values()), axis=None))
+
+
+def test_checkpoint_roundtrip_refills_flat_vector(tmp_path):
+    net = init_network(TINY, seed=16)
+    net.flat += np.linspace(-1.0, 1.0, net.flat.size)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(net, path)
+    back, _ = load_checkpoint(path)
+    np.testing.assert_array_equal(back.flat, net.flat)
+    for name, arr in parameters(back).items():
+        assert np.shares_memory(arr, back.flat), name
 
 
 # --- training -------------------------------------------------------------------
@@ -321,6 +448,20 @@ def test_training_zero_epochs_returns_initial_net():
     fresh = init_network(TINY, seed=init_seed)
     for name, arr in parameters(net).items():
         np.testing.assert_array_equal(arr, parameters(fresh)[name])
+
+
+def test_training_history_keeps_last_validation_probabilities():
+    windows, labels = separable_windows(100, 5)
+    val_windows, val_labels = separable_windows(40, 6)
+    cfg = TrainConfig(epochs=2, batch=16, seed=12, window_len=4)
+    net, history = train(windows, labels, TINY, cfg, val_windows=val_windows,
+                         val_labels=val_labels)
+    np.testing.assert_array_equal(history.val_probs, predict_proba(net, val_windows))
+    assert history[-1][2] == cross_entropy(history.val_probs, val_labels)
+    assert train(windows, labels, TINY, cfg)[1].val_probs is None
+    no_epochs = TrainConfig(epochs=0, seed=12, window_len=4)
+    assert train(windows, labels, TINY, no_epochs, val_windows=val_windows,
+                 val_labels=val_labels)[1].val_probs is None
 
 
 def test_training_deterministic_history():
@@ -368,9 +509,11 @@ def test_checkpoint_roundtrip(tmp_path, rng):
 #
 # The references below are the straightforward formulation of each layer:
 # an einsum over sliding windows for the convolution, argmax over -inf padded
-# tiles for the pooling, and one cell step at a time for the GRU. The
-# kernels sum in another order, so they agree within 1e-12, not bit for
-# bit; pooling only selects and is compared exactly.
+# tiles for the pooling, and one cell step at a time, with a masked
+# logistic function, for the GRU. The kernels sum in another order and the
+# GRU gates use the tanh form of the logistic function, so they agree
+# within 1e-12, not bit for bit; pooling only selects and is compared
+# exactly.
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 
@@ -526,10 +669,30 @@ def test_gru_matches_per_step_reference(rng, input_dim, hidden, batch, length):
             np.testing.assert_allclose(grads[name], want, **TOL, err_msg=name)
 
 
-def test_sigmoid_bit_identical_to_masked_reference(rng):
-    x = np.concatenate([rng.normal(0.0, 20.0, size=1000),
-                        [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf]])
-    np.testing.assert_array_equal(layers._sigmoid(x), ref_sigmoid(x))
+@pytest.mark.parametrize("with_inf", [False, True])
+def test_gru_matches_per_step_reference_with_saturated_gates(rng, with_inf):
+    # inputs up to |x| = 800 (and +-inf) drive the gate pre-activations far
+    # past the range where the logistic function rounds to 0 or 1
+    p = random_gru(rng, input_dim=1, hidden=5)
+    x = rng.normal(0.0, 300.0, size=(6, 9, 1))
+    x[0, :4, 0] = [800.0, -800.0, 0.0, -0.0]
+    if with_inf:
+        x[1, 2, 0], x[2, 5, 0] = np.inf, -np.inf
+    h0 = rng.normal(size=(6, 5))
+    seq, cache = gru_forward(x, p, h0=h0)
+    ref_seq, ref_cache = ref_gru_forward(x, p, h0)
+    assert np.isfinite(seq).all()
+    np.testing.assert_allclose(seq, ref_seq, **TOL)
+    dseq = rng.normal(size=seq.shape)
+    # an infinite input times a zero gate gradient makes the input-weight
+    # gradients NaN in both; every other gradient stays finite
+    with np.errstate(invalid="ignore"):
+        grads = gru_backward(dseq, cache, p)
+        ref_grads = ref_gru_backward(dseq, ref_cache, p)
+    names = [n for n in ref_grads if not (with_inf and n.startswith("w_x"))]
+    for name in names:
+        assert np.isfinite(grads[name]).all(), name
+        np.testing.assert_allclose(grads[name], ref_grads[name], **TOL, err_msg=name)
 
 
 def test_gru_initial_state_shape_checked(rng):
