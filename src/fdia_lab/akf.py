@@ -39,8 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, SingularMatrixError
-from .io_utils import write_columns
-from .numerics import PIVOT_RTOL, solve_matrix
+from .numerics import PIVOT_RTOL, solve
 from .signal_model import SignalParams, Trace, observation_row
 
 
@@ -154,10 +153,10 @@ def _measurement_update(state, cfg, z_t, meas_cov, meas_mean):
     if innov_cov.shape == (1, 1):
         s = innov_cov[0, 0]
         if abs(s) <= PIVOT_RTOL * max(abs(s), 1e-300):
-            raise SingularMatrixError(column=0, pivot=float(s))
+            raise SingularMatrixError(rcond=abs(s) / max(abs(s), 1e-300))
         gain = (cov_pred @ h.T) / s
     else:
-        gain = solve_matrix(innov_cov, (cov_pred @ h.T).T).T
+        gain = solve(innov_cov, (cov_pred @ h.T).T).T
     x_new = x_pred + gain @ innovation
     eye = np.eye(len(state.x))
     cov_new = _symmetrize((eye - gain @ h) @ cov_pred)
@@ -305,7 +304,7 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
         hph = hc0 * h0 + hc1 * h1
         s = hph + nc
         if abs(s) <= PIVOT_RTOL * max(abs(s), 1e-300):
-            raise SingularMatrixError(column=0, pivot=float(s))
+            raise SingularMatrixError(rcond=abs(s) / max(abs(s), 1e-300))
         k0, k1 = (c00 * h0 + c01 * h1) / s, (c10 * h0 + c11 * h1) / s
         g0, g1 = k0 * e, k1 * e
         xn0, xn1 = xp0 + g0, xp1 + g1
@@ -397,13 +396,3 @@ def config_for_sinusoid(params: SignalParams, z0: float,
         meas_cov_fixed=np.array([[params.sigma_meas ** 2]]),
     )
 
-
-def write_filter_log_csv(trace: Trace, run: FilterRun, path) -> None:
-    """Per-sample log for the scalar-measurement 2-state model."""
-    if run.x_hat.shape[1:] != (2,) or run.innovation.shape[1:] != (1,):
-        raise DimensionError("filter log format expects 2 states and a scalar measurement")
-    write_columns(path, ["t", "z", "x_pred1", "x_pred2", "x_hat1", "x_hat2",
-                         "e", "gain1", "gain2"],
-                  [run.t, trace.z, run.x_pred[:, 0], run.x_pred[:, 1],
-                   run.x_hat[:, 0], run.x_hat[:, 1], run.innovation[:, 0],
-                   run.gain[:, 0, 0], run.gain[:, 1, 0]])

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .io_utils import read_json, write_json
 from .numerics import Matrix, Vector, as_matrix, as_vector, norm2
 
 
@@ -150,11 +149,6 @@ def inject_series(z: np.ndarray, scenario: AttackScenario,
     return attacked, active
 
 
-def labels_for(scenario: AttackScenario, n: int) -> np.ndarray:
-    """Per-tick 0/1 attack labels for a trace of length n."""
-    return active_mask(scenario, np.arange(n)).astype(int)
-
-
 def build_stealthy(h: Matrix, d: Vector) -> Vector:
     """The stealthy bias ac = H d for a desired estimate shift d."""
     h = as_matrix(h)
@@ -178,27 +172,6 @@ def attacked_residual_bound(z: Vector, ac: Vector, h: Matrix, x_hat: Vector,
     return e_ac, bound
 
 
-def scenario_to_json(scenario: AttackScenario) -> dict:
-    obj = {
-        "kind": scenario.kind.value,
-        "onset": scenario.onset,
-        "duration": scenario.duration,
-        "sensors": [bool(x) for x in scenario.selection.deltas],
-    }
-    if scenario.amplitude is not None:
-        obj["amplitude"] = scenario.amplitude
-    if scenario.sinusoid_omega is not None:
-        obj["sinusoid_omega"] = scenario.sinusoid_omega
-    if scenario.fraction is not None:
-        obj["fraction"] = scenario.fraction
-    if scenario.bias is not None:
-        obj["d"] = [float(x) for x in scenario.bias]
-    if scenario.period is not None:
-        obj["period"] = scenario.period
-        obj["duty"] = scenario.duty
-    return obj
-
-
 def scenario_from_json(obj: dict) -> AttackScenario:
     try:
         kind = AttackKind(obj["kind"])
@@ -219,10 +192,3 @@ def scenario_from_json(obj: dict) -> AttackScenario:
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad attack scenario JSON: {exc}") from exc
 
-
-def save_scenario(scenario: AttackScenario, path) -> None:
-    write_json(path, scenario_to_json(scenario))
-
-
-def load_scenario(path) -> AttackScenario:
-    return scenario_from_json(read_json(path))

@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split,
                             window, write_dataset_csv)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import read_csv, read_json, write_columns, write_csv, write_json
+from .io_utils import read_csv, read_json, write_columns, write_json
 from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
                  save_checkpoint, train, write_history_csv)
 from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
@@ -33,6 +34,10 @@ from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
                            write_labels_csv, write_trace_csv)
 
 VARIANT_KEYS = ("improved_akf", "classic_akf", "gru_cnn", "fused")
+ACTIVE_HEADER = ["t", "p_attack", "flag"]
+FUSED_HEADER = ["t", "r_N", "flag_N", "flag_GC", "flag_fused"]
+PLOT_HEADER = ["t", "euclidean_d", "residual_r", "flag_passive", "p_attack",
+               "flag_active", "flag_fused"]
 
 
 @dataclass(frozen=True)
@@ -55,84 +60,96 @@ class ExperimentConfig:
     pipeline_seed: int
 
 
-def _get(section: dict, key: str, default=None, required: bool = False):
-    if key in section:
-        return section[key]
-    if required:
-        raise ConfigError(f"missing config key '{key}'")
-    return default
+_REQUIRED = object()
+
+
+def _section(raw: dict, name: str) -> dict:
+    value = raw.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section '{name}' must be a JSON object")
+    return value
+
+
+def _get(section: dict, where: str, key: str, kind, default=_REQUIRED):
+    """``section[key]``, or ``default`` when absent, converted by ``kind``.
+
+    A missing required key or a value ``kind`` rejects raises ConfigError
+    naming ``where.key``.
+    """
+    name = f"{where}.{key}" if where else key
+    if key not in section and default is _REQUIRED:
+        raise ConfigError(f"missing config key '{name}'")
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key '{name}' has an invalid value {value!r}: {exc}") from exc
+
+
+def _state(value) -> SignalState:
+    x1, x2 = value
+    return SignalState(float(x1), float(x2))
+
+
+def _dataclass_from(section: dict, where: str, cls, **fixed):
+    """``cls(**fixed, **section)`` with every value converted to its field's
+    type (int or float) by ``_get``; other keys are rejected."""
+    kinds = {name: kind for name, kind in get_type_hints(cls).items() if name not in fixed}
+    unknown = sorted(set(section) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown config key '{where}.{unknown[0]}'")
+    return cls(**fixed, **{key: _get(section, where, key, kinds[key]) for key in section})
 
 
 def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    outputs = Path(outputs_override or _get(raw, "outputs", required=True))
+    outputs = Path(outputs_override) if outputs_override else _get(raw, "", "outputs", Path)
 
-    sig = raw.get("signal", {})
+    sig = _section(raw, "signal")
     signal = SignalParams(
-        omega=float(_get(sig, "omega", required=True)),
-        sigma_process=float(_get(sig, "sigma_process", 0.0)),
-        sigma_meas=float(_get(sig, "sigma_meas", 0.0)),
-        seed=int(_get(sig, "seed", 0)),
+        omega=_get(sig, "signal", "omega", float),
+        sigma_process=_get(sig, "signal", "sigma_process", float, 0.0),
+        sigma_meas=_get(sig, "signal", "sigma_meas", float, 0.0),
+        seed=_get(sig, "signal", "seed", int, 0),
     )
-    initial_raw = _get(sig, "initial", [1.0, 0.0])
-    if len(initial_raw) != 2:
-        raise ConfigError("signal.initial must hold exactly two components")
-    initial = SignalState(float(initial_raw[0]), float(initial_raw[1]))
-    n = int(_get(sig, "n", required=True))
+    initial = _get(sig, "signal", "initial", _state, [1.0, 0.0])
+    n = _get(sig, "signal", "n", int)
 
-    att = dict(raw.get("attack", {}))
+    att = dict(_section(raw, "attack"))
     if att.get("kind") == "random_sinusoid" and "sinusoid_omega" not in att:
         att["sinusoid_omega"] = 0.7 * signal.omega
     att.setdefault("sensors", [True])
     scenario = attack.scenario_from_json(att)
 
-    filt = raw.get("filter", {})
-    variant_name = str(_get(filt, "variant", "improved"))
-    try:
-        variant = akf.Variant(variant_name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown filter variant '{variant_name}'") from exc
-    forgetting = float(_get(filt, "forgetting", 0.98))
-
-    th = raw.get("thresholds", {})
-    threshold_k = float(_get(th, "k", 3.0))
-    warmup = int(_get(th, "warmup", 500))
-
-    net_raw = dict(raw.get("network", {}))
+    filt = _section(raw, "filter")
+    th = _section(raw, "thresholds")
+    net_raw = dict(_section(raw, "network"))
     train_raw = net_raw.pop("train", {})
+    if not isinstance(train_raw, dict):
+        raise ConfigError("config section 'network.train' must be a JSON object")
     net_raw.setdefault("input_dim", 1)
-    try:
-        network = NetworkConfig(**net_raw)
-        train_cfg = TrainConfig(window_len=network.window_len, **train_raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad network config: {exc}") from exc
+    network = _dataclass_from(net_raw, "network", NetworkConfig)
+    train_cfg = _dataclass_from(train_raw, "network.train", TrainConfig,
+                                window_len=network.window_len)
 
-    pipe = raw.get("pipeline", {})
-    order = str(_get(pipe, "order", "oversample_first"))
+    pipe = _section(raw, "pipeline")
+    order = _get(pipe, "pipeline", "order", str, "oversample_first")
     if order not in ("oversample_first", "split_first"):
         raise ConfigError(
             f"pipeline order must be 'oversample_first' or 'split_first', got '{order}'")
 
     return ExperimentConfig(
         raw=raw, outputs=outputs, signal=signal, initial=initial, n=n,
-        scenario=scenario, variant=variant, forgetting=forgetting,
-        threshold_k=threshold_k, warmup=warmup, network=network, train=train_cfg,
-        k_clusters=int(_get(pipe, "k_clusters", 3)),
-        train_fraction=float(_get(pipe, "train_fraction", 0.8)),
-        order=order, pipeline_seed=int(_get(pipe, "seed", 0)),
+        scenario=scenario, variant=_get(filt, "filter", "variant", akf.Variant, "improved"),
+        forgetting=_get(filt, "filter", "forgetting", float, 0.98),
+        threshold_k=_get(th, "thresholds", "k", float, 3.0),
+        warmup=_get(th, "thresholds", "warmup", int, 500),
+        network=network, train=train_cfg,
+        k_clusters=_get(pipe, "pipeline", "k_clusters", int, 3),
+        train_fraction=_get(pipe, "pipeline", "train_fraction", float, 0.8),
+        order=order, pipeline_seed=_get(pipe, "pipeline", "seed", int, 0),
     )
-
-
-def load_config(path, outputs_override: str | None = None) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(raw, outputs_override)
 
 
 def _update_manifest(cfg: ExperimentConfig, command: str, artifacts: list[str]) -> None:
@@ -307,15 +324,14 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
         active_flags[length - 1:] = probs[:, 1] > probs[:, 0]
         entries["gru_cnn"] = _metrics_entry(active_flags, label_flags, onset)
 
-    write_columns(cfg.outputs / "verdicts_active.csv", ["t", "p_attack", "flag"],
+    write_columns(cfg.outputs / "verdicts_active.csv", ACTIVE_HEADER,
                   [trace.ticks, p_attack, active_flags])
 
     # fused = residual decision OR classifier flag; the residual flags are
     # already false before the warm-up ends (the threshold does not exist
     # yet), so there only the classifier contributes
     fused_flags = verdicts.residual_flag | active_flags
-    write_columns(cfg.outputs / "verdicts_fused.csv",
-                  ["t", "r_N", "flag_N", "flag_GC", "flag_fused"],
+    write_columns(cfg.outputs / "verdicts_fused.csv", FUSED_HEADER,
                   [trace.ticks, verdicts.residual_r, verdicts.residual_flag,
                    active_flags, fused_flags])
     entries["fused"] = _metrics_entry(fused_flags, label_flags, onset)
@@ -328,6 +344,16 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     print(f"detect: fused flag rate {flag_rate:.4f} over {n} ticks "
           f"({'passive-only' if passive_only else 'passive+active'})")
     return 0
+
+
+def _named_columns(path, names) -> list[list[str]]:
+    """The cells of the named columns of a CSV file, in the order of
+    ``names``; a missing column raises DataError naming file and column."""
+    header, rows = read_csv(path)
+    for name in names:
+        if name not in header:
+            raise DataError(f"{path}: missing column '{name}'")
+    return [[row[i] for row in rows] for i in map(header.index, names)]
 
 
 def cmd_report(run_dir) -> int:
@@ -347,17 +373,16 @@ def cmd_report(run_dir) -> int:
     table = {key: metrics_obj[key] for key in VARIANT_KEYS}
     write_json(run_dir / "report.json", {"table": table})
 
-    _, passive_rows = read_csv(run_dir / "verdicts_passive.csv")
-    _, active_rows = read_csv(run_dir / "verdicts_active.csv")
-    _, fused_rows = read_csv(run_dir / "verdicts_fused.csv")
-    if not (len(passive_rows) == len(active_rows) == len(fused_rows)):
+    t, euclidean_d, residual_r, flag_passive = _named_columns(
+        run_dir / "verdicts_passive.csv", passive_detect.VERDICTS_HEADER)
+    _, p_attack, flag_active = _named_columns(run_dir / "verdicts_active.csv",
+                                              ACTIVE_HEADER)
+    *_, flag_fused = _named_columns(run_dir / "verdicts_fused.csv", FUSED_HEADER)
+    if not (len(t) == len(p_attack) == len(flag_fused)):
         raise DataError("verdict streams have inconsistent lengths")
-    series_rows = []
-    for p, a, f in zip(passive_rows, active_rows, fused_rows):
-        series_rows.append([p[0], p[1], p[2], p[3], a[1], a[2], f[4]])
-    write_csv(run_dir / "plot_series.csv",
-              ["t", "euclidean_d", "residual_r", "flag_passive", "p_attack",
-               "flag_active", "flag_fused"], series_rows)
+    write_columns(run_dir / "plot_series.csv", PLOT_HEADER,
+                  [t, euclidean_d, residual_r, flag_passive, p_attack, flag_active,
+                   flag_fused])
 
     print(f"{'variant':<14} {'accuracy':>9} {'precision':>10} {'recall':>8} "
           f"{'f1':>8} {'latency':>8}")
@@ -421,14 +446,10 @@ def _apply_overrides(raw: dict, args) -> dict:
 
 
 def run_command(args) -> int:
-    if args.command == "report":
-        if args.run_dir:
-            return cmd_report(args.run_dir)
-        if not args.config:
-            raise ConfigError("report needs --config or --run-dir")
-        cfg = load_config(args.config)
-        return cmd_report(cfg.outputs)
-
+    if args.command == "report" and args.run_dir:
+        return cmd_report(args.run_dir)
+    if not args.config:
+        raise ConfigError("report needs --config or --run-dir")
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -439,6 +460,8 @@ def run_command(args) -> int:
     raw = _apply_overrides(raw, args)
     cfg = parse_config(raw, getattr(args, "out", None))
 
+    if args.command == "report":
+        return cmd_report(cfg.outputs)
     if args.command == "simulate":
         return cmd_simulate(cfg)
     if args.command == "train":

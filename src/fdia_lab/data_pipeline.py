@@ -2,7 +2,7 @@
 
 Mean imputation, clustered SMOTE-style oversampling of the minority
 (attack) class, Z-score standardization fitted on the training split,
-matrix assembly, stratified splitting, and sliding-window extraction.
+stratified splitting, and sliding-window extraction.
 
 Dataset CSV schema: header ``t,<feature...>,label`` with an empty feature
 cell meaning a missing value; the label column is optional. Any other
@@ -173,22 +173,6 @@ def apply_standardizer(std: Standardizer, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert_standardizer(std: Standardizer, rows: np.ndarray) -> np.ndarray:
-    return np.asarray(rows, dtype=float) * std.stds + std.means
-
-
-def assemble_matrix(vectors) -> np.ndarray:
-    """Stack n measurement vectors of equal length m into an (n, m) matrix."""
-    vectors = list(vectors)
-    if not vectors:
-        raise DataError("cannot assemble an empty collection of vectors")
-    width = len(vectors[0])
-    for i, v in enumerate(vectors):
-        if len(v) != width:
-            raise DimensionError(f"vector {i} has length {len(v)}, expected {width}")
-    return np.array([np.asarray(v, dtype=float) for v in vectors])
-
-
 def split(d: RawDataset, train_fraction: float = 0.8,
           seed: int = 0) -> tuple[RawDataset, RawDataset]:
     """Seeded stratified shuffle split; both splits contain both classes."""
@@ -235,23 +219,6 @@ def window(values: np.ndarray, labels: np.ndarray, length: int,
     starts = np.arange(0, len(values) - length + 1, stride)
     windows = np.stack([values[s:s + length] for s in starts])
     return windows, labels[starts + length - 1]
-
-
-def merge_datasets(datasets: list[RawDataset]) -> RawDataset:
-    """Concatenate datasets with identical schemas."""
-    if not datasets:
-        raise DataError("nothing to merge")
-    schema = datasets[0].columns
-    for i, d in enumerate(datasets[1:], start=1):
-        if d.columns != schema:
-            raise DataError(f"dataset {i} schema {d.columns} differs from {schema}")
-    has_labels = all(d.labels is not None for d in datasets)
-    return RawDataset(
-        columns=list(schema),
-        values=np.vstack([d.values for d in datasets]),
-        labels=np.concatenate([d.labels for d in datasets]) if has_labels else None,
-        ticks=None,
-    )
 
 
 def write_dataset_csv(d: RawDataset, path) -> None:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .io_utils import read_json
 from .numerics import Vector, as_matrix, as_vector, solve
 
 
@@ -44,13 +43,6 @@ class DcSystem:
         return self.jacobian.shape[1]
 
 
-@dataclass(frozen=True)
-class WlsResult:
-    x_hat: np.ndarray
-    g_value: float
-    flagged: bool
-
-
 def wls_estimate(sys: DcSystem, z: Vector) -> Vector:
     """argmin over x of (z - Hx)' W (z - Hx), via the normal equations."""
     z = as_vector(z, length=sys.m)
@@ -76,12 +68,6 @@ def bad_data_check(g_value: float, mu: float) -> bool:
     return g_value > mu
 
 
-def estimate_and_check(sys: DcSystem, z: Vector) -> WlsResult:
-    x_hat = wls_estimate(sys, z)
-    g = objective(sys, z, x_hat)
-    return WlsResult(x_hat=x_hat, g_value=g, flagged=bad_data_check(g, sys.threshold))
-
-
 def chi_square_threshold(dof: int, significance: float) -> float:
     """Upper-tail chi-square quantile via the Wilson-Hilferty cube approximation.
 
@@ -96,26 +82,3 @@ def chi_square_threshold(dof: int, significance: float) -> float:
     a = 2.0 / (9.0 * dof)
     return dof * (1.0 - a + z * a ** 0.5) ** 3
 
-
-def default_weights(sigmas) -> np.ndarray:
-    """Per-channel weights 1/sigma_i^2 from measurement noise levels."""
-    s = as_vector(sigmas)
-    if np.any(s <= 0):
-        raise ConfigError("channel noise levels must be positive")
-    return 1.0 / s ** 2
-
-
-def load_system(path) -> DcSystem:
-    """Build a DcSystem from JSON: {"H": [[...]], "weights": [...], "significance": a}."""
-    raw = read_json(path)
-    try:
-        h = as_matrix(raw["H"])
-        weights = as_vector(raw["weights"])
-        significance = float(raw.get("significance", 0.01))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad system JSON: {exc}") from exc
-    dof = h.shape[0] - h.shape[1]
-    if dof < 1:
-        raise ConfigError("system JSON leaves no residual degrees of freedom")
-    return DcSystem(jacobian=h, weights=weights,
-                    threshold=chi_square_threshold(dof, significance))

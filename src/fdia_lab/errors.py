@@ -25,12 +25,11 @@ class NumericalError(FdiaLabError):
 
 
 class SingularMatrixError(NumericalError):
-    """Linear solve aborted on a pivot below tolerance."""
+    """Linear solve refused: the reciprocal condition number is below tolerance."""
 
-    def __init__(self, column: int, pivot: float):
-        self.column = column
-        self.pivot = pivot
+    def __init__(self, rcond: float):
+        self.rcond = rcond
         super().__init__(
-            f"matrix is singular to working tolerance: pivot in column {column} "
-            f"has magnitude {abs(pivot):.3e}"
+            f"matrix is singular to working tolerance: reciprocal condition "
+            f"number {rcond:.3e}"
         )

@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .io_utils import write_json
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,3 @@ def report_dict(report: MetricsReport, latency: int | None = None) -> dict:
     }
     return out
 
-
-def write_report_json(report: MetricsReport, path, latency: int | None = None) -> None:
-    write_json(path, report_dict(report, latency))

@@ -10,42 +10,22 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 
 
-def fmt_cell(value) -> str:
-    """Format one CSV cell. None/NaN become the empty cell (= missing)."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return ""
-    return repr(x)
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def fmt_column(values) -> list[str]:
-    """Format a 1-D bool, integer or float array cell by cell, exactly as
-    ``fmt_cell`` formats each of its entries."""
+    """Format a 1-D column as CSV cells: bools as 1/0, integers with ``str``,
+    floats with ``repr`` and NaN as the empty cell (= missing); a column of
+    strings passes through unchanged."""
     a = np.asarray(values)
     if a.ndim != 1:
         raise DataError(f"a CSV column must be 1-D, got shape {a.shape}")
+    if a.dtype.kind == "U":
+        return a.tolist()
     if a.dtype == bool:
         return ["1" if v else "0" for v in a.tolist()]
     if np.issubdtype(a.dtype, np.integer):
@@ -58,8 +38,8 @@ def fmt_column(values) -> list[str]:
 
 
 def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length 1-D columns as CSV; the bytes equal ``write_csv``
-    given the same values row by row."""
+    """Write equal-length 1-D columns as CSV, each cell formatted by
+    ``fmt_column``."""
     if len(columns) != len(header):
         raise DataError(f"{len(header)} header names for {len(columns)} columns")
     cells = [fmt_column(c) for c in columns]

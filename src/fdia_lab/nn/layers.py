@@ -1,4 +1,4 @@
-"""Layer primitives: GRU cell, valid convolution, max pooling, dense softmax.
+"""Layer primitives: GRU, valid convolution, max pooling, softmax, dropout.
 
 Forward functions return caches that the matching backward functions
 consume. Convolutions use the index form out[i,j] = f(sum_{m,n} w[m,n] *
@@ -49,16 +49,6 @@ class ConvLayer:
 class DenseLayer:
     weights: np.ndarray  # (features, classes)
     bias: np.ndarray     # (classes,)
-
-
-def gru_cell(x_t: np.ndarray, h_prev: np.ndarray, p: GruParams) -> np.ndarray:
-    """Single-vector cell update (reset gate, update gate, candidate mix)."""
-    x_t = np.asarray(x_t, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    if x_t.shape != (p.input_dim,) or h_prev.shape != (p.hidden,):
-        raise DimensionError("gru_cell input shapes do not match the parameters")
-    seq, _ = gru_forward(x_t[None, None, :], p, h0=h_prev[None, :])
-    return seq[0, 0]
 
 
 def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
@@ -118,15 +108,6 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
         h_new += c
     seq[...] = hs[1:].transpose(2, 0, 1)
     return seq, (xs, hs, rz, cand, rh)
-
-
-def gru_sequence(window: np.ndarray, p: GruParams) -> np.ndarray:
-    """Stacked hidden states for one window (L, D) -> (L, H); h0 = 0."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2:
-        raise DimensionError("gru_sequence expects a 2-D window")
-    seq, _ = gru_forward(window[None, :, :], p)
-    return seq[0]
 
 
 def gru_backward(dseq: np.ndarray, caches, p: GruParams) -> dict[str, np.ndarray]:
@@ -284,17 +265,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def dense_softmax(features: np.ndarray, dense: DenseLayer) -> np.ndarray:
-    """Class probabilities for one feature vector."""
-    features = np.asarray(features, dtype=float)
-    if features.shape != (dense.weights.shape[0],):
-        raise DimensionError(
-            f"feature vector {features.shape} does not match dense layer "
-            f"{dense.weights.shape}"
-        )
-    return softmax(features @ dense.weights + dense.bias)
 
 
 def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator):

@@ -235,12 +235,6 @@ def predict_proba(net: Network, windows: np.ndarray) -> np.ndarray:
                            for start in range(0, len(windows), INFER_CHUNK)])
 
 
-def predict(net: Network, window: np.ndarray) -> bool:
-    """Attack verdict for one window; ties go to the benign class."""
-    probs = predict_proba(net, np.asarray(window, dtype=float)[None, :, :])[0]
-    return bool(probs[1] > probs[0])
-
-
 def save_checkpoint(net: Network, path, standardizer: Standardizer | None = None) -> None:
     cfg = net.config
     obj = {

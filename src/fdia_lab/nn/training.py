@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DataError, DimensionError
-from ..io_utils import write_csv
+from ..io_utils import write_columns
 from .network import Network, NetworkConfig, cross_entropy, gradients, \
     init_network, parameters, predict_proba
 
@@ -123,4 +123,5 @@ def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
 
 
 def write_history_csv(history, path) -> None:
-    write_csv(path, ["epoch", "train_loss", "val_loss"], history)
+    columns = list(zip(*history)) or [(), (), ()]
+    write_columns(path, ["epoch", "train_loss", "val_loss"], columns)

@@ -1,23 +1,24 @@
-"""Minimal dense linear algebra shared by all modules.
+"""Validation and the linear solve shared by all modules.
 
 Matrices and vectors are plain float64 ``numpy`` arrays (row-major).
-Everything here targets the tiny systems this package works with
-(at most a few dozen rows), so the solver is straightforward Gaussian
-elimination with scaled partial pivoting and a structured error that
-names the offending pivot.
+``solve`` checks the condition number before it calls LAPACK, so a
+singular or nearly singular system raises a structured error carrying
+its reciprocal condition number instead of returning garbage.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, DimensionError, SingularMatrixError
+from .errors import DataError, DimensionError, NumericalError, SingularMatrixError
 
 # Type aliases used in signatures throughout the package.
 Matrix = np.ndarray
 Vector = np.ndarray
 
-# Pivot magnitudes below this fraction of the row maximum are treated as zero.
+# A matrix whose reciprocal condition number 1 / cond(a) is at most this is
+# treated as singular; the scalar-measurement filter paths apply the same
+# bound to their 1 x 1 innovation covariance.
 PIVOT_RTOL = 1e-12
 
 
@@ -47,65 +48,25 @@ def as_vector(data, length: int | None = None) -> Vector:
     return v
 
 
-def identity(n: int) -> Matrix:
-    return np.eye(n)
+def solve(a: Matrix, b) -> np.ndarray:
+    """Solve the square system a @ x = b for a vector or matrix b.
 
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit shape check."""
+    A matrix whose reciprocal condition number 1 / cond(a) is at most
+    PIVOT_RTOL raises SingularMatrixError carrying that number; any other
+    goes to ``np.linalg.solve``.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("mat_mul operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def solve(a: Matrix, b: Vector) -> Vector:
-    """Solve the square system a @ x = b.
-
-    Gaussian elimination with scaled partial pivoting; a pivot whose
-    magnitude falls below PIVOT_RTOL times its row maximum raises
-    SingularMatrixError carrying the pivot column and value.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"solve needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if b.shape != (n,):
-        raise DimensionError(f"right-hand side length {b.shape} does not match {n}")
-
-    scale = np.max(np.abs(a), axis=1)
-    for k in range(n):
-        rows = np.arange(k, n)
-        safe = np.where(scale[rows] > 0.0, scale[rows], 1.0)
-        p = rows[np.argmax(np.abs(a[rows, k]) / safe)]
-        pivot = a[p, k]
-        if abs(pivot) <= PIVOT_RTOL * max(scale[p], 1e-300):
-            raise SingularMatrixError(column=k, pivot=float(pivot))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-            scale[[k, p]] = scale[[p, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1:] -= factors * b[k]
-
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
-
-
-def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
-    """Column-wise solve for a matrix right-hand side."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2:
-        raise DimensionError("solve_matrix right-hand side must be 2-D")
-    cols = [solve(a, b[:, j]) for j in range(b.shape[1])]
-    return np.column_stack(cols) if cols else np.empty((a.shape[0], 0))
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise DimensionError(f"right-hand side {b.shape} does not match {a.shape[0]} rows")
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("cannot solve a system with non-finite entries")
+    rcond = 1.0 / np.linalg.cond(a)
+    if rcond <= PIVOT_RTOL:
+        raise SingularMatrixError(rcond=float(rcond))
+    return np.linalg.solve(a, b)
 
 
 def norm2(v: Vector) -> float:

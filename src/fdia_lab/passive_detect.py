@@ -22,6 +22,7 @@ from .io_utils import write_columns
 from .numerics import Vector, as_vector, norm2
 
 MIN_CALIBRATION_SAMPLES = 100
+VERDICTS_HEADER = ["t", "euclidean_d", "residual_r", "flag"]
 
 
 @dataclass(frozen=True)
@@ -177,5 +178,5 @@ def evaluate_stream(outputs, zs, obs_rows, euclid_th: Thresholds,
 
 
 def write_verdicts_csv(verdicts: PassiveVerdicts, path) -> None:
-    write_columns(path, ["t", "euclidean_d", "residual_r", "flag"],
+    write_columns(path, VERDICTS_HEADER,
                   [verdicts.t, verdicts.euclidean_d, verdicts.residual_r, verdicts.flag])

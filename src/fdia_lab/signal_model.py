@@ -61,13 +61,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.ticks)
 
-    def state_at(self, i: int) -> SignalState:
-        return SignalState(float(self.states[i, 0]), float(self.states[i, 1]))
-
-    @property
-    def measurements(self) -> list[tuple[int, float]]:
-        return [(int(t), float(v)) for t, v in zip(self.ticks, self.z)]
-
 
 def observation_row(t: int, omega: float) -> Matrix:
     """The 1x2 measurement row [cos(omega*t), -sin(omega*t)] at tick t."""

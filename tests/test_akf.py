@@ -362,18 +362,6 @@ def test_classic_divergence_witness_high_order():
     assert negative_seen, "classic filter stayed positive on the stress fixture"
 
 
-def test_filter_log_csv(tmp_path):
-    params = SignalParams(omega=0.3, sigma_process=1e-3, sigma_meas=0.01, seed=4)
-    trace = simulate(params, SignalState(1.0, 0.0), 50)
-    cfg = akf.config_for_sinusoid(params, float(trace.z[0]))
-    outputs = akf.run(trace, cfg, akf.Variant.IMPROVED)
-    path = tmp_path / "filter_log.csv"
-    akf.write_filter_log_csv(trace, outputs, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,z,x_pred1,x_pred2,x_hat1,x_hat2,e,gain1,gain2"
-    assert len(lines) == 51
-
-
 # --- float kernel against the step oracle ---------------------------------------
 
 DEMO = SignalParams(omega=0.3141592653589793, sigma_process=0.001,

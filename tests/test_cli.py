@@ -185,7 +185,7 @@ def test_train_reuses_last_validation_pass_for_holdout(tmp_path, monkeypatch):
     assert calls == []
     holdout = json.loads((out / "metrics.json").read_text())["gru_cnn_holdout"]
     # the same numbers as scoring the holdout again with the saved network
-    cfg = cli.load_config(cfg_path)
+    cfg = cli.parse_config(json.loads(cfg_path.read_text()))
     _, _, _, test_w, test_y = cli._prepared_splits(
         cfg, read_dataset_csv(out / "dataset.csv"))
     probs = nn.predict_proba(nn.load_checkpoint(out / "checkpoint.json")[0], test_w)
@@ -253,3 +253,50 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     lines[7] = ",".join([t, "", label])
     (out / "dataset.csv").write_text("\n".join(lines) + "\n")
     assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("signal", "omega", "abc"),
+    ("signal", "n", "ten"),
+    ("signal", "seed", None),
+    ("signal", "initial", 5),
+    ("thresholds", "k", "x"),
+    ("filter", "forgetting", "x"),
+    ("pipeline", "seed", "s"),
+    ("network", "hidden", "many"),
+])
+def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["outputs"] = str(tmp_path / "typed")
+    cfg[section][key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{section}.{key}'" in err
+    assert "Traceback" not in err
+
+
+def run_to_report(tmp_path, name):
+    cfg_path, out = write_config(tmp_path, out_name=name)
+    for stage in ("simulate", "train", "detect"):
+        args = [stage, "--config", str(cfg_path)]
+        assert main(args + (["--epochs", "0"] if stage == "train" else [])) == 0
+    return cfg_path, out
+
+
+def test_report_reads_verdict_columns_by_name(tmp_path, capsys):
+    cfg_path, out = run_to_report(tmp_path, "byname")
+    assert main(["report", "--config", str(cfg_path)]) == 0
+    series = (out / "plot_series.csv").read_bytes()
+    # the same columns in another order give the same plot series
+    path = out / "verdicts_active.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("".join(f"{r[2]},{r[0]},{r[1]}\n" for r in rows))
+    assert main(["report", "--run-dir", str(out)]) == 0
+    assert (out / "plot_series.csv").read_bytes() == series
+    # a missing column is a data error naming the file and the column
+    path.write_text("".join(f"{r[0]},{r[2]}\n" for r in rows))  # header t,flag
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 3
+    assert f"{path}: missing column 'p_attack'" in capsys.readouterr().err

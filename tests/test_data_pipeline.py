@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import make_labeled_dataset
-from fdia_lab.data_pipeline import (RawDataset, apply_standardizer, assemble_matrix,
-                                    cks_oversample, fit_standardizer, impute_mean,
-                                    invert_standardizer, merge_datasets,
-                                    read_dataset_csv, split, window,
-                                    write_dataset_csv)
-from fdia_lab.errors import DataError, DimensionError
+from fdia_lab.data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
+                                    fit_standardizer, impute_mean, read_dataset_csv,
+                                    split, window, write_dataset_csv)
+from fdia_lab.errors import DataError
 
 
 def small_dataset(values, labels=None):
@@ -158,7 +156,7 @@ def test_standardize_invert_roundtrip(rng):
     x = rng.normal(size=(50, 3))
     x[:, 2] = 7.0  # constant column inverts back through the stored mean
     std = fit_standardizer(x)
-    back = invert_standardizer(std, apply_standardizer(std, x))
+    back = apply_standardizer(std, x) * std.stds + std.means
     np.testing.assert_allclose(back, x, atol=1e-9)
 
 
@@ -172,25 +170,7 @@ def test_test_split_statistics_differ_from_unit(rng):
     assert abs(out.std() - 1.0) > 0.5
 
 
-# --- assembly / split / window ------------------------------------------------------
-
-def test_assemble_single_vector():
-    out = assemble_matrix([[1.0, 2.0, 3.0]])
-    assert out.shape == (1, 3)
-
-
-def test_assemble_preserves_order(rng):
-    vectors = [rng.normal(size=2) for _ in range(3)]
-    out = assemble_matrix(vectors)
-    assert out.shape == (3, 2)
-    for i, v in enumerate(vectors):
-        np.testing.assert_array_equal(out[i], v)
-
-
-def test_assemble_ragged_rejected():
-    with pytest.raises(DimensionError):
-        assemble_matrix([[1.0, 2.0], [1.0]])
-
+# --- split / window ------------------------------------------------------
 
 def test_split_80_20_balanced_ten_rows():
     d = small_dataset([[float(i)] for i in range(10)],
@@ -244,23 +224,7 @@ def test_window_too_short_rejected():
         window(np.zeros((3, 1)), np.zeros(3), length=4)
 
 
-# --- merge / csv ----------------------------------------------------------------------
-
-def test_merge_requires_identical_schema():
-    a = small_dataset([[1.0]], labels=[0])
-    b = RawDataset(columns=["other"], values=np.array([[2.0]]),
-                   labels=np.array([1]))
-    with pytest.raises(DataError):
-        merge_datasets([a, b])
-
-
-def test_merge_concatenates():
-    a = small_dataset([[1.0]], labels=[0])
-    b = small_dataset([[2.0]], labels=[1])
-    out = merge_datasets([a, b])
-    np.testing.assert_array_equal(out.values[:, 0], [1.0, 2.0])
-    np.testing.assert_array_equal(out.labels, [0, 1])
-
+# --- csv ----------------------------------------------------------------------
 
 def test_dataset_csv_roundtrip_with_missing(tmp_path):
     values = np.array([[1.0, np.nan], [np.nan, 4.0], [5.0, 6.0]])

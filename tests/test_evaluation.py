@@ -5,7 +5,7 @@ import pytest
 
 from fdia_lab.errors import DataError
 from fdia_lab.evaluation import (ConfusionCounts, confusion, detection_latency,
-                                 metrics, write_report_json)
+                                 metrics, report_dict)
 
 
 def test_confusion_perfect_predictions():
@@ -82,11 +82,9 @@ def test_latency_onset_out_of_range():
         detection_latency(np.zeros(5, dtype=bool), onset=5)
 
 
-def test_report_json_schema(tmp_path):
+def test_report_json_schema():
     report = metrics(ConfusionCounts(tp=8, fp=2, tn=9, fn=1))
-    path = tmp_path / "report.json"
-    write_report_json(report, path, latency=3)
-    obj = json.loads(path.read_text())
+    obj = json.loads(json.dumps(report_dict(report, latency=3)))
     assert set(obj) == {"accuracy", "precision", "recall", "f1", "degenerate",
                         "latency_ticks"}
     assert obj["latency_ticks"] == 3

@@ -1,17 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 
 from fdia_lab.errors import DataError
-from fdia_lab.io_utils import parse_column, write_columns, write_csv
+from fdia_lab.io_utils import parse_column, write_columns
 
 HEADER = ["t", "value", "flag", "count"]
 
 
+def ref_cell(value) -> str:
+    """Reference cell format: str as is, bools 1/0, integers with str,
+    floats with repr, None and NaN as the empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    x = float(value)
+    return "" if math.isnan(x) else repr(x)
+
+
 def write_both(tmp_path, header, columns):
-    rows_path, cols_path = tmp_path / "rows.csv", tmp_path / "cols.csv"
-    write_csv(rows_path, header, zip(*columns))
-    write_columns(cols_path, header, columns)
-    return rows_path.read_bytes(), cols_path.read_bytes()
+    """The reference bytes, formatted row by row, and write_columns' bytes."""
+    rows = [",".join(header)] + [",".join(map(ref_cell, row)) for row in zip(*columns)]
+    path = tmp_path / "cols.csv"
+    write_columns(path, header, columns)
+    return ("\n".join(rows) + "\n").encode(), path.read_bytes()
 
 
 def test_column_writer_equals_row_writer_bytes(tmp_path):
@@ -31,6 +49,12 @@ def test_column_writer_takes_lists_and_float32(tmp_path):
                [True, False, True], np.array([3, 4, 5], dtype=np.int32)]
     by_rows, by_columns = write_both(tmp_path, HEADER, columns)
     assert by_rows == by_columns
+
+
+def test_column_writer_passes_string_columns_through(tmp_path):
+    columns = [["0", "1"], ["", "0.25"], np.array(["1", "0"]), ["x", "-inf"]]
+    by_rows, by_columns = write_both(tmp_path, HEADER, columns)
+    assert by_rows == by_columns == b"t,value,flag,count\n0,,1,x\n1,0.25,0,-inf\n"
 
 
 def test_column_writer_empty_table(tmp_path):

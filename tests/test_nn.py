@@ -5,13 +5,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fdia_lab.data_pipeline import Standardizer
 from fdia_lab.errors import DimensionError
 from fdia_lab.nn import (AdamState, NetworkConfig, TrainConfig, adam_step,
-                         conv_forward, dense_softmax, forward, gradients, gru_cell,
-                         gru_sequence, init_network, load_checkpoint, parameters,
-                         pool_forward, predict, predict_proba, save_checkpoint, train)
-from fdia_lab.nn import layers
+                         conv_forward, forward, gradients, init_network,
+                         load_checkpoint, parameters, pool_forward, predict_proba,
+                         save_checkpoint, train)
 from fdia_lab.nn.layers import (ConvLayer, DenseLayer, GruParams, conv_backward,
                                 dropout_forward, gru_backward, gru_forward,
-                                pool_backward)
+                                pool_backward, softmax)
 from fdia_lab.nn.network import INFER_CHUNK, cross_entropy
 
 TINY = NetworkConfig(input_dim=3, window_len=4, hidden=4, conv1_kernels=2,
@@ -39,10 +38,17 @@ def random_gru(rng, input_dim=2, hidden=2):
 
 # --- GRU cell -----------------------------------------------------------------
 
+def gru_tick(x_t, h_prev, p):
+    """One tick of ``gru_forward`` on a (1, 1, D) batch from state h_prev."""
+    seq, _ = gru_forward(np.asarray(x_t, dtype=float)[None, None, :], p,
+                         h0=np.asarray(h_prev, dtype=float)[None, :])
+    return seq[0, 0]
+
+
 def test_gru_cell_zero_parameters_halve_state():
     p = zero_gru()
     h_prev = np.array([0.4, -0.8, 1.0])
-    h = gru_cell(np.array([1.0, 2.0]), h_prev, p)
+    h = gru_tick(np.array([1.0, 2.0]), h_prev, p)
     np.testing.assert_allclose(h, 0.5 * h_prev, atol=1e-15)
 
 
@@ -50,7 +56,7 @@ def test_gru_cell_saturated_update_gate_copies_state():
     p = zero_gru()
     p.b_z[:] = 50.0  # update gate ~ 1 -> new state == previous state
     h_prev = np.array([0.3, -0.2, 0.9])
-    h = gru_cell(np.array([1.0, -1.0]), h_prev, p)
+    h = gru_tick(np.array([1.0, -1.0]), h_prev, p)
     np.testing.assert_allclose(h, h_prev, atol=1e-12)
 
 
@@ -66,7 +72,7 @@ def test_gru_cell_matches_transcription_oracle(rng):
     z = sigmoid(x @ p.w_xz + h_prev @ p.w_hz + p.b_z)
     cand = np.tanh(x @ p.w_xh + (r * h_prev) @ p.w_hh + p.b_h)
     expected = z * h_prev + (1.0 - z) * cand
-    np.testing.assert_allclose(gru_cell(x, h_prev, p), expected, atol=1e-12)
+    np.testing.assert_allclose(gru_tick(x, h_prev, p), expected, atol=1e-12)
 
 
 def test_gru_gate_ranges(rng):
@@ -75,32 +81,32 @@ def test_gru_gate_ranges(rng):
     for _ in range(50):
         x = rng.normal(size=3)
         h_prev = rng.normal(size=4)
-        h = gru_cell(x, h_prev, p)
+        h = gru_tick(x, h_prev, p)
         bound = np.maximum(np.abs(h_prev), 1.0)
         assert np.all(np.abs(h) <= bound + 1e-12)
 
 
 def test_gru_sequence_single_step_equals_cell(rng):
     p = random_gru(rng, input_dim=3, hidden=4)
-    x = rng.normal(size=(1, 3))
-    seq = gru_sequence(x, p)
-    np.testing.assert_allclose(seq[0], gru_cell(x[0], np.zeros(4), p), atol=1e-15)
+    x = rng.normal(size=(1, 1, 3))
+    seq, _ = gru_forward(x, p)
+    np.testing.assert_allclose(seq[0, 0], gru_tick(x[0, 0], np.zeros(4), p), atol=1e-15)
 
 
 def test_gru_sequence_zero_everything_stays_zero():
     p = zero_gru(input_dim=2, hidden=3)
-    seq = gru_sequence(np.zeros((5, 2)), p)
-    np.testing.assert_array_equal(seq, np.zeros((5, 3)))
+    seq, _ = gru_forward(np.zeros((1, 5, 2)), p)
+    np.testing.assert_array_equal(seq, np.zeros((1, 5, 3)))
 
 
 def test_gru_sequence_matches_unrolled_cells(rng):
     p = random_gru(rng, input_dim=2, hidden=3)
     window = rng.normal(size=(3, 2))
-    seq = gru_sequence(window, p)
+    seq, _ = gru_forward(window[None], p)
     h = np.zeros(3)
     for t in range(3):
-        h = gru_cell(window[t], h, p)
-        np.testing.assert_allclose(seq[t], h, atol=1e-12)
+        h = gru_tick(window[t], h, p)
+        np.testing.assert_allclose(seq[0, t], h, atol=1e-12)
 
 
 # --- conv / pool / softmax ----------------------------------------------------
@@ -157,15 +163,20 @@ def test_pool_pads_odd_dims():
     np.testing.assert_array_equal(out[0, :, :, 0], [[4.0, 5.0], [7.0, 8.0]])
 
 
+def dense_head(features, dense):
+    """The network's head: softmax of the dense layer's logits."""
+    return softmax(np.asarray(features, dtype=float) @ dense.weights + dense.bias)
+
+
 def test_dense_softmax_uniform_on_zero_logits():
     dense = DenseLayer(weights=np.zeros((3, 2)), bias=np.zeros(2))
-    np.testing.assert_allclose(dense_softmax(np.ones(3), dense), [0.5, 0.5])
+    np.testing.assert_allclose(dense_head(np.ones(3), dense), [0.5, 0.5])
 
 
 def test_dense_softmax_hand_case():
     # logits (1, 2) -> (0.26894, 0.73106)
     dense = DenseLayer(weights=np.eye(2), bias=np.zeros(2))
-    probs = dense_softmax(np.array([1.0, 2.0]), dense)
+    probs = dense_head(np.array([1.0, 2.0]), dense)
     np.testing.assert_allclose(probs, [0.2689414213699951, 0.7310585786300049],
                                atol=1e-12)
 
@@ -173,9 +184,9 @@ def test_dense_softmax_hand_case():
 def test_dense_softmax_shift_invariance(rng):
     dense = DenseLayer(weights=np.eye(2), bias=np.zeros(2))
     logits = rng.normal(size=2)
-    shifted = dense_softmax(logits + 17.0, DenseLayer(weights=np.eye(2),
-                                                      bias=np.zeros(2)))
-    np.testing.assert_allclose(dense_softmax(logits, dense), shifted, atol=1e-12)
+    shifted = dense_head(logits + 17.0, DenseLayer(weights=np.eye(2),
+                                                   bias=np.zeros(2)))
+    np.testing.assert_allclose(dense_head(logits, dense), shifted, atol=1e-12)
 
 
 # --- forward / dropout ---------------------------------------------------------
@@ -481,11 +492,17 @@ def test_predict_argmax_and_tie_rule(rng):
     # force certain probabilities through the dense bias
     net.dense.weights[:] = 0.0
     net.dense.bias[:] = (2.0, 0.0)
-    assert predict(net, window) is False
+
+    def attack_flag():
+        # the rule detect applies: attack iff p_attack > p_benign
+        probs = predict_proba(net, window[None])[0]
+        return bool(probs[1] > probs[0])
+
+    assert attack_flag() is False
     net.dense.bias[:] = (0.0, 2.0)
-    assert predict(net, window) is True
+    assert attack_flag() is True
     net.dense.bias[:] = (0.0, 0.0)   # exact tie goes to the benign class
-    assert predict(net, window) is False
+    assert attack_flag() is False
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
@@ -699,22 +716,6 @@ def test_gru_initial_state_shape_checked(rng):
     p = random_gru(rng, input_dim=2, hidden=3)
     with pytest.raises(DimensionError):
         gru_forward(np.zeros((2, 4, 2)), p, h0=np.zeros((3, 3)))
-
-
-def test_gru_cell_and_sequence_run_on_gru_forward(rng, monkeypatch):
-    assert not hasattr(layers, "gru_step")
-    calls = []
-    original = layers.gru_forward
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(layers, "gru_forward", counted)
-    p = random_gru(rng, input_dim=2, hidden=3)
-    gru_cell(np.ones(2), np.ones(3), p)
-    gru_sequence(np.ones((5, 2)), p)
-    assert calls == [(1, 1, 2), (1, 5, 2)]
 
 
 def test_predict_proba_chunks_match_per_chunk_forward(rng):

@@ -1,38 +1,8 @@
 import numpy as np
 import pytest
 
-from fdia_lab.errors import DataError, DimensionError, SingularMatrixError
-from fdia_lab.numerics import as_matrix, as_vector, mat_mul, norm2, solve
-
-
-def test_mat_mul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(mat_mul(np.eye(2), a), a)
-
-
-def test_mat_mul_zero():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(mat_mul(np.zeros((2, 2)), a), np.zeros((2, 2)))
-
-
-def test_mat_mul_hand_case():
-    # [[1,2],[3,4]] x [[5],[6]] = [[17],[39]] by hand
-    out = mat_mul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-    np.testing.assert_array_equal(out, np.array([[17.0], [39.0]]))
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        mat_mul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_mat_mul_associativity_random(rng):
-    for _ in range(50):
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(3, 5))
-        c = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(mat_mul(mat_mul(a, b), c),
-                                   mat_mul(a, mat_mul(b, c)), atol=1e-10)
+from fdia_lab.errors import DataError, DimensionError, NumericalError, SingularMatrixError
+from fdia_lab.numerics import PIVOT_RTOL, as_matrix, as_vector, norm2, solve
 
 
 def test_solve_identity():
@@ -45,11 +15,55 @@ def test_solve_diagonal_hand_case():
     np.testing.assert_allclose(x, [1.0, 2.0], rtol=1e-14)
 
 
-def test_solve_singular_names_pivot():
+def test_solve_singular_reports_rcond():
     with pytest.raises(SingularMatrixError) as err:
         solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
-    assert err.value.column == 1
-    assert "pivot" in str(err.value)
+    assert 0.0 <= err.value.rcond <= PIVOT_RTOL
+    assert "reciprocal condition number" in str(err.value)
+
+
+def test_solve_matrix_rhs_equals_column_solves(rng):
+    for _ in range(20):
+        n = int(rng.integers(2, 13))
+        a = rng.normal(size=(n, n)) + n * np.eye(n)
+        b = rng.normal(size=(n, int(rng.integers(1, 5))))
+        x = solve(a, b)
+        assert x.shape == b.shape
+        for j in range(b.shape[1]):
+            np.testing.assert_allclose(x[:, j], solve(a, b[:, j]), rtol=1e-12, atol=1e-14)
+
+
+def near_singular(rng, n, rcond):
+    """A random n x n matrix with singular values 1 .. rcond."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return u @ np.diag(np.geomspace(1.0, rcond, n)) @ v.T
+
+
+@pytest.mark.parametrize("rhs_cols", [None, 3])
+def test_solve_singular_and_near_singular_raise(rng, rhs_cols):
+    b = np.ones(4) if rhs_cols is None else np.ones((4, rhs_cols))
+    singular = np.array([[1.0, 2.0, 0.0, 1.0], [2.0, 4.0, 0.0, 2.0],
+                         [0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 3.0, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        solve(singular, b)
+    with pytest.raises(SingularMatrixError):
+        solve(np.zeros((4, 4)), b)
+    a = near_singular(rng, 4, 1e-13)
+    assert 1 / np.linalg.cond(a) == pytest.approx(1e-13, rel=1e-2)
+    with pytest.raises(SingularMatrixError) as err:
+        solve(a, b)
+    assert err.value.rcond == pytest.approx(1e-13, rel=1e-2)
+    solve(near_singular(rng, 4, 1e-11), b)  # better conditioned: solved
+
+
+def test_solve_rejects_non_finite_matrix_and_bad_rhs():
+    with pytest.raises(NumericalError):
+        solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(DimensionError):
+        solve(np.eye(2), np.ones(3))
+    with pytest.raises(DimensionError):
+        solve(np.eye(2), np.ones((2, 2, 2)))
 
 
 def test_solve_requires_square():

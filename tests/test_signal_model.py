@@ -67,9 +67,9 @@ def test_amplitude_phase_examples():
 def test_amplitude_phase_constant_along_noiseless_trace():
     params = SignalParams(omega=0.17, seed=1)
     trace = simulate(params, SignalState(1.2, -0.4), 64)
-    ref = amplitude_phase(trace.state_at(0))
+    ref = amplitude_phase(SignalState(*trace.states[0]))
     for i in range(len(trace)):
-        assert amplitude_phase(trace.state_at(i)) == pytest.approx(ref)
+        assert amplitude_phase(SignalState(*trace.states[i])) == pytest.approx(ref)
 
 
 def test_measurement_bias_is_centred():
