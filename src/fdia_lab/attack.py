@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .io_utils import config_value
 from .numerics import Matrix, Vector, as_matrix, as_vector, norm2
 
 
@@ -173,22 +174,18 @@ def attacked_residual_bound(z: Vector, ac: Vector, h: Matrix, x_hat: Vector,
 
 
 def scenario_from_json(obj: dict) -> AttackScenario:
-    try:
-        kind = AttackKind(obj["kind"])
-        selection = SensorSelection(tuple(bool(x) for x in obj["sensors"]))
-        bias = np.asarray(obj["d"], dtype=float) if "d" in obj else None
-        return AttackScenario(
-            selection=selection,
-            kind=kind,
-            onset=int(obj["onset"]),
-            duration=int(obj["duration"]),
-            amplitude=obj.get("amplitude"),
-            sinusoid_omega=obj.get("sinusoid_omega"),
-            fraction=obj.get("fraction"),
-            bias=bias,
-            period=obj.get("period"),
-            duty=obj.get("duty"),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad attack scenario JSON: {exc}") from exc
-
+    """A scenario from its JSON form (an ``attack`` config section). Each
+    value is converted to its field's type; a missing required key or a
+    value of the wrong type raises ConfigError naming ``attack.<key>``.
+    Optional keys that are absent or null stay None."""
+    optional = {"amplitude": float, "sinusoid_omega": float, "fraction": float,
+                "d": lambda d: np.asarray(d, dtype=float), "period": int, "duty": int}
+    values = {key: config_value(obj, "attack", key, kind)
+              for key, kind in optional.items() if obj.get(key) is not None}
+    return AttackScenario(
+        selection=config_value(obj, "attack", "sensors",
+                               lambda v: SensorSelection(tuple(bool(x) for x in v))),
+        kind=config_value(obj, "attack", "kind", AttackKind),
+        onset=config_value(obj, "attack", "onset", int),
+        duration=config_value(obj, "attack", "duration", int),
+        bias=values.pop("d", None), **values)

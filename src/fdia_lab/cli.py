@@ -26,7 +26,7 @@ from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split,
                             window, write_dataset_csv)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import read_csv, read_json, write_columns, write_json
+from .io_utils import config_value as _get, read_csv, read_json, write_columns, write_json
 from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
                  save_checkpoint, train, write_history_csv)
 from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
@@ -60,30 +60,11 @@ class ExperimentConfig:
     pipeline_seed: int
 
 
-_REQUIRED = object()
-
-
 def _section(raw: dict, name: str) -> dict:
     value = raw.get(name, {})
     if not isinstance(value, dict):
         raise ConfigError(f"config section '{name}' must be a JSON object")
     return value
-
-
-def _get(section: dict, where: str, key: str, kind, default=_REQUIRED):
-    """``section[key]``, or ``default`` when absent, converted by ``kind``.
-
-    A missing required key or a value ``kind`` rejects raises ConfigError
-    naming ``where.key``.
-    """
-    name = f"{where}.{key}" if where else key
-    if key not in section and default is _REQUIRED:
-        raise ConfigError(f"missing config key '{name}'")
-    value = section.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key '{name}' has an invalid value {value!r}: {exc}") from exc
 
 
 def _state(value) -> SignalState:

@@ -1,4 +1,5 @@
-"""CSV/JSON helpers shared by the module-level exporters.
+"""CSV/JSON helpers shared by the module-level exporters, and the typed
+reading of config values.
 
 All writers are byte-deterministic: floats are serialized with ``repr``
 (shortest round-trip form), JSON keys are sorted, and no timestamps are
@@ -14,7 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+
+_REQUIRED = object()
 
 
 def fmt_column(values) -> list[str]:
@@ -112,3 +115,22 @@ def read_json(path):
     if not path.exists():
         raise DataError(f"missing file: {path}")
     return json.loads(path.read_text())
+
+
+def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
+    """``section[key]``, or ``default`` when absent, converted by ``kind``;
+    ``int`` accepts integral numbers only and never truncates.
+
+    A missing required key or a value ``kind`` rejects raises ConfigError
+    naming ``where.key``.
+    """
+    name = f"{where}.{key}" if where else key
+    if key not in section and default is _REQUIRED:
+        raise ConfigError(f"missing config key '{name}'")
+    value = section.get(key, default)
+    try:
+        if kind is int and (type(value) not in (int, float) or value != int(value)):
+            raise ValueError("not an integral number")
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key '{name}' has an invalid value {value!r}: {exc}") from exc

@@ -3,7 +3,8 @@
 Forward functions return caches that the matching backward functions
 consume. Convolutions use the index form out[i,j] = f(sum_{m,n} w[m,n] *
 in[i+m, j+n] + b), i.e. valid cross-correlation followed by ReLU.
-Feature maps are channels-last: (batch, rows, cols, channels).
+Feature maps are batch-last: (channels, rows, cols, batch), so every
+slice a layer takes along rows and columns reads runs of whole batches.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class DenseLayer:
 
 
 def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
-    """Run the cell over a batch of windows; x (B, L, D) -> (B, L, H).
+    """Run the cell over a batch of windows; x (B, L, D) -> (1, L, H, B).
 
     ``h0`` (B, H) is the state before the first tick (zeros when omitted).
     The recurrence runs feature-major, on (H, B) states, so that the gates
@@ -62,17 +63,23 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
     tick writes into the preallocated cache. The cache holds tick-major,
     feature-major arrays: the inputs (L, D, B), the states h_0..h_L
     (L + 1, H, B), the gates [r | z] (L, 2H, B), the candidates and
-    r * h_prev (L, H, B). The returned states are a C-contiguous (B, L, H)
-    copy, which the convolution reads far faster than a transposed view.
+    r * h_prev (L, H, B). The returned map is a view of the states h_1..h_L
+    with a leading channel axis: the batch-last input of the first
+    convolution, with no copy.
     """
     b, length, d = x.shape
     hd = p.hidden
     if d != p.input_dim:
         raise DimensionError(f"window feature width {d} != GRU input_dim {p.input_dim}")
-    # the (B, L, H) output is allocated before the caches, so that freeing
-    # them leaves one free block for the next layer's large arrays (lower
-    # peak RSS when inference runs chunk after chunk)
-    seq = np.empty((b, length, hd))
+    # the states outlive the call, so they are allocated first: the caches
+    # that inference frees then form one block for the next layer's arrays
+    hs = np.empty((length + 1, hd, b))
+    if h0 is None:
+        hs[0] = 0.0
+    elif np.shape(h0) != (b, hd):
+        raise DimensionError(f"initial state {np.shape(h0)} != ({b}, {hd})")
+    else:
+        hs[0] = np.transpose(h0)
     xs = np.ascontiguousarray(x.transpose(1, 2, 0))
     proj = np.hstack([p.w_xr, p.w_xz, p.w_xh]).T @ xs
     proj += np.concatenate([p.b_r, p.b_z, p.b_h])[:, None]
@@ -82,13 +89,6 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
     proj[:, :2 * hd] *= 0.5
     w_hrz_t = 0.5 * np.hstack([p.w_hr, p.w_hz]).T
     w_hh_t = p.w_hh.T
-    hs = np.empty((length + 1, hd, b))
-    if h0 is None:
-        hs[0] = 0.0
-    elif np.shape(h0) != (b, hd):
-        raise DimensionError(f"initial state {np.shape(h0)} != ({b}, {hd})")
-    else:
-        hs[0] = np.transpose(h0)
     rz = np.empty((length, 2 * hd, b))
     cand = np.empty((length, hd, b))
     rh = np.empty((length, hd, b))
@@ -106,12 +106,12 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
         np.subtract(h, c, out=h_new)
         h_new *= gates[hd:]
         h_new += c
-    seq[...] = hs[1:].transpose(2, 0, 1)
-    return seq, (xs, hs, rz, cand, rh)
+    return hs[None, 1:], (xs, hs, rz, cand, rh)
 
 
 def gru_backward(dseq: np.ndarray, caches, p: GruParams) -> dict[str, np.ndarray]:
-    """Backprop through time given the gradient of every stacked hidden state.
+    """Backprop through time given the gradient dseq (L, H, B) of every
+    stacked hidden state.
 
     Only the recurrent chain dh runs tick by tick, feature-major like the
     forward pass, so every product lands in a contiguous (H, B) block; the
@@ -136,7 +136,6 @@ def gru_backward(dseq: np.ndarray, caches, p: GruParams) -> dict[str, np.ndarray
     terms = np.empty((length, 5, hd, b))
     eye = np.eye(hd)
     to_prev = np.hstack([eye, p.w_hr, p.w_hz, np.zeros((hd, hd)), eye])
-    dseq = np.ascontiguousarray(dseq.transpose(1, 2, 0))
     dh_next = np.zeros((hd, b))
     for dseq_t, r_t, r_gain_t, z_t, z_gain_t, cand_gain_t, out in zip(
             dseq[::-1], r[::-1], r_gain[::-1], z[::-1], z_gain[::-1],
@@ -167,39 +166,39 @@ def gru_backward(dseq: np.ndarray, caches, p: GruParams) -> dict[str, np.ndarray
 
 
 def conv_forward(x: np.ndarray, layer: ConvLayer):
-    """Valid cross-correlation plus ReLU; x (B, h, w, cin) -> (B, oh, ow, k).
+    """Valid cross-correlation plus ReLU; x (cin, h, w, B) -> (k, oh, ow, B).
 
-    The im2col matrix (kh * kw * cin + 1, B * oh * ow) has one row per
+    The im2col matrix (kh * kw * cin + 1, oh * ow * B) has one row per
     kernel tap in (m, n, c) order, the order of the kernels' own axes,
-    filled from kh * kw shifted slices of the channels-first input, and a
-    last row of ones that carries the bias. The layer is then one matmul;
-    the cache keeps that matrix and the activation for the backward pass.
+    filled from kh * kw shifted slices of the input (runs of ow * B floats),
+    and a last row of ones that carries the bias. The layer is then one
+    matmul, whose (k, oh * ow * B) result is the output as it stands; the
+    cache keeps that matrix and the activation for the backward pass.
     """
     kernels, bias = layer.kernels, layer.bias
     k, kh, kw, cin = kernels.shape
-    if x.ndim != 4 or x.shape[3] != cin:
+    if x.ndim != 4 or x.shape[0] != cin:
         raise DimensionError(f"conv input {x.shape} does not match kernels {kernels.shape}")
-    b, h, w, _ = x.shape
+    _, h, w, b = x.shape
     if h < kh or w < kw:
         raise DimensionError(f"conv input {x.shape[1:3]} smaller than kernel ({kh}, {kw})")
     oh, ow = h - kh + 1, w - kw + 1
     size = kh * kw * cin
-    x_cf = x.transpose(3, 0, 1, 2)
-    cols = np.empty((size + 1, b, oh, ow))
-    taps = cols[:size].reshape(kh, kw, cin, b, oh, ow)
+    cols = np.empty((size + 1, oh, ow, b))
+    taps = cols[:size].reshape(kh, kw, cin, oh, ow, b)
     for m in range(kh):
         for n in range(kw):
-            taps[m, n] = x_cf[:, :, m:m + oh, n:n + ow]
+            taps[m, n] = x[:, m:m + oh, n:n + ow]
     cols[size] = 1.0
     cols = cols.reshape(size + 1, -1)
     weights = np.hstack([kernels.reshape(k, size), bias[:, None]])
-    out = np.maximum(weights @ cols, 0.0)
-    out = np.ascontiguousarray(out.T).reshape(b, oh, ow, k)
+    out = (weights @ cols).reshape(k, oh, ow, b)
+    np.maximum(out, 0.0, out=out)
     return out, (x.shape, cols, out)
 
 
 def conv_backward(dout: np.ndarray, cache, layer: ConvLayer):
-    """Returns (dx, dkernels, dbias).
+    """Returns (dx, dkernels, dbias), dx batch-last like the input.
 
     One matmul with the cached im2col matrix gives the kernel and bias
     gradients; dx is one matmul plus kh * kw shifted adds.
@@ -207,19 +206,18 @@ def conv_backward(dout: np.ndarray, cache, layer: ConvLayer):
     x_shape, cols, out = cache
     kernels = layer.kernels
     k, kh, kw, cin = kernels.shape
-    b, oh, ow, _ = out.shape
-    dpre = (dout * (out > 0.0)).reshape(-1, k)
-    grad = cols @ dpre
-    dkernels = grad[:-1].T.reshape(kernels.shape)
-    # the gradient of every im2col row, laid out (m, n, c, B, oh, ow), is
-    # added at its tap's shift into a channels-first dx
-    dcols = (kernels.reshape(k, -1).T @ dpre.T).reshape(kh, kw, cin, b, oh, ow)
-    dx = np.zeros((cin, *x_shape[:3]))
+    _, oh, ow, b = out.shape
+    dpre = (dout * (out > 0.0)).reshape(k, -1)
+    grad = dpre @ cols.T
+    dkernels = grad[:, :-1].reshape(kernels.shape)
+    # the gradient of every im2col row, laid out (m, n, c, oh, ow, B), is
+    # added at its tap's shift into dx
+    dcols = (kernels.reshape(k, -1).T @ dpre).reshape(kh, kw, cin, oh, ow, b)
+    dx = np.zeros(x_shape)
     for m in range(kh):
         for n in range(kw):
-            dx[:, :, m:m + oh, n:n + ow] += dcols[m, n]
-    dx = np.ascontiguousarray(np.moveaxis(dx, 0, -1))
-    return dx, dkernels, grad[-1]
+            dx[:, m:m + oh, n:n + ow] += dcols[m, n]
+    return dx, dkernels, grad[:, -1]
 
 
 def pool_forward(x: np.ndarray, window: int = 2, cache: bool = True):
@@ -231,11 +229,11 @@ def pool_forward(x: np.ndarray, window: int = 2, cache: bool = True):
     rule, for the backward pass.
     """
     if x.ndim != 4:
-        raise DimensionError("pool input must be (batch, rows, cols, channels)")
-    out = x[:, ::window, ::window, :].copy()
+        raise DimensionError("pool input must be (channels, rows, cols, batch)")
+    out = x[:, ::window, ::window].copy()
     for pos in range(1, window * window):
         a, c = divmod(pos, window)
-        tile = x[:, a::window, c::window, :]
+        tile = x[:, a::window, c::window]
         best = out[:, :tile.shape[1], :tile.shape[2]]
         np.maximum(best, tile, out=best)
     if not cache:
@@ -244,7 +242,7 @@ def pool_forward(x: np.ndarray, window: int = 2, cache: bool = True):
     # last position first, so that the first one holding the maximum wins
     for pos in range(window * window - 1, -1, -1):
         a, c = divmod(pos, window)
-        tile = x[:, a::window, c::window, :]
+        tile = x[:, a::window, c::window]
         rows, cols = tile.shape[1:3]
         np.copyto(idx[:, :rows, :cols], pos, where=tile == out[:, :rows, :cols])
     return out, (x.shape, window, idx)
@@ -255,7 +253,7 @@ def pool_backward(dout: np.ndarray, cache) -> np.ndarray:
     dx = np.empty(x_shape)
     for pos in range(window * window):
         a, c = divmod(pos, window)
-        tile = dx[:, a::window, c::window, :]
+        tile = dx[:, a::window, c::window]
         rows, cols = tile.shape[1:3]
         tile[...] = np.where(idx[:, :rows, :cols] == pos, dout[:, :rows, :cols], 0.0)
     return dx

@@ -146,6 +146,8 @@ def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None =
             cache: bool = True):
     """Class probabilities for a batch of windows (B, L, D).
 
+    Feature maps are batch-last (channels, rows, cols, B) up to the dense
+    layer, which reads each window's features in (rows, cols, channels) order.
     Passing an ``rng`` selects training mode (dropout active when the
     configured rate is positive); without one inference is deterministic
     and dropout-free. With ``cache=False`` no layer's backward cache is
@@ -168,12 +170,13 @@ def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None =
             caches.append(layer_cache)
         return out
 
-    seq = keep(gru_forward(windows, net.gru))
-    c1 = keep(conv_forward(seq[:, :, :, None], net.conv1))
+    states = keep(gru_forward(windows, net.gru))
+    c1 = keep(conv_forward(states, net.conv1))
     p1 = keep(pool_forward(c1, cfg.pool, cache))
     c2 = keep(conv_forward(p1, net.conv2))
     p2 = keep(pool_forward(c2, cfg.pool, cache))
-    flat = p2.reshape(len(windows), -1)
+    features = p2.transpose(3, 1, 2, 0)  # (B, rows, cols, channels)
+    flat = features.reshape(len(windows), -1)
     mask = None
     if rng is not None and cfg.dropout > 0.0:
         dropped, mask = dropout_forward(flat, cfg.dropout, rng)
@@ -182,7 +185,7 @@ def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None =
     probs = softmax(dropped @ net.dense.weights + net.dense.bias)
     if not cache:
         return probs, None
-    return probs, (*caches, p2.shape, dropped, mask)
+    return probs, (*caches, features.shape, dropped, mask)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -201,7 +204,7 @@ def gradients(net: Network, windows: np.ndarray, labels: np.ndarray,
         raise DataError("gradient evaluation needs a non-empty batch")
     probs, cache = forward(net, windows, rng)
     (gru_caches, c1_cache, p1_cache, c2_cache, p2_cache,
-     p2_shape, dropped, mask) = cache
+     features_shape, dropped, mask) = cache
     loss = cross_entropy(probs, labels)
 
     batch = len(windows)
@@ -216,13 +219,12 @@ def gradients(net: Network, windows: np.ndarray, labels: np.ndarray,
     dflat = dlogits @ net.dense.weights.T
     if mask is not None:
         dflat = dflat * mask
-    dp2 = dflat.reshape(p2_shape)
+    dp2 = dflat.reshape(features_shape).transpose(3, 1, 2, 0)
     dc2 = pool_backward(dp2, p2_cache)
     dp1, grads["conv2.kernels"], grads["conv2.bias"] = conv_backward(dc2, c2_cache, net.conv2)
     dc1 = pool_backward(dp1, p1_cache)
     dmap, grads["conv1.kernels"], grads["conv1.bias"] = conv_backward(dc1, c1_cache, net.conv1)
-    dseq = dmap[:, :, :, 0]
-    for name, g in gru_backward(dseq, gru_caches, net.gru).items():
+    for name, g in gru_backward(dmap[0], gru_caches, net.gru).items():
         grads[f"gru.{name}"] = g
     return loss, grads
 

@@ -264,6 +264,18 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     ("filter", "forgetting", "x"),
     ("pipeline", "seed", "s"),
     ("network", "hidden", "many"),
+    # attack values are typed like every other section
+    ("attack", "amplitude", "x"),
+    ("attack", "sinusoid_omega", [0.2]),
+    ("attack", "fraction", "big"),
+    ("attack", "period", 2.5),
+    ("attack", "duty", 0.5),
+    ("attack", "onset", 1100.5),
+    # integer keys take integral numbers only, never truncating
+    ("signal", "n", 3254.9),
+    ("thresholds", "warmup", 500.5),
+    ("pipeline", "k_clusters", True),
+    ("network", "conv1_size", 2.5),
 ])
 def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -275,6 +287,16 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, k
     err = capsys.readouterr().err
     assert f"'{section}.{key}'" in err
     assert "Traceback" not in err
+
+
+def test_integral_float_is_an_integer_config_value():
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["outputs"] = "unused"
+    raw["signal"]["n"] = 1600.0
+    raw["attack"].update(period=40.0, duty=10)
+    cfg = cli.parse_config(raw)
+    assert type(cfg.n) is int and cfg.n == 1600
+    assert type(cfg.scenario.period) is int and cfg.scenario.period == 40
 
 
 def run_to_report(tmp_path, name):

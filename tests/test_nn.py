@@ -36,13 +36,24 @@ def random_gru(rng, input_dim=2, hidden=2):
         b_r=w(hidden), b_z=w(hidden), b_h=w(hidden))
 
 
+def batch_last(a):
+    """(B, h, w, C) <-> (C, h, w, B): a channels-last map as the layers'
+    batch-last one, and back (the swap is its own inverse)."""
+    return a.transpose(3, 1, 2, 0)
+
+
+def sequences(states):
+    """The GRU's (1, L, H, B) state map as (B, L, H) sequences."""
+    return states[0].transpose(2, 0, 1)
+
+
 # --- GRU cell -----------------------------------------------------------------
 
 def gru_tick(x_t, h_prev, p):
     """One tick of ``gru_forward`` on a (1, 1, D) batch from state h_prev."""
-    seq, _ = gru_forward(np.asarray(x_t, dtype=float)[None, None, :], p,
-                         h0=np.asarray(h_prev, dtype=float)[None, :])
-    return seq[0, 0]
+    states, _ = gru_forward(np.asarray(x_t, dtype=float)[None, None, :], p,
+                            h0=np.asarray(h_prev, dtype=float)[None, :])
+    return sequences(states)[0, 0]
 
 
 def test_gru_cell_zero_parameters_halve_state():
@@ -89,20 +100,20 @@ def test_gru_gate_ranges(rng):
 def test_gru_sequence_single_step_equals_cell(rng):
     p = random_gru(rng, input_dim=3, hidden=4)
     x = rng.normal(size=(1, 1, 3))
-    seq, _ = gru_forward(x, p)
+    seq = sequences(gru_forward(x, p)[0])
     np.testing.assert_allclose(seq[0, 0], gru_tick(x[0, 0], np.zeros(4), p), atol=1e-15)
 
 
 def test_gru_sequence_zero_everything_stays_zero():
     p = zero_gru(input_dim=2, hidden=3)
-    seq, _ = gru_forward(np.zeros((1, 5, 2)), p)
+    seq = sequences(gru_forward(np.zeros((1, 5, 2)), p)[0])
     np.testing.assert_array_equal(seq, np.zeros((1, 5, 3)))
 
 
 def test_gru_sequence_matches_unrolled_cells(rng):
     p = random_gru(rng, input_dim=2, hidden=3)
     window = rng.normal(size=(3, 2))
-    seq, _ = gru_forward(window[None], p)
+    seq = sequences(gru_forward(window[None], p)[0])
     h = np.zeros(3)
     for t in range(3):
         h = gru_tick(window[t], h, p)
@@ -114,13 +125,13 @@ def test_gru_sequence_matches_unrolled_cells(rng):
 def test_conv_identity_kernel():
     layer = ConvLayer(kernels=np.ones((1, 1, 1, 1)), bias=np.zeros(1))
     x = np.arange(-4.0, 5.0).reshape(1, 3, 3, 1)
-    out, _ = conv_forward(x, layer)
+    out = batch_last(conv_forward(batch_last(x), layer)[0])
     np.testing.assert_array_equal(out, np.maximum(x, 0.0))
 
 
 def test_conv_zero_input_gives_relu_bias():
     layer = ConvLayer(kernels=np.ones((2, 2, 2, 1)), bias=np.array([1.5, -2.0]))
-    out, _ = conv_forward(np.zeros((1, 4, 4, 1)), layer)
+    out = batch_last(conv_forward(batch_last(np.zeros((1, 4, 4, 1))), layer)[0])
     np.testing.assert_array_equal(out[0, :, :, 0], np.full((3, 3), 1.5))
     np.testing.assert_array_equal(out[0, :, :, 1], np.zeros((3, 3)))
 
@@ -132,33 +143,33 @@ def test_conv_hand_case():
                                         [[[0.0]], [[1.0]]]])[None, :, :, :, 0],
                       bias=np.zeros(1))
     assert layer.kernels.shape == (1, 2, 2, 1)
-    out, _ = conv_forward(x, layer)
+    out = batch_last(conv_forward(batch_last(x), layer)[0])
     np.testing.assert_array_equal(out[0, :, :, 0], [[6.0, 8.0], [12.0, 14.0]])
 
 
 def test_pool_constant_map():
     x = np.full((1, 4, 4, 1), 2.5)
-    out, _ = pool_forward(x, 2)
+    out = batch_last(pool_forward(batch_last(x), 2)[0])
     np.testing.assert_array_equal(out, np.full((1, 2, 2, 1), 2.5))
 
 
 def test_pool_hand_case():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-    out, _ = pool_forward(x, 2)
+    out = batch_last(pool_forward(batch_last(x), 2)[0])
     assert out[0, 0, 0, 0] == 4.0
 
 
 def test_pool_invariant_to_window_permutation(rng):
     x = rng.normal(size=(1, 2, 2, 1))
-    out, _ = pool_forward(x, 2)
+    out = batch_last(pool_forward(batch_last(x), 2)[0])
     shuffled = x.reshape(4)[rng.permutation(4)].reshape(1, 2, 2, 1)
-    out2, _ = pool_forward(shuffled, 2)
+    out2 = batch_last(pool_forward(batch_last(shuffled), 2)[0])
     assert out[0, 0, 0, 0] == out2[0, 0, 0, 0]
 
 
 def test_pool_pads_odd_dims():
     x = np.arange(9.0).reshape(1, 3, 3, 1)
-    out, _ = pool_forward(x, 2)
+    out = batch_last(pool_forward(batch_last(x), 2)[0])
     assert out.shape == (1, 2, 2, 1)
     np.testing.assert_array_equal(out[0, :, :, 0], [[4.0, 5.0], [7.0, 8.0]])
 
@@ -632,11 +643,12 @@ def test_conv_matches_einsum_reference(rng, shape, kernel):
     layer = ConvLayer(kernels=rng.normal(size=(count, kh, kw, shape[3])),
                       bias=rng.normal(size=count))
     x = rng.normal(size=shape)
-    out, cache = conv_forward(x, layer)
+    out, cache = conv_forward(batch_last(x), layer)
     ref_out, ref_cache = ref_conv_forward(x, layer)
-    np.testing.assert_allclose(out, ref_out, **TOL)
-    dout = rng.normal(size=out.shape)
-    for got, want in zip(conv_backward(dout, cache, layer),
+    np.testing.assert_allclose(batch_last(out), ref_out, **TOL)
+    dout = rng.normal(size=ref_out.shape)
+    dx, dkernels, dbias = conv_backward(batch_last(dout), cache, layer)
+    for got, want in zip((batch_last(dx), dkernels, dbias),
                          ref_conv_backward(dout, ref_cache, layer)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, **TOL)
@@ -647,23 +659,24 @@ def test_conv_matches_einsum_reference(rng, shape, kernel):
 def test_pool_matches_argmax_reference_with_ties(rng, shape, window):
     # small integers make tied maxima common; the first in row-major order wins
     x = rng.integers(-2, 2, size=shape).astype(float)
-    out, cache = pool_forward(x, window)
+    out, cache = pool_forward(batch_last(x), window)
     ref_out, ref_cache = ref_pool_forward(x, window)
-    np.testing.assert_array_equal(out, ref_out)
-    np.testing.assert_array_equal(pool_forward(x, window, cache=False)[0], ref_out)
-    dout = rng.normal(size=out.shape)
-    np.testing.assert_array_equal(pool_backward(dout, cache),
+    np.testing.assert_array_equal(batch_last(out), ref_out)
+    np.testing.assert_array_equal(
+        batch_last(pool_forward(batch_last(x), window, cache=False)[0]), ref_out)
+    dout = rng.normal(size=ref_out.shape)
+    np.testing.assert_array_equal(batch_last(pool_backward(batch_last(dout), cache)),
                                   ref_pool_backward(dout, ref_cache))
 
 
 def test_pool_all_negative_infinity_tile():
     x = np.full((1, 3, 3, 1), -np.inf)
     x[0, 0, 0, 0] = 1.0
-    out, cache = pool_forward(x, 2)
+    out, cache = pool_forward(batch_last(x), 2)
     ref_out, ref_cache = ref_pool_forward(x, 2)
-    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(batch_last(out), ref_out)
     dout = np.arange(1.0, 5.0).reshape(1, 2, 2, 1)
-    np.testing.assert_array_equal(pool_backward(dout, cache),
+    np.testing.assert_array_equal(batch_last(pool_backward(batch_last(dout), cache)),
                                   ref_pool_backward(dout, ref_cache))
 
 
@@ -673,12 +686,12 @@ def test_gru_matches_per_step_reference(rng, input_dim, hidden, batch, length):
     x = rng.normal(size=(batch, length, input_dim))
     h0 = rng.normal(size=(batch, hidden))
     for start in (None, h0):
-        seq, cache = gru_forward(x, p, h0=start)
+        states, cache = gru_forward(x, p, h0=start)
         ref_seq, ref_cache = ref_gru_forward(
             x, p, np.zeros((batch, hidden)) if start is None else start)
-        np.testing.assert_allclose(seq, ref_seq, **TOL)
-        dseq = rng.normal(size=seq.shape)
-        grads = gru_backward(dseq, cache, p)
+        np.testing.assert_allclose(sequences(states), ref_seq, **TOL)
+        dseq = rng.normal(size=ref_seq.shape)
+        grads = gru_backward(dseq.transpose(1, 2, 0), cache, p)
         ref_grads = ref_gru_backward(dseq, ref_cache, p)
         assert grads.keys() == ref_grads.keys()
         for name, want in ref_grads.items():
@@ -696,15 +709,15 @@ def test_gru_matches_per_step_reference_with_saturated_gates(rng, with_inf):
     if with_inf:
         x[1, 2, 0], x[2, 5, 0] = np.inf, -np.inf
     h0 = rng.normal(size=(6, 5))
-    seq, cache = gru_forward(x, p, h0=h0)
+    states, cache = gru_forward(x, p, h0=h0)
     ref_seq, ref_cache = ref_gru_forward(x, p, h0)
-    assert np.isfinite(seq).all()
-    np.testing.assert_allclose(seq, ref_seq, **TOL)
-    dseq = rng.normal(size=seq.shape)
+    assert np.isfinite(states).all()
+    np.testing.assert_allclose(sequences(states), ref_seq, **TOL)
+    dseq = rng.normal(size=ref_seq.shape)
     # an infinite input times a zero gate gradient makes the input-weight
     # gradients NaN in both; every other gradient stays finite
     with np.errstate(invalid="ignore"):
-        grads = gru_backward(dseq, cache, p)
+        grads = gru_backward(dseq.transpose(1, 2, 0), cache, p)
         ref_grads = ref_gru_backward(dseq, ref_cache, p)
     names = [n for n in ref_grads if not (with_inf and n.startswith("w_x"))]
     for name in names:
@@ -735,3 +748,77 @@ def test_forward_without_cache_returns_same_probabilities(rng):
     probs, cache = forward(net, windows, cache=False)
     assert cache is None
     np.testing.assert_array_equal(probs, forward(net, windows)[0])
+
+
+# --- the network against a channels-last composition of the references ---------
+
+def ref_forward(net, windows, rng=None):
+    """``forward`` built from the channels-last reference layers: maps are
+    (B, h, w, C) and flatten in (h, w, C) order, as the dense weights expect."""
+    cfg = net.config
+    seq, gru_cache = ref_gru_forward(windows, net.gru, np.zeros((len(windows), cfg.hidden)))
+    c1, c1_cache = ref_conv_forward(seq[:, :, :, None], net.conv1)
+    p1, p1_cache = ref_pool_forward(c1, cfg.pool)
+    c2, c2_cache = ref_conv_forward(p1, net.conv2)
+    p2, p2_cache = ref_pool_forward(c2, cfg.pool)
+    flat = p2.reshape(len(windows), -1)
+    mask = np.ones_like(flat)
+    if rng is not None and cfg.dropout > 0.0:
+        flat, mask = dropout_forward(flat, cfg.dropout, rng)
+    probs = softmax(flat @ net.dense.weights + net.dense.bias)
+    return probs, (gru_cache, c1_cache, p1_cache, c2_cache, p2_cache, p2.shape, flat, mask)
+
+
+def ref_gradients(net, windows, labels, rng=None):
+    probs, (gru_cache, c1_cache, p1_cache, c2_cache, p2_cache,
+            p2_shape, flat, mask) = ref_forward(net, windows, rng)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits /= len(labels)
+    grads = {"dense.weights": flat.T @ dlogits, "dense.bias": dlogits.sum(axis=0)}
+    dp2 = ((dlogits @ net.dense.weights.T) * mask).reshape(p2_shape)
+    dp1, grads["conv2.kernels"], grads["conv2.bias"] = ref_conv_backward(
+        ref_pool_backward(dp2, p2_cache), c2_cache, net.conv2)
+    dmap, grads["conv1.kernels"], grads["conv1.bias"] = ref_conv_backward(
+        ref_pool_backward(dp1, p1_cache), c1_cache, net.conv1)
+    for name, g in ref_gru_backward(dmap[:, :, :, 0], gru_cache, net.gru).items():
+        grads[f"gru.{name}"] = g
+    return cross_entropy(probs, labels), grads
+
+
+# conv1 maps of 9 x 13 leave a ragged last row and column for pool 2 and pool 3,
+# and the last maps (2 x 3 or 1 x 2) are not square
+ODD_MAPS = dict(input_dim=3, window_len=10, hidden=14, conv1_kernels=3, conv1_size=2,
+                conv2_kernels=2, conv2_size=2)
+
+
+@pytest.mark.parametrize("pool,batch,dropout", [(2, 5, 0.0), (3, 5, 0.0), (2, 1, 0.0),
+                                                (3, 1, 0.5), (2, 6, 0.5)])
+def test_network_matches_channels_last_reference(rng, pool, batch, dropout):
+    net = init_network(NetworkConfig(**ODD_MAPS, pool=pool, dropout=dropout), seed=pool)
+    windows = rng.normal(size=(batch, 10, 3))
+    labels = rng.integers(0, 2, size=batch)
+    np.testing.assert_allclose(forward(net, windows)[0], ref_forward(net, windows)[0], **TOL)
+    loss, grads = gradients(net, windows, labels, rng=np.random.default_rng(4))
+    ref_loss, ref_grads = ref_gradients(net, windows, labels, rng=np.random.default_rng(4))
+    np.testing.assert_allclose(loss, ref_loss, **TOL)
+    assert grads.keys() == ref_grads.keys() == parameters(net).keys()
+    for name, want in ref_grads.items():
+        assert grads[name].shape == want.shape, name
+        np.testing.assert_allclose(grads[name], want, **TOL, err_msg=name)
+
+
+def test_conv1_reads_the_gru_state_cache_in_place(rng, monkeypatch):
+    from fdia_lab.nn import network
+    fed = []
+
+    def recording_conv(x, layer):
+        fed.append(x)
+        return conv_forward(x, layer)
+
+    monkeypatch.setattr(network, "conv_forward", recording_conv)
+    net = init_network(TINY, seed=17)
+    _, cache = forward(net, rng.normal(size=(3, 4, 3)))
+    states = cache[0][1]  # the GRU cache's h_0..h_L
+    assert fed[0].shape == (1, TINY.window_len, TINY.hidden, 3)
+    assert np.shares_memory(fed[0], states)
