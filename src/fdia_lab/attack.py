@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .io_utils import config_value
+from .io_utils import config_value, finite_float, reject_unknown_keys
 from .numerics import Matrix, Vector, as_matrix, as_vector, norm2
 
 
@@ -176,10 +176,11 @@ def attacked_residual_bound(z: Vector, ac: Vector, h: Matrix, x_hat: Vector,
 def scenario_from_json(obj: dict) -> AttackScenario:
     """A scenario from its JSON form (an ``attack`` config section). Each
     value is converted to its field's type; a missing required key or a
-    value of the wrong type raises ConfigError naming ``attack.<key>``.
-    Optional keys that are absent or null stay None."""
+    value of the wrong type, or an unknown key, raises ConfigError naming
+    ``attack.<key>``. Optional keys that are absent or null stay None."""
     optional = {"amplitude": float, "sinusoid_omega": float, "fraction": float,
-                "d": lambda d: np.asarray(d, dtype=float), "period": int, "duty": int}
+                "d": lambda d: np.array([finite_float(x) for x in d]), "period": int, "duty": int}
+    reject_unknown_keys(obj, "attack", [*optional, "sensors", "kind", "onset", "duration"])
     values = {key: config_value(obj, "attack", key, kind)
               for key, kind in optional.items() if obj.get(key) is not None}
     return AttackScenario(

@@ -26,7 +26,8 @@ from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split,
                             window, write_dataset_csv)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import config_value as _get, read_csv, read_json, write_columns, write_json
+from .io_utils import (config_value as _get, finite_float, read_csv, read_json,
+                       reject_unknown_keys, write_columns, write_json)
 from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
                  save_checkpoint, train, write_history_csv)
 from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
@@ -68,26 +69,27 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def _state(value) -> SignalState:
-    x1, x2 = value
-    return SignalState(float(x1), float(x2))
+    return SignalState(*map(finite_float, value))
 
 
 def _dataclass_from(section: dict, where: str, cls, **fixed):
     """``cls(**fixed, **section)`` with every value converted to its field's
     type (int or float) by ``_get``; other keys are rejected."""
     kinds = {name: kind for name, kind in get_type_hints(cls).items() if name not in fixed}
-    unknown = sorted(set(section) - set(kinds))
-    if unknown:
-        raise ConfigError(f"unknown config key '{where}.{unknown[0]}'")
+    reject_unknown_keys(section, where, kinds)
     return cls(**fixed, **{key: _get(section, where, key, kinds[key]) for key in section})
 
 
 def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    reject_unknown_keys(raw, "", ("outputs", "signal", "attack", "filter", "thresholds",
+                                  "network", "pipeline"))
     outputs = Path(outputs_override) if outputs_override else _get(raw, "", "outputs", Path)
 
     sig = _section(raw, "signal")
+    reject_unknown_keys(sig, "signal", ("omega", "sigma_process", "sigma_meas", "seed",
+                                        "initial", "n"))
     signal = SignalParams(
         omega=_get(sig, "signal", "omega", float),
         sigma_process=_get(sig, "signal", "sigma_process", float, 0.0),
@@ -104,7 +106,9 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     scenario = attack.scenario_from_json(att)
 
     filt = _section(raw, "filter")
+    reject_unknown_keys(filt, "filter", ("variant", "forgetting"))
     th = _section(raw, "thresholds")
+    reject_unknown_keys(th, "thresholds", ("k", "warmup"))
     net_raw = dict(_section(raw, "network"))
     train_raw = net_raw.pop("train", {})
     if not isinstance(train_raw, dict):
@@ -115,6 +119,7 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
                                 window_len=network.window_len)
 
     pipe = _section(raw, "pipeline")
+    reject_unknown_keys(pipe, "pipeline", ("k_clusters", "train_fraction", "order", "seed"))
     order = _get(pipe, "pipeline", "order", str, "oversample_first")
     if order not in ("oversample_first", "split_first"):
         raise ConfigError(
@@ -163,8 +168,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
     write_trace_csv(attacked, cfg.outputs / "trace.csv")
     write_labels_csv(attacked.ticks, labels, cfg.outputs / "labels.csv")
-    dataset = RawDataset(columns=["z"], values=z_attacked[:, None],
-                         labels=labels, ticks=attacked.ticks)
+    dataset = RawDataset(columns=["z"], values=z_attacked[:, None], labels=labels)
     write_dataset_csv(dataset, cfg.outputs / "dataset.csv")
     _update_manifest(cfg, "simulate", ["trace.csv", "labels.csv", "dataset.csv"])
     print(f"simulate: wrote {cfg.n} samples to {cfg.outputs}")
@@ -173,8 +177,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def _prepared_splits(cfg: ExperimentConfig, dataset: RawDataset):
     """impute -> oversample/split (per configured order) -> standardize -> window."""
-    if dataset.labels is None:
-        raise DataError("training dataset has no label column")
     data = impute_mean(dataset)
     if cfg.order == "oversample_first":
         data = cks_oversample(data, cfg.k_clusters, cfg.pipeline_seed)
@@ -208,7 +210,7 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
     preds = probs[:, 1] > probs[:, 0]
     report = evaluation.metrics(evaluation.confusion(preds, test_y.astype(bool)))
 
-    save_checkpoint(net, cfg.outputs / "checkpoint.json", standardizer=std)
+    save_checkpoint(net, cfg.outputs / "checkpoint.json", std)
     write_history_csv(history, cfg.outputs / "history.csv")
     _merge_metrics(cfg, {"gru_cnn_holdout": evaluation.report_dict(report)})
     _update_manifest(cfg, "train", ["checkpoint.json", "history.csv", "metrics.json"])
@@ -243,13 +245,15 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                passive_only: bool) -> int:
     cfg.outputs.mkdir(parents=True, exist_ok=True)
     trace = read_trace_csv(trace_path)
-    if trace.ticks[0] != 0 or not np.array_equal(trace.ticks,
-                                                 np.arange(len(trace))):
-        raise DataError("detect expects a contiguous trace with ticks 0..n-1 "
-                        "(the filter's observation phase is tick-aligned)")
-    _, labels = read_labels_csv(labels_path)
+    label_ticks, labels = read_labels_csv(labels_path)
     if len(labels) != len(trace):
-        raise DataError("labels and trace have different lengths")
+        raise DataError(f"{labels_path} has {len(labels)} rows, {trace_path} {len(trace)}")
+    # labels line up with the trace, whose ticks set the filter's observation phase
+    for path, ticks in ((trace_path, trace.ticks), (labels_path, label_ticks)):
+        off = np.flatnonzero(ticks != np.arange(len(ticks)))
+        if len(off):
+            raise DataError(f"{path}: row {off[0] + 1} has tick {ticks[off[0]]}, expected "
+                            f"{off[0]}; detect needs ticks 0..n-1")
     label_flags = labels.astype(bool)
     onsets = np.flatnonzero(labels)
     onset = int(onsets[0]) if len(onsets) else None
@@ -293,8 +297,6 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                 f"checkpoint expects {net.config.input_dim} features; trace "
                 f"detection provides 1"
             )
-        if std is None:
-            raise DataError("checkpoint lacks the standardizer fitted at training time")
         length = net.config.window_len
         if n < length:
             raise DataError(f"trace of {n} ticks is shorter than window {length}")

@@ -5,9 +5,9 @@ Mean imputation, clustered SMOTE-style oversampling of the minority
 stratified splitting, and sliding-window extraction.
 
 Dataset CSV schema: header ``t,<feature...>,label`` with an empty feature
-cell meaning a missing value; the label column is optional. Any other
-unparsable or non-finite cell is a DataError naming its file, row and
-column.
+cell meaning a missing value; the label column is required, and the tick
+column is checked but not kept. Any other unparsable or non-finite cell is
+a DataError naming its file, row and column.
 """
 
 from __future__ import annotations
@@ -24,22 +24,18 @@ from .io_utils import parse_column, read_csv, write_columns
 class RawDataset:
     columns: list[str]              # feature names
     values: np.ndarray              # (n, m) float, NaN = missing
-    labels: np.ndarray | None       # (n,) int 0/1, or None
-    ticks: np.ndarray | None = None  # (n,) int, or None
+    labels: np.ndarray              # (n,) int 0/1
 
     def __post_init__(self):
         if self.values.ndim != 2:
             raise DimensionError("dataset values must be a 2-D array")
         if len(self.columns) != self.values.shape[1]:
             raise DataError("schema width does not match value width")
-        if self.labels is not None:
-            if len(self.labels) != len(self.values):
-                raise DataError("label count does not match row count")
-            bad = set(np.unique(self.labels)) - {0, 1}
-            if bad:
-                raise DataError(f"labels must be 0/1, found {sorted(bad)}")
-        if self.ticks is not None and len(self.ticks) != len(self.values):
-            raise DataError("tick count does not match row count")
+        if len(self.labels) != len(self.values):
+            raise DataError("label count does not match row count")
+        bad = set(np.unique(self.labels)) - {0, 1}
+        if bad:
+            raise DataError(f"labels must be 0/1, found {sorted(bad)}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -62,9 +58,7 @@ def impute_mean(d: RawDataset) -> RawDataset:
         if not present.any():
             raise DataError(f"column '{d.columns[j]}' has no present values to impute from")
         col[~present] = col[present].mean()
-    return RawDataset(columns=list(d.columns), values=values,
-                      labels=None if d.labels is None else d.labels.copy(),
-                      ticks=None if d.ticks is None else d.ticks.copy())
+    return RawDataset(columns=list(d.columns), values=values, labels=d.labels.copy())
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -95,8 +89,6 @@ def cks_oversample(d: RawDataset, k_clusters: int = 3, seed: int = 0) -> RawData
     Original rows are kept verbatim; synthetics are appended. A
     single-point cluster duplicates its point with 1e-6 * sigma_col jitter.
     """
-    if d.labels is None:
-        raise DataError("oversampling needs labels")
     if np.isnan(d.values).any():
         raise DataError("impute missing values before oversampling")
     counts = {c: int((d.labels == c).sum()) for c in (0, 1)}
@@ -149,11 +141,7 @@ def cks_oversample(d: RawDataset, k_clusters: int = 3, seed: int = 0) -> RawData
 
     values = np.vstack([d.values, np.array(synthetic)])
     labels = np.concatenate([d.labels, np.full(need, minority, dtype=d.labels.dtype)])
-    ticks = None
-    if d.ticks is not None:
-        start = int(d.ticks.max()) + 1
-        ticks = np.concatenate([d.ticks, np.arange(start, start + need)])
-    return RawDataset(columns=list(d.columns), values=values, labels=labels, ticks=ticks)
+    return RawDataset(columns=list(d.columns), values=values, labels=labels)
 
 
 def fit_standardizer(train_values: np.ndarray) -> Standardizer:
@@ -178,8 +166,6 @@ def split(d: RawDataset, train_fraction: float = 0.8,
     """Seeded stratified shuffle split; both splits contain both classes."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("train fraction must lie strictly in (0, 1)")
-    if d.labels is None:
-        raise DataError("splitting needs labels")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for c in (0, 1):
@@ -195,55 +181,42 @@ def split(d: RawDataset, train_fraction: float = 0.8,
     test_idx = np.concatenate(test_idx)
 
     def take(indices):
-        return RawDataset(
-            columns=list(d.columns),
-            values=d.values[indices],
-            labels=d.labels[indices],
-            ticks=None if d.ticks is None else d.ticks[indices],
-        )
+        return RawDataset(columns=list(d.columns), values=d.values[indices],
+                          labels=d.labels[indices])
 
     return take(train_idx), take(test_idx)
 
 
-def window(values: np.ndarray, labels: np.ndarray, length: int,
-           stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding windows over the rows; each window takes its last row's label."""
+def window(values: np.ndarray, labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Windows starting at every row; each takes its last row's label."""
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
-    if length < 1 or stride < 1:
-        raise ConfigError("window length and stride must be at least 1")
+    if length < 1:
+        raise ConfigError("window length must be at least 1")
     if len(values) < length:
         raise DataError(f"series of {len(values)} rows is shorter than window {length}")
     if len(labels) != len(values):
         raise DataError("label count does not match row count")
-    starts = np.arange(0, len(values) - length + 1, stride)
+    starts = np.arange(len(values) - length + 1)
     windows = np.stack([values[s:s + length] for s in starts])
     return windows, labels[starts + length - 1]
 
 
 def write_dataset_csv(d: RawDataset, path) -> None:
-    ticks = d.ticks if d.ticks is not None else np.arange(len(d))
-    header = ["t", *d.columns] + (["label"] if d.labels is not None else [])
-    columns = [np.asarray(ticks).astype(int), *d.values.T]
-    if d.labels is not None:
-        columns.append(np.asarray(d.labels).astype(int))
-    write_columns(path, header, columns)
+    """Write ``d`` with the ticks 0..n-1 in its ``t`` column."""
+    write_columns(path, ["t", *d.columns, "label"],
+                  [np.arange(len(d)), *d.values.T, np.asarray(d.labels).astype(int)])
 
 
 def read_dataset_csv(path) -> RawDataset:
     header, rows = read_csv(path)
-    if not header or header[0] != "t":
-        raise DataError(f"dataset CSV must start with a 't' column, got {header}")
-    has_labels = header[-1] == "label"
-    feature_cols = header[1:-1] if has_labels else header[1:]
-    if not feature_cols:
-        raise DataError("dataset CSV has no feature columns")
-    ticks = parse_column(path, rows, 0, "t").astype(int)
+    if len(header) < 3 or header[0] != "t" or header[-1] != "label":
+        raise DataError(f"{path}: dataset header must be t,<feature...>,label, got {header}")
+    feature_cols = header[1:-1]
+    parse_column(path, rows, 0, "t")  # every tick must parse; rows keep file order
     values = np.column_stack([
         parse_column(path, rows, j, name, empty_is_missing=True)
         for j, name in enumerate(feature_cols, start=1)
     ])
-    labels = None
-    if has_labels:
-        labels = parse_column(path, rows, len(header) - 1, "label").astype(int)
-    return RawDataset(columns=feature_cols, values=values, labels=labels, ticks=ticks)
+    labels = parse_column(path, rows, len(header) - 1, "label").astype(int)
+    return RawDataset(columns=feature_cols, values=values, labels=labels)

@@ -117,9 +117,24 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def finite_float(value) -> float:
+    """A finite JSON number as a float; anything else raises ValueError."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return float(value)
+
+
+def reject_unknown_keys(section: dict, where: str, known) -> None:
+    """Raise ConfigError naming ``where.key`` for a key not in ``known``."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        name = f"{where}.{unknown[0]}" if where else unknown[0]
+        raise ConfigError(f"unknown config key '{name}'")
+
+
 def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
     """``section[key]``, or ``default`` when absent, converted by ``kind``;
-    ``int`` accepts integral numbers only and never truncates.
+    ``int`` takes integral numbers only (never truncating), ``float`` finite ones.
 
     A missing required key or a value ``kind`` rejects raises ConfigError
     naming ``where.key``.
@@ -131,6 +146,6 @@ def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
     try:
         if kind is int and (type(value) not in (int, float) or value != int(value)):
             raise ValueError("not an integral number")
-        return kind(value)
+        return (finite_float if kind is float else kind)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{name}' has an invalid value {value!r}: {exc}") from exc

@@ -45,29 +45,15 @@ class NetworkConfig:
             raise ConfigError("dropout rate must lie in [0, 1)")
         self.feature_count()  # validates that the shape chain is feasible
 
-    def map_shapes(self) -> list[tuple[int, int]]:
-        """Spatial shape after each stage: gru map, conv1, pool1, conv2, pool2."""
-        def conv(shape, size):
-            h, w = shape
-            if h < size or w < size:
-                raise ConfigError(
-                    f"feature map {shape} is smaller than a {size}x{size} kernel"
-                )
-            return h - size + 1, w - size + 1
-
-        def pool(shape):
-            h, w = shape
-            return -(-h // self.pool), -(-w // self.pool)
-
-        shapes = [(self.window_len, self.hidden)]
-        shapes.append(conv(shapes[-1], self.conv1_size))
-        shapes.append(pool(shapes[-1]))
-        shapes.append(conv(shapes[-1], self.conv2_size))
-        shapes.append(pool(shapes[-1]))
-        return shapes
-
     def feature_count(self) -> int:
-        h, w = self.map_shapes()[-1]
+        """Size of the flattened map after conv -> pool twice, starting from
+        the (window_len, hidden) GRU map; a kernel larger than its input map
+        is a ConfigError."""
+        h, w = self.window_len, self.hidden
+        for size in (self.conv1_size, self.conv2_size):
+            if h < size or w < size:
+                raise ConfigError(f"feature map {(h, w)} is smaller than a {size}x{size} kernel")
+            h, w = -(-(h - size + 1) // self.pool), -(-(w - size + 1) // self.pool)
         return h * w * self.conv2_kernels
 
 
@@ -237,7 +223,7 @@ def predict_proba(net: Network, windows: np.ndarray) -> np.ndarray:
                            for start in range(0, len(windows), INFER_CHUNK)])
 
 
-def save_checkpoint(net: Network, path, standardizer: Standardizer | None = None) -> None:
+def save_checkpoint(net: Network, path, standardizer: Standardizer) -> None:
     cfg = net.config
     obj = {
         "format": CHECKPOINT_FORMAT,
@@ -250,15 +236,13 @@ def save_checkpoint(net: Network, path, standardizer: Standardizer | None = None
             "pool": cfg.pool, "dropout": cfg.dropout,
         },
         "params": {name: arr.tolist() for name, arr in parameters(net).items()},
-        "standardizer": None if standardizer is None else {
-            "means": standardizer.means.tolist(),
-            "stds": standardizer.stds.tolist(),
-        },
+        "standardizer": {"means": standardizer.means.tolist(),
+                         "stds": standardizer.stds.tolist()},
     }
     write_json(path, obj)
 
 
-def load_checkpoint(path) -> tuple[Network, Standardizer | None]:
+def load_checkpoint(path) -> tuple[Network, Standardizer]:
     obj = read_json(path)
     if obj.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a checkpoint file: {path}")
@@ -277,8 +261,8 @@ def load_checkpoint(path) -> tuple[Network, Standardizer | None]:
                 f"expected {params[name].shape}"
             )
         params[name][...] = arr
-    std = None
-    if obj.get("standardizer") is not None:
-        std = Standardizer(means=np.asarray(obj["standardizer"]["means"], dtype=float),
-                           stds=np.asarray(obj["standardizer"]["stds"], dtype=float))
-    return net, std
+    std = obj.get("standardizer")
+    if std is None:
+        raise DataError(f"{path}: checkpoint lacks the standardizer fitted at training time")
+    return net, Standardizer(means=np.asarray(std["means"], dtype=float),
+                             stds=np.asarray(std["stds"], dtype=float))

@@ -76,8 +76,7 @@ class History(list):
 
 def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
           cfg: TrainConfig, val_windows: np.ndarray | None = None,
-          val_labels: np.ndarray | None = None,
-          initial: Network | None = None) -> tuple[Network, History]:
+          val_labels: np.ndarray | None = None) -> tuple[Network, History]:
     """Mini-batch Adam over the given epochs with seeded shuffling.
 
     Returns the trained network and its ``History``; val_loss is NaN when
@@ -94,7 +93,7 @@ def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
     seq = np.random.SeedSequence(cfg.seed)
     init_seed, shuffle_seed, dropout_seed = [int(s.generate_state(1)[0])
                                              for s in seq.spawn(3)]
-    net = initial if initial is not None else init_network(net_cfg, seed=init_seed)
+    net = init_network(net_cfg, seed=init_seed)
     names = list(parameters(net))
     adam = AdamState()
     shuffle_rng = np.random.default_rng(shuffle_seed)

@@ -22,6 +22,7 @@ from .io_utils import write_columns
 from .numerics import Vector, as_vector, norm2
 
 MIN_CALIBRATION_SAMPLES = 100
+SETTLE_TICKS = 10  # first ticks of the warm-up left out of calibration
 VERDICTS_HEADER = ["t", "euclidean_d", "residual_r", "flag"]
 
 
@@ -128,15 +129,15 @@ def channel_samples(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def calibrate_channels(outputs, zs, obs_rows, warmup: int,
-                       skip: int = 10, k: float = 3.0) -> tuple[Thresholds, Thresholds]:
+                       k: float = 3.0) -> tuple[Thresholds, Thresholds]:
     """Fit both channel thresholds on an attack-free warm-up window.
 
-    The first ``skip`` ticks are excluded to let the filter settle.
+    The first ``SETTLE_TICKS`` ticks are excluded to let the filter settle.
     """
     if warmup > len(outputs):
         raise DataError(f"warm-up window {warmup} exceeds run length {len(outputs)}")
-    devs, signed_res = channel_samples(outputs[skip:warmup], zs[skip:warmup],
-                                       obs_rows[skip:warmup])
+    devs, signed_res = channel_samples(outputs[SETTLE_TICKS:warmup], zs[SETTLE_TICKS:warmup],
+                                       obs_rows[SETTLE_TICKS:warmup])
     return (Thresholds(sigma=calibrate_sigma(devs), k=k),
             Thresholds(sigma=calibrate_sigma(signed_res), k=k))
 

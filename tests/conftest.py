@@ -33,7 +33,7 @@ def make_labeled_dataset(n_rows, attack_fraction, seed, missing_fraction=0.0):
         mask = rng.random(values.shape) < missing_fraction
         values[mask] = np.nan
     return RawDataset(columns=[f"f{i}" for i in range(m)], values=values,
-                      labels=labels, ticks=np.arange(n_rows))
+                      labels=labels)
 
 
 @pytest.fixture

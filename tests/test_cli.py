@@ -276,6 +276,14 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     ("thresholds", "warmup", 500.5),
     ("pipeline", "k_clusters", True),
     ("network", "conv1_size", 2.5),
+    # float keys take finite JSON numbers only: no bools, strings, inf or NaN
+    ("thresholds", "k", True),
+    ("filter", "forgetting", "0.98"),
+    ("signal", "omega", math.inf),
+    ("signal", "initial", [1.0, math.nan]),
+    ("attack", "fraction", -math.inf),
+    ("attack", "d", [0.1, True]),
+    ("network", "dropout", math.nan),
 ])
 def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -286,6 +294,45 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, k
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"'{section}.{key}'" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("keys", [
+    ("outptus",), ("signal", "omgea"), ("attack", "onest"), ("filter", "forgeting"),
+    ("thresholds", "kk"), ("pipeline", "sed"), ("network", "hiden"),
+    ("network", "train", "epcohs"),
+])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, keys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["outputs"] = str(tmp_path / "unknown")
+    section = cfg
+    for name in keys[:-1]:
+        section = section[name]
+    section[keys[-1]] = 0.5
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key '{'.'.join(keys)}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,row", [("labels.csv", 1), ("trace.csv", 43)])
+def test_detect_misaligned_ticks_are_data_error(tmp_path, capsys, name, row):
+    # every tick from the given row on is one too high: labels.csv holds 1..n,
+    # trace.csv skips tick 42
+    cfg_path, out = write_config(tmp_path, out_name="ticks")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    path = out / name
+    lines = path.read_text().splitlines()
+    for i in range(row, len(lines)):
+        t, rest = lines[i].split(",", 1)
+        lines[i] = f"{int(t) + 1},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: row {row} has tick {row}, expected {row - 1}" in err
     assert "Traceback" not in err
 
 

@@ -10,9 +10,9 @@ from fdia_lab.errors import DataError
 
 def small_dataset(values, labels=None):
     values = np.asarray(values, dtype=float)
+    labels = np.zeros(len(values), dtype=int) if labels is None else labels
     return RawDataset(columns=[f"c{i}" for i in range(values.shape[1])],
-                      values=values, labels=None if labels is None
-                      else np.asarray(labels, dtype=int))
+                      values=values, labels=np.asarray(labels, dtype=int))
 
 
 # --- imputation ----------------------------------------------------------------
@@ -183,8 +183,9 @@ def test_split_union_is_disjoint_partition(rng):
     d = make_labeled_dataset(101, 0.3, seed=2)
     train, test = split(d, 0.8, seed=3)
     assert len(train) + len(test) == len(d)
-    all_ticks = np.concatenate([train.ticks, test.ticks])
-    assert len(np.unique(all_ticks)) == len(d)
+    all_rows = np.concatenate([train.values, test.values])
+    np.testing.assert_array_equal(np.unique(all_rows, axis=0), np.unique(d.values, axis=0))
+    assert len(np.unique(d.values, axis=0)) == len(d)  # rows identify themselves
 
 
 def test_split_stratified_keeps_both_classes():
@@ -229,7 +230,7 @@ def test_window_too_short_rejected():
 def test_dataset_csv_roundtrip_with_missing(tmp_path):
     values = np.array([[1.0, np.nan], [np.nan, 4.0], [5.0, 6.0]])
     d = RawDataset(columns=["a", "b"], values=values,
-                   labels=np.array([0, 1, 0]), ticks=np.arange(3))
+                   labels=np.array([0, 1, 0]))
     path = tmp_path / "data.csv"
     write_dataset_csv(d, path)
     assert path.read_text().splitlines()[0] == "t,a,b,label"
@@ -242,9 +243,8 @@ def test_dataset_csv_roundtrip_with_missing(tmp_path):
 
 
 def test_dataset_csv_unlabeled(tmp_path):
-    d = RawDataset(columns=["z"], values=np.array([[0.5], [0.7]]), labels=None)
     path = tmp_path / "data.csv"
-    write_dataset_csv(d, path)
-    back = read_dataset_csv(path)
-    assert back.labels is None
-    np.testing.assert_array_equal(back.values, d.values)
+    path.write_text("t,z\n0,0.5\n1,0.7\n")
+    with pytest.raises(DataError, match=f"{path}: dataset header must be "
+                                        r"t,<feature\.\.\.>,label"):
+        read_dataset_csv(path)

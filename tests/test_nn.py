@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fdia_lab.data_pipeline import Standardizer
-from fdia_lab.errors import DimensionError
+from fdia_lab.errors import DataError, DimensionError
 from fdia_lab.nn import (AdamState, NetworkConfig, TrainConfig, adam_step,
                          conv_forward, forward, gradients, init_network,
                          load_checkpoint, parameters, pool_forward, predict_proba,
@@ -433,7 +435,7 @@ def test_checkpoint_roundtrip_refills_flat_vector(tmp_path):
     net = init_network(TINY, seed=16)
     net.flat += np.linspace(-1.0, 1.0, net.flat.size)
     path = tmp_path / "checkpoint.json"
-    save_checkpoint(net, path)
+    save_checkpoint(net, path, Standardizer(means=np.zeros(3), stds=np.ones(3)))
     back, _ = load_checkpoint(path)
     np.testing.assert_array_equal(back.flat, net.flat)
     for name, arr in parameters(back).items():
@@ -531,6 +533,17 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     windows = rng.normal(size=(2, 4, 3))
     np.testing.assert_array_equal(forward(net, windows)[0],
                                   forward(back, windows)[0])
+
+
+def test_checkpoint_without_standardizer_is_data_error(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(init_network(TINY, seed=10), path,
+                    Standardizer(means=np.zeros(3), stds=np.ones(3)))
+    obj = json.loads(path.read_text())
+    del obj["standardizer"]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=f"{path}: checkpoint lacks the standardizer"):
+        load_checkpoint(path)
 
 
 # --- whole-batch kernels against per-step / einsum / argmax references ------------
