@@ -20,19 +20,23 @@ Determinism: ``run`` returns a columnar ``FilterRun``. For a config with two
 states, identity transition and noise gain and a scalar measurement (the
 sinusoidal model) it runs a kernel on Python floats; every other config
 stacks ``step``, the general numpy implementation that stays the oracle.
-The kernel performs the oracle's operations in the oracle's order, so it
+The kernel performs the oracle's arithmetic in the oracle's order, so it
 is bit-identical to ``step`` wherever numpy's BLAS does not fuse
 multiply-adds (OpenBLAS's Sandybridge kernel, say) and within rounding
-elsewhere. Its results depend on no BLAS kernel, so artifacts are
-byte-identical on a given machine and no longer move with the OpenBLAS
-kernel numpy picks. The classic filter amplifies rounding (a covariance
-diagonal goes negative at tick 0), so its demo trajectory used to depend
-on that kernel; see the README.
+elsewhere. Its pivot test is not the same operations but the oracle's test
+in closed form: it raises on exactly the values of the innovation variance
+where the oracle raises, including +-inf, and never on NaN. Its results
+depend on no BLAS kernel, so artifacts are byte-identical on a given
+machine and no longer move with the OpenBLAS kernel numpy picks. The
+classic filter amplifies rounding (a covariance diagonal goes negative at
+tick 0), so its demo trajectory used to depend on that kernel; see the
+README.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -274,15 +278,19 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
     """``update_classic``/``update_improved`` on Python floats for the
     2-state, scalar-measurement model.
 
-    Every operation is the one the oracle's numpy calls perform, in the
-    same order, with products by the identity transition and noise gain
-    dropped (they are exact). Matrices are carried entry by entry, so a
+    Every arithmetic operation is the one the oracle's numpy calls perform,
+    in the same order, with products by the identity transition and noise
+    gain dropped (they are exact). Matrices are carried entry by entry, so a
     non-symmetric initial covariance is handled as the oracle handles it.
     """
     classic = variant is Variant.CLASSIC
     if not classic and cfg.meas_cov_fixed is None:
         raise ConfigError("improved variant requires meas_cov_fixed")
     init, g = cfg.init, cfg.forgetting
+    weights = [(1.0 - g) / (1.0 - g ** (t + 1)) for t in range(len(zs))]
+    # the oracle's pivot test in closed form: |s| <= PIVOT_RTOL * max(|s|, 1e-300)
+    # holds exactly for |s| <= b and for s = +-inf, and never for NaN
+    b, inf = PIVOT_RTOL * 1e-300, math.inf
     x0, x1 = np.asarray(init.x0, dtype=float).tolist()
     (p00, p01), (p10, p11) = np.asarray(init.err_cov0, dtype=float).tolist()
     pm0, pm1 = np.asarray(init.proc_mean0, dtype=float).tolist()
@@ -292,8 +300,8 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
     else:
         sm, nc = 0.0, float(cfg.meas_cov_fixed[0, 0])
     out = []
-    for t, (z, h0, h1) in enumerate(zip(zs.tolist(), rows[:, 0, 0].tolist(),
-                                        rows[:, 0, 1].tolist())):
+    for z, h0, h1, c in zip(zs.tolist(), rows[:, 0, 0].tolist(), rows[:, 0, 1].tolist(),
+                            weights):
         # predict
         xp0, xp1 = x0 + pm0, x1 + pm1
         c00, c01, c10, c11 = p00 + m00, p01 + m01, p10 + m10, p11 + m11
@@ -303,7 +311,7 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
         hc0, hc1 = h0 * c00 + h1 * c10, h0 * c01 + h1 * c11
         hph = hc0 * h0 + hc1 * h1
         s = hph + nc
-        if abs(s) <= PIVOT_RTOL * max(abs(s), 1e-300):
+        if s <= b and s >= -b or s == inf or s == -inf:
             raise SingularMatrixError(rcond=abs(s) / max(abs(s), 1e-300))
         k0, k1 = (c00 * h0 + c01 * h1) / s, (c10 * h0 + c11 * h1) / s
         g0, g1 = k0 * e, k1 * e
@@ -314,7 +322,6 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
         q10, q11 = a10 * c00 + a11 * c10, a10 * c01 + a11 * c11
         n00, n01, n11 = 0.5 * (q00 + q00), 0.5 * (q01 + q10), 0.5 * (q11 + q11)
         # forgetting-factor noise statistics
-        c = (1.0 - g) / (1.0 - g ** (t + 1))
         oc = 1.0 - c
         pm0, pm1 = oc * pm0 + c * (xn0 - x0), oc * pm1 + c * (xn1 - x1)
         if classic:

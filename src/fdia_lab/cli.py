@@ -13,11 +13,11 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -26,8 +26,9 @@ from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split,
                             window, write_dataset_csv)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import (config_value as _get, finite_float, read_csv, read_json,
-                       reject_unknown_keys, write_columns, write_json)
+from .io_utils import (config_dataclass, config_value as _get, finite_float, fmt_column,
+                       read_csv, read_json, reject_unknown_keys, write_columns,
+                       write_json)
 from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
                  save_checkpoint, train, write_history_csv)
 from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
@@ -72,14 +73,6 @@ def _state(value) -> SignalState:
     return SignalState(*map(finite_float, value))
 
 
-def _dataclass_from(section: dict, where: str, cls, **fixed):
-    """``cls(**fixed, **section)`` with every value converted to its field's
-    type (int or float) by ``_get``; other keys are rejected."""
-    kinds = {name: kind for name, kind in get_type_hints(cls).items() if name not in fixed}
-    reject_unknown_keys(section, where, kinds)
-    return cls(**fixed, **{key: _get(section, where, key, kinds[key]) for key in section})
-
-
 def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -114,9 +107,9 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     if not isinstance(train_raw, dict):
         raise ConfigError("config section 'network.train' must be a JSON object")
     net_raw.setdefault("input_dim", 1)
-    network = _dataclass_from(net_raw, "network", NetworkConfig)
-    train_cfg = _dataclass_from(train_raw, "network.train", TrainConfig,
-                                window_len=network.window_len)
+    network = config_dataclass(net_raw, "network", NetworkConfig)
+    train_cfg = config_dataclass(train_raw, "network.train", TrainConfig,
+                                 window_len=network.window_len)
 
     pipe = _section(raw, "pipeline")
     reject_unknown_keys(pipe, "pipeline", ("k_clusters", "train_fraction", "order", "seed"))
@@ -163,13 +156,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     cfg.outputs.mkdir(parents=True, exist_ok=True)
     trace = simulate(cfg.signal, cfg.initial, cfg.n)
     z_attacked, active = attack.inject_series(trace.z, cfg.scenario, trace.ticks)
-    labels = active.astype(int)
-    attacked = Trace(ticks=trace.ticks, states=trace.states, z=z_attacked)
 
-    write_trace_csv(attacked, cfg.outputs / "trace.csv")
-    write_labels_csv(attacked.ticks, labels, cfg.outputs / "labels.csv")
-    dataset = RawDataset(columns=["z"], values=z_attacked[:, None], labels=labels)
-    write_dataset_csv(dataset, cfg.outputs / "dataset.csv")
+    # the ticks, z and label columns go into several files: format each once
+    ticks, z, labels = map(fmt_column, (trace.ticks, z_attacked, active))
+    write_trace_csv(ticks, trace.states, z, cfg.outputs / "trace.csv")
+    write_labels_csv(ticks, labels, cfg.outputs / "labels.csv")
+    write_dataset_csv(ticks, {"z": z}, labels, cfg.outputs / "dataset.csv")
     _update_manifest(cfg, "simulate", ["trace.csv", "labels.csv", "dataset.csv"])
     print(f"simulate: wrote {cfg.n} samples to {cfg.outputs}")
     return 0
@@ -268,17 +260,14 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
              else akf.Variant.IMPROVED)
     obs_rows = observation_rows(trace.ticks, cfg.signal.omega)
     verdicts = _passive_channel(trace, cfg, cfg.variant, obs_rows)
-    passive_detect.write_verdicts_csv(verdicts, cfg.outputs / "verdicts_passive.csv")
     entries = {key_of[cfg.variant]: _metrics_entry(verdicts.residual_flag,
                                                    label_flags, onset)}
-
     try:
         other_verdicts = _passive_channel(trace, cfg, other, obs_rows)
-        passive_detect.write_verdicts_csv(
-            other_verdicts, cfg.outputs / f"verdicts_passive_{other.value}.csv")
         entries[key_of[other]] = _metrics_entry(other_verdicts.residual_flag,
                                                 label_flags, onset)
     except NumericalError as exc:
+        other_verdicts = None
         entries[key_of[other]] = {"diverged": True, "error": str(exc)}
 
     n = len(trace)
@@ -307,17 +296,26 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
         active_flags[length - 1:] = probs[:, 1] > probs[:, 0]
         entries["gru_cnn"] = _metrics_entry(active_flags, label_flags, onset)
 
-    write_columns(cfg.outputs / "verdicts_active.csv", ACTIVE_HEADER,
-                  [trace.ticks, p_attack, active_flags])
-
     # fused = residual decision OR classifier flag; the residual flags are
     # already false before the warm-up ends (the threshold does not exist
     # yet), so there only the classifier contributes
     fused_flags = verdicts.residual_flag | active_flags
-    write_columns(cfg.outputs / "verdicts_fused.csv", FUSED_HEADER,
-                  [trace.ticks, verdicts.residual_r, verdicts.residual_flag,
-                   active_flags, fused_flags])
     entries["fused"] = _metrics_entry(fused_flags, label_flags, onset)
+
+    # the files are written once the classifier is done, so the cells of the
+    # columns several files share (each formatted once) never live through it
+    ticks, residual_r, flag_gc = map(fmt_column, (verdicts.t, verdicts.residual_r,
+                                                  active_flags))
+    passive_detect.write_verdicts_csv(ticks, verdicts.euclidean_d, residual_r, verdicts.flag,
+                                      cfg.outputs / "verdicts_passive.csv")
+    if other_verdicts is not None:
+        passive_detect.write_verdicts_csv(
+            ticks, other_verdicts.euclidean_d, other_verdicts.residual_r,
+            other_verdicts.flag, cfg.outputs / f"verdicts_passive_{other.value}.csv")
+    write_columns(cfg.outputs / "verdicts_active.csv", ACTIVE_HEADER,
+                  [ticks, p_attack, flag_gc])
+    write_columns(cfg.outputs / "verdicts_fused.csv", FUSED_HEADER,
+                  [ticks, residual_r, verdicts.residual_flag, flag_gc, fused_flags])
 
     _merge_metrics(cfg, entries)
     artifacts = ["verdicts_passive.csv", f"verdicts_passive_{other.value}.csv",
@@ -381,7 +379,9 @@ def cmd_report(run_dir) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared."""
     parser = argparse.ArgumentParser(
         prog="fdia-lab",
         description="Simulate, attack, detect, and evaluate FDIA scenarios.",

@@ -202,10 +202,11 @@ def window(values: np.ndarray, labels: np.ndarray, length: int) -> tuple[np.ndar
     return windows, labels[starts + length - 1]
 
 
-def write_dataset_csv(d: RawDataset, path) -> None:
-    """Write ``d`` with the ticks 0..n-1 in its ``t`` column."""
-    write_columns(path, ["t", *d.columns, "label"],
-                  [np.arange(len(d)), *d.values.T, np.asarray(d.labels).astype(int)])
+def write_dataset_csv(ticks, features: dict, labels, path) -> None:
+    """Write the ``t`` column, one column per ``features`` entry (name ->
+    column) and the 0/1 (or boolean) labels; any column may be given as the
+    cells ``io_utils.fmt_column`` made of it, to share them with other files."""
+    write_columns(path, ["t", *features, "label"], [ticks, *features.values(), labels])
 
 
 def read_dataset_csv(path) -> RawDataset:

@@ -8,10 +8,11 @@ emitted anywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -23,7 +24,13 @@ _REQUIRED = object()
 def fmt_column(values) -> list[str]:
     """Format a 1-D column as CSV cells: bools as 1/0, integers with ``str``,
     floats with ``repr`` and NaN as the empty cell (= missing); a column of
-    strings passes through unchanged."""
+    strings passes through unchanged, and a list of str is returned as is.
+
+    Float ``repr`` is the cost floor of every writer, so a stage that writes
+    one column into several files formats it once and hands the cells on.
+    """
+    if type(values) is list and set(map(type, values)) == {str}:
+        return values
     a = np.asarray(values)
     if a.ndim != 1:
         raise DataError(f"a CSV column must be 1-D, got shape {a.shape}")
@@ -42,7 +49,7 @@ def fmt_column(values) -> list[str]:
 
 def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length 1-D columns as CSV, each cell formatted by
-    ``fmt_column``."""
+    ``fmt_column``; a column may be given as the cells it already made."""
     if len(columns) != len(header):
         raise DataError(f"{len(header)} header names for {len(columns)} columns")
     cells = [fmt_column(c) for c in columns]
@@ -114,7 +121,10 @@ def read_json(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def finite_float(value) -> float:
@@ -149,3 +159,18 @@ def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
         return (finite_float if kind is float else kind)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{name}' has an invalid value {value!r}: {exc}") from exc
+
+
+@functools.cache
+def _field_kinds(cls) -> dict:
+    """``cls``'s field types, resolved on the first call for each class."""
+    return get_type_hints(cls)
+
+
+def config_dataclass(section: dict, where: str, cls, **fixed):
+    """``cls(**fixed, **section)`` with every value converted to its field's
+    type (int or float) by ``config_value``; other keys are rejected."""
+    kinds = _field_kinds(cls)
+    reject_unknown_keys(section, where, [name for name in kinds if name not in fixed])
+    return cls(**fixed, **{key: config_value(section, where, key, kinds[key])
+                           for key in section})

@@ -10,13 +10,13 @@ loss to every parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..data_pipeline import Standardizer
 from ..errors import ConfigError, DataError, DimensionError
-from ..io_utils import read_json, write_json
+from ..io_utils import config_dataclass, read_json, write_json
 from .layers import (ConvLayer, DenseLayer, GruParams, conv_backward, conv_forward,
                      dropout_forward, gru_backward, gru_forward, pool_backward,
                      pool_forward, softmax)
@@ -242,27 +242,59 @@ def save_checkpoint(net: Network, path, standardizer: Standardizer) -> None:
     write_json(path, obj)
 
 
+def _checkpoint_object(path, obj: dict, key: str) -> dict:
+    value = obj.get(key)
+    if value is None:
+        raise DataError(f"{path}: checkpoint lacks the {key}")
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: checkpoint entry '{key}' must be a JSON object")
+    return value
+
+
+def _checkpoint_array(path, what: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``, or a DataError naming
+    the file and the entry."""
+    if value is None:
+        raise DataError(f"{path}: checkpoint lacks the {what}")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: checkpoint {what} is not an array of numbers") from None
+    if arr.shape != shape:
+        raise DataError(f"{path}: checkpoint {what} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: checkpoint {what} has non-finite entries")
+    return arr
+
+
 def load_checkpoint(path) -> tuple[Network, Standardizer]:
+    """The network and standardizer saved by ``save_checkpoint``. Every entry
+    is checked: a missing, unknown, mistyped or misshapen one raises a
+    DataError naming the file."""
     obj = read_json(path)
-    if obj.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a checkpoint file: {path}")
     if obj.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {obj.get('version')}")
-    cfg = NetworkConfig(**obj["config"])
+    raw_cfg = _checkpoint_object(path, obj, "config")
+    absent = [f.name for f in fields(NetworkConfig) if f.name not in raw_cfg]
+    if absent:
+        raise DataError(f"{path}: checkpoint config lacks '{absent[0]}'")
+    try:
+        cfg = config_dataclass(raw_cfg, "config", NetworkConfig)
+    except ConfigError as exc:
+        raise DataError(f"{path}: checkpoint {exc}") from exc
     net = init_network(cfg, seed=0)
     params = parameters(net)
-    for name, value in obj["params"].items():
+    saved = _checkpoint_object(path, obj, "params")
+    for name in saved:
         if name not in params:
-            raise DataError(f"unknown parameter '{name}' in checkpoint")
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != params[name].shape:
-            raise DataError(
-                f"checkpoint parameter '{name}' has shape {arr.shape}, "
-                f"expected {params[name].shape}"
-            )
-        params[name][...] = arr
-    std = obj.get("standardizer")
-    if std is None:
-        raise DataError(f"{path}: checkpoint lacks the standardizer fitted at training time")
-    return net, Standardizer(means=np.asarray(std["means"], dtype=float),
-                             stds=np.asarray(std["stds"], dtype=float))
+            raise DataError(f"{path}: unknown parameter '{name}' in checkpoint")
+    for name, arr in params.items():
+        arr[...] = _checkpoint_array(path, f"parameter '{name}'", saved.get(name), arr.shape)
+    std = _checkpoint_object(path, obj, "standardizer")
+    means, stds = (_checkpoint_array(path, f"standardizer {key}", std.get(key),
+                                     (cfg.input_dim,)) for key in ("means", "stds"))
+    if (stds < 0).any():
+        raise DataError(f"{path}: checkpoint standardizer stds has negative entries")
+    return net, Standardizer(means=means, stds=stds)

@@ -178,6 +178,8 @@ def evaluate_stream(outputs, zs, obs_rows, euclid_th: Thresholds,
                            residual_flag=residual_flag, flag=flag)
 
 
-def write_verdicts_csv(verdicts: PassiveVerdicts, path) -> None:
-    write_columns(path, VERDICTS_HEADER,
-                  [verdicts.t, verdicts.euclidean_d, verdicts.residual_r, verdicts.flag])
+def write_verdicts_csv(t, euclidean_d, residual_r, flag, path) -> None:
+    """Write a verdict stream's columns (``PassiveVerdicts`` fields of those
+    names); any column may be given as the cells ``io_utils.fmt_column`` made
+    of it, to share them with other files."""
+    write_columns(path, VERDICTS_HEADER, [t, euclidean_d, residual_r, flag])

@@ -114,27 +114,36 @@ TRACE_HEADER = ["t", "x1", "x2", "z"]
 LABELS_HEADER = ["t", "label"]
 
 
-def write_trace_csv(trace: Trace, path) -> None:
-    write_columns(path, TRACE_HEADER,
-                  [trace.ticks, trace.states[:, 0], trace.states[:, 1], trace.z])
+def write_trace_csv(ticks, states: np.ndarray, z, path) -> None:
+    """Write a trace's columns; ``ticks`` and ``z`` may be given as the cells
+    ``io_utils.fmt_column`` made of them, to share them with other files."""
+    write_columns(path, TRACE_HEADER, [ticks, states[:, 0], states[:, 1], z])
+
+
+def _data_rows(path, expected_header: list[str]) -> list[list[str]]:
+    """The rows of a CSV file with the given header; a file without data
+    rows is a DataError naming it."""
+    header, rows = read_csv(path)
+    if header != expected_header:
+        raise DataError(f"{path}: unexpected header {header}, expected {expected_header}")
+    if not rows:
+        raise DataError(f"{path} has a header but no data rows")
+    return rows
 
 
 def read_trace_csv(path) -> Trace:
-    header, rows = read_csv(path)
-    if header != TRACE_HEADER:
-        raise DataError(f"unexpected trace header: {header}")
+    rows = _data_rows(path, TRACE_HEADER)
     ticks, x1, x2, z = (parse_column(path, rows, i, name, int if name == "t" else float)
-                        for i, name in enumerate(header))
+                        for i, name in enumerate(TRACE_HEADER))
     return Trace(ticks=ticks, states=np.column_stack([x1, x2]), z=z)
 
 
-def write_labels_csv(ticks: np.ndarray, labels: np.ndarray, path) -> None:
-    write_columns(path, LABELS_HEADER, [ticks, labels.astype(int)])
+def write_labels_csv(ticks, labels, path) -> None:
+    """Write 0/1 (or boolean) labels; either column may be given as cells."""
+    write_columns(path, LABELS_HEADER, [ticks, labels])
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    header, rows = read_csv(path)
-    if header != LABELS_HEADER:
-        raise DataError(f"unexpected labels header: {header}")
+    rows = _data_rows(path, LABELS_HEADER)
     return (parse_column(path, rows, 0, "t", int),
             parse_column(path, rows, 1, "label", int))

@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from fdia_lab import akf
 from fdia_lab.errors import ConfigError, DataError, DimensionError, SingularMatrixError
+from fdia_lab.numerics import PIVOT_RTOL
 from fdia_lab.signal_model import (SignalParams, SignalState, Trace, observation_row,
                                    observation_rows, simulate)
 
@@ -470,6 +472,33 @@ def test_nan_measurement_names_the_tick(variant):
     cfg = akf.config_for_sinusoid(DEMO, float(z[0]))
     with pytest.raises(DataError, match="tick 17"):
         akf.run(bad, cfg, variant)
+
+
+PIVOT_B = PIVOT_RTOL * 1e-300  # below 1e-300 the oracle's pivot bound is this
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the oracle's rcond at inf
+@pytest.mark.parametrize("variant", list(akf.Variant))
+@pytest.mark.parametrize("s", [0.0, -0.0, 5e-324, PIVOT_B, -PIVOT_B,
+                               math.nextafter(PIVOT_B, math.inf), 1e-300,
+                               math.inf, -math.inf, math.nan])
+def test_kernel_pivot_raises_exactly_where_the_oracle_does(variant, s):
+    # zero covariances make the innovation variance exactly the measurement
+    # noise, so the first step's pivot is s itself
+    cfg = scalar_config([1.0, 0.0], q0=np.zeros((2, 2)), m0=np.zeros((2, 2)),
+                        n0=s, n_fixed=s)
+    trace = Trace(ticks=np.arange(1), states=np.zeros((1, 2)), z=np.array([0.5]))
+
+    def raises(run) -> bool:
+        try:
+            run()
+        except SingularMatrixError:
+            return True
+        return False
+
+    oracle = raises(lambda: akf.step(akf.initial_state(cfg), trace.z[0], cfg, variant))
+    assert raises(lambda: akf.run(trace, cfg, variant)) == oracle
+    assert oracle == (not math.isnan(s) and (abs(s) <= PIVOT_B or math.isinf(s)))
 
 
 def test_filter_run_slices_rows():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdia_lab import akf, cli, evaluation, fusion, nn, passive_detect
+from fdia_lab import akf, cli, evaluation, fusion, io_utils, nn, passive_detect
 from fdia_lab.cli import main
 from fdia_lab.data_pipeline import read_dataset_csv
 
@@ -209,6 +209,74 @@ def test_detect_builds_no_per_tick_objects(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__init__", refuse)
     assert main(["detect", "--config", str(cfg_path)]) == 0
     assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 0
+
+
+def csv_column(path, name) -> list[str]:
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return [row[header.index(name)] for row in rows]
+
+
+@pytest.mark.parametrize("passive_only", [False, True])
+def test_stages_format_each_column_once(tmp_path, monkeypatch, passive_only):
+    cfg_path, out = write_config(tmp_path, out_name="once")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
+    formatted, fmt_column = [], io_utils.fmt_column
+
+    def counting(values):
+        cells = fmt_column(values)
+        if cells is not values:  # a list of cells passes through unformatted
+            formatted.append(len(cells))
+        return cells
+
+    for module in (io_utils, cli):
+        monkeypatch.setattr(module, "fmt_column", counting)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    # t, x1, x2, z and label, though t goes into three files and z and label two
+    assert formatted == [1600] * 5
+    formatted.clear()
+    extra = ["--passive-only"] if passive_only else []
+    assert main(["detect", "--config", str(cfg_path), *extra]) == 0
+    # t; euclidean_d, residual_r and flag of both filters; p_attack, the
+    # classifier flag, the configured filter's residual flag and the fused flag
+    assert formatted == [1600] * 11
+    assert csv_column(out / "dataset.csv", "z") == csv_column(out / "trace.csv", "z")
+    assert (csv_column(out / "verdicts_fused.csv", "r_N")
+            == csv_column(out / "verdicts_passive.csv", "residual_r"))
+    assert (csv_column(out / "verdicts_fused.csv", "flag_GC")
+            == csv_column(out / "verdicts_active.csv", "flag"))
+
+
+def test_main_parses_after_an_argparse_exit(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path, out_name="reparse")
+    with pytest.raises(SystemExit) as info:
+        main(["simulate"])  # --config missing
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["detect", "--help"])
+    assert info.value.code == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg_path), "--seed", "8"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seeds"]["signal"] == 8
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_detect_empty_trace_is_data_error(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path, out_name="empty")
+    out.mkdir()
+    (out / "labels.csv").write_text("t,label\n")
+    (out / "trace.csv").write_text("t,x1,x2,z\n")
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
+    err = capsys.readouterr().err
+    assert f"{out / 'trace.csv'} has a header but no data rows" in err
+    assert "Traceback" not in err
+    (out / "trace.csv").write_text("t,x1,x2,z\n0,1.0,0.0,1.0\n")
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
+    err = capsys.readouterr().err
+    assert f"{out / 'labels.csv'} has a header but no data rows" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("cell", ["", "nan"])

@@ -232,7 +232,7 @@ def test_dataset_csv_roundtrip_with_missing(tmp_path):
     d = RawDataset(columns=["a", "b"], values=values,
                    labels=np.array([0, 1, 0]))
     path = tmp_path / "data.csv"
-    write_dataset_csv(d, path)
+    write_dataset_csv(np.arange(len(d)), dict(zip(d.columns, d.values.T)), d.labels, path)
     assert path.read_text().splitlines()[0] == "t,a,b,label"
     back = read_dataset_csv(path)
     assert back.columns == ["a", "b"]

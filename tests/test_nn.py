@@ -546,6 +546,50 @@ def test_checkpoint_without_standardizer_is_data_error(tmp_path):
         load_checkpoint(path)
 
 
+def _without_w_xr(obj):
+    del obj["params"]["gru.w_xr"]
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda obj: obj.update(standardizer={}), "checkpoint lacks the standardizer means"),
+    (lambda obj: obj["standardizer"].update(means=[0.0, 1.0]),
+     "checkpoint standardizer means has shape (2,), expected (3,)"),
+    (lambda obj: obj["standardizer"].update(stds=[1.0] * 4),
+     "checkpoint standardizer stds has shape (4,), expected (3,)"),
+    (lambda obj: obj["standardizer"].update(stds=[1.0, -1.0, 1.0]),
+     "checkpoint standardizer stds has negative entries"),
+    (lambda obj: obj["config"].update(hidden="x"),
+     "checkpoint config key 'config.hidden' has an invalid value 'x'"),
+    (lambda obj: obj["config"].pop("hidden"), "checkpoint config lacks 'hidden'"),
+    (lambda obj: obj["config"].update(hidden=0), "network dimensions must be positive"),
+    (_without_w_xr, "checkpoint lacks the parameter 'gru.w_xr'"),
+    (lambda obj: obj["params"].update({"gru.b_r": "abc"}),
+     "checkpoint parameter 'gru.b_r' is not an array of numbers"),
+    (lambda obj: obj["params"]["dense.bias"].__setitem__(0, None),
+     "checkpoint parameter 'dense.bias' has non-finite entries"),
+    (lambda obj: obj.update(params=[]), "checkpoint entry 'params' must be a JSON object"),
+], ids=["empty-standardizer", "short-means", "long-stds", "negative-std",
+        "non-numeric-hidden", "absent-hidden", "zero-hidden", "absent-parameter",
+        "non-numeric-parameter", "null-weight", "params-not-an-object"])
+def test_malformed_checkpoint_entry_is_data_error(tmp_path, edit, problem):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(init_network(TINY, seed=10), path,
+                    Standardizer(means=np.zeros(3), stds=np.ones(3)))
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ") and problem in str(info.value)
+
+
+def test_checkpoint_that_is_not_json_is_data_error(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    path.write_text('{"format": "gru-cnn-checkpoint", ')
+    with pytest.raises(DataError, match=f"{path} is not valid JSON"):
+        load_checkpoint(path)
+
+
 # --- whole-batch kernels against per-step / einsum / argmax references ------------
 #
 # The references below are the straightforward formulation of each layer:

@@ -114,7 +114,8 @@ def test_verdicts_csv(tmp_path):
     euclid_th, resid_th = calibrate_channels(outputs, trace.z, obs, warmup=600)
     verdicts = evaluate_stream(outputs, trace.z, obs, euclid_th, resid_th)
     path = tmp_path / "verdicts.csv"
-    write_verdicts_csv(verdicts, path)
+    write_verdicts_csv(verdicts.t, verdicts.euclidean_d, verdicts.residual_r, verdicts.flag,
+                       path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,euclidean_d,residual_r,flag"
     assert len(lines) == 701

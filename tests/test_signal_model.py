@@ -87,7 +87,7 @@ def test_trace_csv_roundtrip(tmp_path):
     params = SignalParams(omega=0.2, sigma_process=0.01, sigma_meas=0.02, seed=5)
     trace = simulate(params, SignalState(0.9, 0.1), 37)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
+    write_trace_csv(trace.ticks, trace.states, trace.z, path)
     back = read_trace_csv(path)
     np.testing.assert_array_equal(back.ticks, trace.ticks)
     np.testing.assert_array_equal(back.states, trace.states)
