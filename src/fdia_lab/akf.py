@@ -1,17 +1,19 @@
 """Adaptive Kalman filtering with online noise-statistics estimation.
 
-Two per-sample state machines over the same predict/update skeleton:
+One per-sample update, ``step``, serves both variants. They differ in three
+places, where it tests ``classic``:
 
-* ``Classic``: jointly re-estimates the process-noise mean/covariance and
-  the measurement-noise mean/covariance with a forgetting factor. Both
-  covariance updates contain subtracted mean-square-error terms, so on
-  higher-order systems the estimated covariance diagonals can be driven
-  negative and the filter diverges. That behaviour is intentional here;
-  it is the documented deficiency the improved variant removes.
-* ``Improved``: treats the measurement noise as known (covariance held
-  fixed, mean zero) and rebuilds the process-noise covariance purely from
-  the gained-residual outer product, a convex combination of positive
-  semidefinite terms. Diagonals therefore stay non-negative at every step.
+* the innovation: ``Classic`` uses the estimated measurement-noise mean and
+  covariance; ``Improved`` treats the noise as known (mean zero,
+  covariance ``meas_cov_fixed``);
+* the process-noise covariance: ``Classic`` subtracts mean-square-error
+  terms from the gained-residual outer product, so on higher-order systems
+  its diagonals can be driven negative and the filter diverges (the
+  documented deficiency, kept on purpose); ``Improved`` keeps only the
+  outer product, a convex combination of positive semidefinite terms, so
+  its diagonals stay non-negative at every step;
+* the measurement noise: ``Classic`` re-estimates its mean and covariance
+  with the forgetting factor; ``Improved`` holds them fixed.
 
 Measurements are vectors of any width; the rest of this package drives the
 filters with the scalar sinusoidal measurement model.
@@ -20,17 +22,17 @@ Determinism: ``run`` returns a columnar ``FilterRun``. For a config with two
 states, identity transition and noise gain and a scalar measurement (the
 sinusoidal model) it runs a kernel on Python floats; every other config
 stacks ``step``, the general numpy implementation that stays the oracle.
-The kernel performs the oracle's arithmetic in the oracle's order, so it
-is bit-identical to ``step`` wherever numpy's BLAS does not fuse
-multiply-adds (OpenBLAS's Sandybridge kernel, say) and within rounding
-elsewhere. Its pivot test is not the same operations but the oracle's test
-in closed form: it raises on exactly the values of the innovation variance
-where the oracle raises, including +-inf, and never on NaN. Its results
-depend on no BLAS kernel, so artifacts are byte-identical on a given
-machine and no longer move with the OpenBLAS kernel numpy picks. The
-classic filter amplifies rounding (a covariance diagonal goes negative at
-tick 0), so its demo trajectory used to depend on that kernel; see the
-README.
+The kernel performs the oracle's arithmetic in the oracle's order, with its
+``if classic`` branches at the same places, so it is bit-identical to
+``step`` wherever numpy's BLAS does not fuse multiply-adds (OpenBLAS's
+Sandybridge kernel, say) and within rounding elsewhere. Its pivot test is
+not the same operations but the oracle's test in closed form: it raises on
+exactly the values of the innovation variance where the oracle raises,
+including +-inf, and never on NaN. Its results depend on no BLAS kernel,
+so artifacts are byte-identical on a given machine whatever OpenBLAS
+kernel numpy picks. This matters most for the classic filter, which
+amplifies rounding (a covariance diagonal goes negative at tick 0); see
+the README.
 """
 
 from __future__ import annotations
@@ -136,12 +138,19 @@ def predict(state: FilterState, cfg: FilterConfig) -> tuple[np.ndarray, np.ndarr
     return x_pred, cov_pred
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
-def _measurement_update(state, cfg, z_t, meas_cov, meas_mean):
-    """Shared gain/update core; returns intermediates for the variants."""
+def step(state: FilterState, z_t, cfg: FilterConfig,
+         variant: Variant) -> tuple[FilterState, StepOutput]:
+    """One adaptive step: predict, update the estimate, then re-estimate the
+    noise statistics with the forgetting-factor weight. The variants differ
+    where ``classic`` is tested, as in the float kernel (see the module doc)."""
+    classic = variant is Variant.CLASSIC
+    if not classic and cfg.meas_cov_fixed is None:
+        raise ConfigError("improved variant requires meas_cov_fixed")
+    c = weighting_coefficient(state.t, cfg.forgetting)
+    if classic:
+        meas_mean, meas_cov = state.meas_mean, state.meas_cov
+    else:
+        meas_mean, meas_cov = np.zeros_like(state.meas_mean), cfg.meas_cov_fixed
     z_t = np.atleast_1d(np.asarray(z_t, dtype=float))
     h = np.atleast_2d(cfg.obs_at(state.t))
     if h.shape != (len(z_t), len(state.x)):
@@ -150,8 +159,10 @@ def _measurement_update(state, cfg, z_t, meas_cov, meas_mean):
             f"to measurement {len(z_t)}"
         )
     x_pred, cov_pred = predict(state, cfg)
-    innovation = z_t - h @ x_pred - meas_mean
-    innov_cov = h @ cov_pred @ h.T + meas_cov
+    resid = z_t - h @ x_pred
+    innovation = resid - meas_mean
+    hph = h @ cov_pred @ h.T
+    innov_cov = hph + meas_cov
     # gain = cov_pred H' (H cov_pred H' + meas_cov)^-1; the scalar-measurement
     # path avoids the general solve, everything else goes through it.
     if innov_cov.shape == (1, 1):
@@ -161,71 +172,38 @@ def _measurement_update(state, cfg, z_t, meas_cov, meas_mean):
         gain = (cov_pred @ h.T) / s
     else:
         gain = solve(innov_cov, (cov_pred @ h.T).T).T
-    x_new = x_pred + gain @ innovation
-    eye = np.eye(len(state.x))
-    cov_new = _symmetrize((eye - gain @ h) @ cov_pred)
-    return z_t, h, x_pred, cov_pred, innovation, gain, x_new, cov_new
+    gained = gain @ innovation
+    x_new = x_pred + gained
+    cov_new = (np.eye(len(state.x)) - gain @ h) @ cov_pred
+    cov_new = 0.5 * (cov_new + cov_new.T)
+
+    b, oc = cfg.transition, 1.0 - c
+    proc_mean = oc * state.proc_mean + c * (x_new - b @ state.x)
+    spread = np.outer(gained, gained)
+    if classic:
+        proc_cov = oc * state.proc_cov + c * (spread + cov_new - b @ state.err_cov @ b.T)
+        meas_mean = oc * meas_mean + c * resid
+        meas_cov = oc * meas_cov + c * (np.outer(innovation, innovation) - hph)
+    else:
+        proc_cov = oc * state.proc_cov + c * spread
+        meas_cov = np.array(cfg.meas_cov_fixed, dtype=float)
+
+    new_state = FilterState(t=state.t + 1, x=x_new, err_cov=cov_new,
+                            proc_mean=proc_mean, proc_cov=proc_cov,
+                            meas_mean=meas_mean, meas_cov=meas_cov)
+    out = StepOutput(t=state.t, x_pred=x_pred, x_hat=x_new,
+                     innovation=innovation, gain=gain)
+    return new_state, out
 
 
 def update_classic(state: FilterState, z_t, cfg: FilterConfig) -> tuple[FilterState, StepOutput]:
-    """One classic adaptive step: update the estimate, then re-estimate all
-    four noise statistics with the forgetting-factor weight."""
-    c = weighting_coefficient(state.t, cfg.forgetting)
-    (z_vec, h, x_pred, cov_pred, innovation, gain,
-     x_new, cov_new) = _measurement_update(state, cfg, z_t, state.meas_cov, state.meas_mean)
-
-    b = cfg.transition
-    gained = gain @ innovation
-    proc_mean = (1.0 - c) * state.proc_mean + c * (x_new - b @ state.x)
-    proc_cov = (1.0 - c) * state.proc_cov + c * (
-        np.outer(gained, gained) + cov_new - b @ state.err_cov @ b.T
-    )
-    meas_mean = (1.0 - c) * state.meas_mean + c * (z_vec - h @ x_pred)
-    meas_cov = (1.0 - c) * state.meas_cov + c * (
-        np.outer(innovation, innovation) - h @ cov_pred @ h.T
-    )
-
-    new_state = FilterState(
-        t=state.t + 1, x=x_new, err_cov=cov_new,
-        proc_mean=proc_mean, proc_cov=proc_cov,
-        meas_mean=meas_mean, meas_cov=meas_cov,
-    )
-    out = StepOutput(t=state.t, x_pred=x_pred, x_hat=x_new,
-                     innovation=innovation, gain=gain)
-    return new_state, out
+    """``step`` of the classic variant, which re-estimates all four noise statistics."""
+    return step(state, z_t, cfg, Variant.CLASSIC)
 
 
 def update_improved(state: FilterState, z_t, cfg: FilterConfig) -> tuple[FilterState, StepOutput]:
-    """One improved step: measurement noise fixed and zero-mean, and the
-    process-noise covariance rebuilt only from the gained-residual outer
-    product, so its diagonal can never go negative."""
-    if cfg.meas_cov_fixed is None:
-        raise ConfigError("improved variant requires meas_cov_fixed")
-    c = weighting_coefficient(state.t, cfg.forgetting)
-    zero_mean = np.zeros_like(state.meas_mean)
-    (_, _, x_pred, _, innovation, gain,
-     x_new, cov_new) = _measurement_update(state, cfg, z_t, cfg.meas_cov_fixed, zero_mean)
-
-    b = cfg.transition
-    gained = gain @ innovation
-    proc_mean = (1.0 - c) * state.proc_mean + c * (x_new - b @ state.x)
-    proc_cov = (1.0 - c) * state.proc_cov + c * np.outer(gained, gained)
-
-    new_state = FilterState(
-        t=state.t + 1, x=x_new, err_cov=cov_new,
-        proc_mean=proc_mean, proc_cov=proc_cov,
-        meas_mean=zero_mean, meas_cov=np.array(cfg.meas_cov_fixed, dtype=float),
-    )
-    out = StepOutput(t=state.t, x_pred=x_pred, x_hat=x_new,
-                     innovation=innovation, gain=gain)
-    return new_state, out
-
-
-def step(state: FilterState, z_t, cfg: FilterConfig,
-         variant: Variant) -> tuple[FilterState, StepOutput]:
-    if variant is Variant.CLASSIC:
-        return update_classic(state, z_t, cfg)
-    return update_improved(state, z_t, cfg)
+    """``step`` of the improved variant: measurement noise fixed and zero-mean."""
+    return step(state, z_t, cfg, Variant.IMPROVED)
 
 
 @dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
@@ -275,8 +253,7 @@ def _is_scalar_two_state(cfg: FilterConfig) -> bool:
 
 def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
                           variant: Variant) -> FilterRun:
-    """``update_classic``/``update_improved`` on Python floats for the
-    2-state, scalar-measurement model.
+    """``step`` on Python floats for the 2-state, scalar-measurement model.
 
     Every arithmetic operation is the one the oracle's numpy calls perform,
     in the same order, with products by the identity transition and noise

@@ -250,25 +250,24 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     onsets = np.flatnonzero(labels)
     onset = int(onsets[0]) if len(onsets) else None
 
-    # the configured variant drives the passive and fused paths; the other
-    # variant is run alongside for the comparison table. The table rows hold
-    # exactly the streams the fusion rule consumes: each filter's
-    # residual-channel decision.
-    key_of = {akf.Variant.IMPROVED: "improved_akf",
-              akf.Variant.CLASSIC: "classic_akf"}
-    other = (akf.Variant.CLASSIC if cfg.variant is akf.Variant.IMPROVED
-             else akf.Variant.IMPROVED)
+    # the configured variant drives the passive and fused paths and must not
+    # fail; the other variant is run alongside for the comparison table and
+    # is recorded as diverged if it does. The table rows hold exactly the
+    # streams the fusion rule consumes: each filter's residual-channel decision.
     obs_rows = observation_rows(trace.ticks, cfg.signal.omega)
-    verdicts = _passive_channel(trace, cfg, cfg.variant, obs_rows)
-    entries = {key_of[cfg.variant]: _metrics_entry(verdicts.residual_flag,
-                                                   label_flags, onset)}
-    try:
-        other_verdicts = _passive_channel(trace, cfg, other, obs_rows)
-        entries[key_of[other]] = _metrics_entry(other_verdicts.residual_flag,
-                                                label_flags, onset)
-    except NumericalError as exc:
-        other_verdicts = None
-        entries[key_of[other]] = {"diverged": True, "error": str(exc)}
+    entries, passive = {}, {}
+    for variant in [cfg.variant, *(v for v in akf.Variant if v is not cfg.variant)]:
+        key = f"{variant.value}_akf"
+        try:
+            passive[variant] = _passive_channel(trace, cfg, variant, obs_rows)
+        except NumericalError as exc:
+            if variant is cfg.variant:
+                raise
+            entries[key] = {"diverged": True, "error": str(exc)}
+        else:
+            entries[key] = _metrics_entry(passive[variant].residual_flag,
+                                          label_flags, onset)
+    verdicts = passive[cfg.variant]
 
     n = len(trace)
     active_flags = np.zeros(n, dtype=bool)
@@ -306,20 +305,21 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     # columns several files share (each formatted once) never live through it
     ticks, residual_r, flag_gc = map(fmt_column, (verdicts.t, verdicts.residual_r,
                                                   active_flags))
-    passive_detect.write_verdicts_csv(ticks, verdicts.euclidean_d, residual_r, verdicts.flag,
-                                      cfg.outputs / "verdicts_passive.csv")
-    if other_verdicts is not None:
+    artifacts = ["verdicts_active.csv", "verdicts_fused.csv", "metrics.json"]
+    for variant, stream in passive.items():
+        name = ("verdicts_passive.csv" if variant is cfg.variant
+                else f"verdicts_passive_{variant.value}.csv")
         passive_detect.write_verdicts_csv(
-            ticks, other_verdicts.euclidean_d, other_verdicts.residual_r,
-            other_verdicts.flag, cfg.outputs / f"verdicts_passive_{other.value}.csv")
+            ticks, stream.euclidean_d,
+            residual_r if stream is verdicts else stream.residual_r, stream.flag,
+            cfg.outputs / name)
+        artifacts.append(name)
     write_columns(cfg.outputs / "verdicts_active.csv", ACTIVE_HEADER,
                   [ticks, p_attack, flag_gc])
     write_columns(cfg.outputs / "verdicts_fused.csv", FUSED_HEADER,
                   [ticks, residual_r, verdicts.residual_flag, flag_gc, fused_flags])
 
     _merge_metrics(cfg, entries)
-    artifacts = ["verdicts_passive.csv", f"verdicts_passive_{other.value}.csv",
-                 "verdicts_active.csv", "verdicts_fused.csv", "metrics.json"]
     _update_manifest(cfg, "detect", artifacts)
     flag_rate = float(fused_flags.mean())
     print(f"detect: fused flag rate {flag_rate:.4f} over {n} ticks "

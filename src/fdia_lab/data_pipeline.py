@@ -197,9 +197,9 @@ def window(values: np.ndarray, labels: np.ndarray, length: int) -> tuple[np.ndar
         raise DataError(f"series of {len(values)} rows is shorter than window {length}")
     if len(labels) != len(values):
         raise DataError("label count does not match row count")
-    starts = np.arange(len(values) - length + 1)
-    windows = np.stack([values[s:s + length] for s in starts])
-    return windows, labels[starts + length - 1]
+    # a read-only view, (windows, length, features)
+    windows = np.lib.stride_tricks.sliding_window_view(values, length, axis=0)
+    return windows.transpose(0, 2, 1), labels[length - 1:]
 
 
 def write_dataset_csv(ticks, features: dict, labels, path) -> None:

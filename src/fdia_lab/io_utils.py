@@ -60,6 +60,9 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows of a CSV file; a missing or empty file,
+    a file without data rows or a row of the wrong width is a DataError
+    naming the file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
@@ -68,6 +71,8 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"empty CSV file: {path}")
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:] if line != ""]
+    if not rows:
+        raise DataError(f"{path} has a header but no data rows")
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}")

@@ -10,7 +10,7 @@ loss to every parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -224,17 +224,10 @@ def predict_proba(net: Network, windows: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(net: Network, path, standardizer: Standardizer) -> None:
-    cfg = net.config
     obj = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "input_dim": cfg.input_dim, "window_len": cfg.window_len,
-            "hidden": cfg.hidden,
-            "conv1_kernels": cfg.conv1_kernels, "conv1_size": cfg.conv1_size,
-            "conv2_kernels": cfg.conv2_kernels, "conv2_size": cfg.conv2_size,
-            "pool": cfg.pool, "dropout": cfg.dropout,
-        },
+        "config": asdict(net.config),
         "params": {name: arr.tolist() for name, arr in parameters(net).items()},
         "standardizer": {"means": standardizer.means.tolist(),
                          "stds": standardizer.stds.tolist()},

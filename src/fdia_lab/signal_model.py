@@ -121,13 +121,10 @@ def write_trace_csv(ticks, states: np.ndarray, z, path) -> None:
 
 
 def _data_rows(path, expected_header: list[str]) -> list[list[str]]:
-    """The rows of a CSV file with the given header; a file without data
-    rows is a DataError naming it."""
+    """The rows of a CSV file with the given header."""
     header, rows = read_csv(path)
     if header != expected_header:
         raise DataError(f"{path}: unexpected header {header}, expected {expected_header}")
-    if not rows:
-        raise DataError(f"{path} has a header but no data rows")
     return rows
 
 

@@ -8,6 +8,7 @@ import pytest
 from fdia_lab import akf, cli, evaluation, fusion, io_utils, nn, passive_detect
 from fdia_lab.cli import main
 from fdia_lab.data_pipeline import read_dataset_csv
+from fdia_lab.errors import SingularMatrixError
 
 BASE_CONFIG = {
     "signal": {"omega": 2 * math.pi / 20, "sigma_process": 1e-3,
@@ -126,6 +127,52 @@ def test_detect_classic_variant_drives_pipeline(tmp_path):
     assert (out / "verdicts_passive_improved.csv").exists()
     metrics = json.loads((out / "metrics.json").read_text())
     assert "classic_akf" in metrics and "improved_akf" in metrics
+    # swapping the configured variant swaps the files, byte for byte
+    improved_cfg, improved = write_config(tmp_path, out_name="improved")
+    assert main(["detect", "--config", str(improved_cfg), "--passive-only",
+                 "--trace", str(out / "trace.csv"), "--labels", str(out / "labels.csv")]) == 0
+    assert ((out / "verdicts_passive.csv").read_bytes()
+            == (improved / "verdicts_passive_classic.csv").read_bytes())
+    assert ((out / "verdicts_passive_improved.csv").read_bytes()
+            == (improved / "verdicts_passive.csv").read_bytes())
+
+
+def failing_variant(monkeypatch, failing):
+    """Make ``cli._passive_channel`` raise SingularMatrixError for ``failing``."""
+    channel = cli._passive_channel
+
+    def patched(trace, cfg, variant, obs_rows):
+        if variant is failing:
+            raise SingularMatrixError(rcond=0.0)
+        return channel(trace, cfg, variant, obs_rows)
+
+    monkeypatch.setattr(cli, "_passive_channel", patched)
+
+
+def test_detect_records_other_variant_divergence(tmp_path, monkeypatch):
+    cfg_path, out = write_config(tmp_path, out_name="diverged")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    failing_variant(monkeypatch, akf.Variant.CLASSIC)
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["classic_akf"]["diverged"] is True
+    assert "recall" in metrics["improved_akf"]
+    assert not (out / "verdicts_passive_classic.csv").exists()
+    # the manifest lists only the files detect wrote
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]["detect"]
+    assert listed == ["metrics.json", "verdicts_active.csv", "verdicts_fused.csv",
+                      "verdicts_passive.csv"]
+    assert all((out / name).exists() for name in listed)
+
+
+def test_detect_configured_variant_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
+    cfg_path, out = write_config(tmp_path, out_name="failed")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    failing_variant(monkeypatch, akf.Variant.IMPROVED)
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 4
+    assert "numerical failure: matrix is singular" in capsys.readouterr().err
+    assert list(out.glob("verdicts_*.csv")) == []
 
 
 def test_detect_clean_trace_low_false_alarm(tmp_path):
@@ -313,6 +360,17 @@ def test_train_bad_dataset_cell_is_data_error(tmp_path, capsys, column, cell, pr
     assert f"dataset.csv: row 7, {problem}" in capsys.readouterr().err
 
 
+def test_train_header_only_dataset_is_data_error(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path, out_name="nodata")
+    out.mkdir()
+    (out / "dataset.csv").write_text("t,z,label\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 3
+    err = capsys.readouterr().err
+    assert f"{out / 'dataset.csv'} has a header but no data rows" in err
+    assert "Traceback" not in err
+
+
 def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     cfg_path, out = write_config(tmp_path, out_name="missing")
     assert main(["simulate", "--config", str(cfg_path)]) == 0
@@ -437,3 +495,14 @@ def test_report_reads_verdict_columns_by_name(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--run-dir", str(out)]) == 3
     assert f"{path}: missing column 'p_attack'" in capsys.readouterr().err
+
+
+def test_report_header_only_verdicts_is_data_error(tmp_path, capsys):
+    cfg_path, out = run_to_report(tmp_path, "noverdicts")
+    path = out / "verdicts_fused.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{path} has a header but no data rows" in err
+    assert "Traceback" not in err

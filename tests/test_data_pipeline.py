@@ -208,8 +208,13 @@ def test_window_counts():
     labels = np.arange(6)
     w, y = window(values, labels, length=6)
     assert w.shape == (1, 6, 2)
+    np.testing.assert_array_equal(w[0], values)
+    np.testing.assert_array_equal(y, [5])
     w, y = window(values, labels, length=5)
     assert w.shape == (2, 5, 2)
+    for start in (0, 1):  # every row keeps its feature columns in order
+        np.testing.assert_array_equal(w[start], values[start:start + 5])
+    np.testing.assert_array_equal(y, [4, 5])
 
 
 def test_window_label_alignment_hand_case():
