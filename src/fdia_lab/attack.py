@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .io_utils import config_value, finite_float, reject_unknown_keys
+from .io_utils import config_value, reject_unknown_keys
 from .numerics import Matrix, Vector, as_matrix, as_vector, norm2
 
 
@@ -124,7 +124,8 @@ def inject_series(z: np.ndarray, scenario: AttackScenario,
     Returns the attacked series and the mask of active ticks. Each active
     tick gets the same arithmetic as ``inject`` on its 1-vector, so the
     result is bit-identical to the per-tick loop; the sinusoid is taken
-    with ``math.sin`` tick by tick for that reason.
+    with ``math.sin`` tick by tick for that reason. A stealthy scenario is
+    rejected: its ac = H d needs ``inject`` on measurement vectors.
     """
     z = as_vector(z)
     ticks = np.asarray(ticks)
@@ -144,7 +145,8 @@ def inject_series(z: np.ndarray, scenario: AttackScenario,
     elif scenario.kind is AttackKind.FRACTION_SCALE:
         value = scenario.fraction * z[hit]
     else:
-        value = np.asarray(scenario.bias, dtype=float)
+        raise ConfigError("inject_series takes no stealthy scenario; apply "
+                          "attack.build_stealthy's ac = H d with attack.inject")
     attacked = z.copy()
     attacked[hit] = z[hit] + scenario.selection.as_array() * value
     return attacked, active
@@ -177,16 +179,20 @@ def scenario_from_json(obj: dict) -> AttackScenario:
     """A scenario from its JSON form (an ``attack`` config section). Each
     value is converted to its field's type; a missing required key or a
     value of the wrong type, or an unknown key, raises ConfigError naming
-    ``attack.<key>``. Optional keys that are absent or null stay None."""
+    ``attack.<key>``. Optional keys that are absent or null stay None.
+    The stealthy kind is rejected: it acts on measurement vectors through
+    ``build_stealthy`` and ``inject``, not on a configured scalar trace."""
     optional = {"amplitude": float, "sinusoid_omega": float, "fraction": float,
-                "d": lambda d: np.array([finite_float(x) for x in d]), "period": int, "duty": int}
+                "period": int, "duty": int}
     reject_unknown_keys(obj, "attack", [*optional, "sensors", "kind", "onset", "duration"])
-    values = {key: config_value(obj, "attack", key, kind)
-              for key, kind in optional.items() if obj.get(key) is not None}
+    kind = config_value(obj, "attack", "kind", AttackKind)
+    if kind is AttackKind.STEALTHY:
+        raise ConfigError("config key 'attack.kind' cannot be 'stealthy'; build ac = H d "
+                          "with attack.build_stealthy and apply it with attack.inject")
+    values = {key: config_value(obj, "attack", key, cast)
+              for key, cast in optional.items() if obj.get(key) is not None}
     return AttackScenario(
         selection=config_value(obj, "attack", "sensors",
                                lambda v: SensorSelection(tuple(bool(x) for x in v))),
-        kind=config_value(obj, "attack", "kind", AttackKind),
-        onset=config_value(obj, "attack", "onset", int),
-        duration=config_value(obj, "attack", "duration", int),
-        bias=values.pop("d", None), **values)
+        kind=kind, onset=config_value(obj, "attack", "onset", int),
+        duration=config_value(obj, "attack", "duration", int), **values)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -58,7 +59,6 @@ class ExperimentConfig:
     train: TrainConfig
     k_clusters: int
     train_fraction: float
-    order: str
     pipeline_seed: int
 
 
@@ -106,17 +106,16 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     train_raw = net_raw.pop("train", {})
     if not isinstance(train_raw, dict):
         raise ConfigError("config section 'network.train' must be a JSON object")
-    net_raw.setdefault("input_dim", 1)
-    network = config_dataclass(net_raw, "network", NetworkConfig)
+    # the width of the trace; train reads its dataset's own
+    network = config_dataclass(net_raw, "network", NetworkConfig, input_dim=1)
     train_cfg = config_dataclass(train_raw, "network.train", TrainConfig,
                                  window_len=network.window_len)
 
     pipe = _section(raw, "pipeline")
     reject_unknown_keys(pipe, "pipeline", ("k_clusters", "train_fraction", "order", "seed"))
-    order = _get(pipe, "pipeline", "order", str, "oversample_first")
-    if order not in ("oversample_first", "split_first"):
-        raise ConfigError(
-            f"pipeline order must be 'oversample_first' or 'split_first', got '{order}'")
+    # criterion 11's config names the order, so the key stays with one value
+    if _get(pipe, "pipeline", "order", str, "oversample_first") != "oversample_first":
+        raise ConfigError("config key 'pipeline.order' accepts only 'oversample_first'")
 
     return ExperimentConfig(
         raw=raw, outputs=outputs, signal=signal, initial=initial, n=n,
@@ -127,7 +126,7 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
         network=network, train=train_cfg,
         k_clusters=_get(pipe, "pipeline", "k_clusters", int, 3),
         train_fraction=_get(pipe, "pipeline", "train_fraction", float, 0.8),
-        order=order, pipeline_seed=_get(pipe, "pipeline", "seed", int, 0),
+        pipeline_seed=_get(pipe, "pipeline", "seed", int, 0),
     )
 
 
@@ -145,9 +144,11 @@ def _update_manifest(cfg: ExperimentConfig, command: str, artifacts: list[str]) 
     write_json(path, manifest)
 
 
-def _merge_metrics(cfg: ExperimentConfig, entries: dict) -> None:
+def _merge_metrics(cfg: ExperimentConfig, entries: dict, owned=()) -> None:
+    # an ``owned`` key this run did not produce is an earlier run's: drop it
     path = cfg.outputs / "metrics.json"
     merged = read_json(path) if path.exists() else {}
+    merged = {key: value for key, value in merged.items() if key not in owned}
     merged.update(entries)
     write_json(path, merged)
 
@@ -168,14 +169,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _prepared_splits(cfg: ExperimentConfig, dataset: RawDataset):
-    """impute -> oversample/split (per configured order) -> standardize -> window."""
-    data = impute_mean(dataset)
-    if cfg.order == "oversample_first":
-        data = cks_oversample(data, cfg.k_clusters, cfg.pipeline_seed)
-        train_d, test_d = split(data, cfg.train_fraction, cfg.pipeline_seed)
-    else:
-        train_d, test_d = split(data, cfg.train_fraction, cfg.pipeline_seed)
-        train_d = cks_oversample(train_d, cfg.k_clusters, cfg.pipeline_seed)
+    """impute -> oversample -> split -> standardize -> window."""
+    data = cks_oversample(impute_mean(dataset), cfg.k_clusters, cfg.pipeline_seed)
+    train_d, test_d = split(data, cfg.train_fraction, cfg.pipeline_seed)
     std = fit_standardizer(train_d.values)
     length = cfg.network.window_len
     train_w, train_y = window(apply_standardizer(std, train_d.values),
@@ -188,13 +184,9 @@ def _prepared_splits(cfg: ExperimentConfig, dataset: RawDataset):
 def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
     cfg.outputs.mkdir(parents=True, exist_ok=True)
     dataset = read_dataset_csv(dataset_path)
-    if len(dataset.columns) != cfg.network.input_dim:
-        raise ConfigError(
-            f"dataset has {len(dataset.columns)} features but the network is "
-            f"configured for input_dim={cfg.network.input_dim}"
-        )
+    network = dataclasses.replace(cfg.network, input_dim=len(dataset.columns))
     std, train_w, train_y, test_w, test_y = _prepared_splits(cfg, dataset)
-    net, history = train(train_w, train_y, cfg.network, cfg.train,
+    net, history = train(train_w, train_y, network, cfg.train,
                          val_windows=test_w, val_labels=test_y)
 
     # the last validation pass already scored the holdout with this network
@@ -314,12 +306,14 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
             residual_r if stream is verdicts else stream.residual_r, stream.flag,
             cfg.outputs / name)
         artifacts.append(name)
+    for name in {f"verdicts_passive_{v.value}.csv" for v in akf.Variant} - set(artifacts):
+        (cfg.outputs / name).unlink(missing_ok=True)  # an earlier run's
     write_columns(cfg.outputs / "verdicts_active.csv", ACTIVE_HEADER,
                   [ticks, p_attack, flag_gc])
     write_columns(cfg.outputs / "verdicts_fused.csv", FUSED_HEADER,
                   [ticks, residual_r, verdicts.residual_flag, flag_gc, fused_flags])
 
-    _merge_metrics(cfg, entries)
+    _merge_metrics(cfg, entries, VARIANT_KEYS)
     _update_manifest(cfg, "detect", artifacts)
     flag_rate = float(fused_flags.mean())
     print(f"detect: fused flag rate {flag_rate:.4f} over {n} ticks "

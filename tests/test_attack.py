@@ -59,7 +59,6 @@ SERIES_SCENARIOS = {
     "fraction": dict(kind=AttackKind.FRACTION_SCALE, fraction=0.05),
     "sinusoid": dict(kind=AttackKind.RANDOM_SINUSOID, amplitude=0.3,
                      sinusoid_omega=0.7 * 2 * np.pi / 20),
-    "stealthy": dict(kind=AttackKind.STEALTHY, bias=np.array([0.125])),
 }
 
 
@@ -78,6 +77,14 @@ def test_inject_series_bit_identical_to_per_tick_inject(rng, name, cycle, select
     assert attacked.tobytes() == per_tick.tobytes()
     np.testing.assert_array_equal(active, [active_at(scen, int(t)) for t in ticks])
     np.testing.assert_array_equal(active_mask(scen, ticks), active)
+
+
+def test_inject_series_rejects_stealthy_scenario():
+    # a stealthy ac = H d acts on measurement vectors, through inject
+    scen = AttackScenario(selection=SensorSelection((True,)), kind=AttackKind.STEALTHY,
+                          onset=0, duration=5, bias=np.array([0.125]))
+    with pytest.raises(ConfigError, match="attack.inject"):
+        inject_series(np.ones(5), scen, np.arange(5))
 
 
 def test_active_mask_duty_cycle_and_window_edges():
@@ -178,13 +185,15 @@ def test_injection_locality_bit_identical():
 
 
 def test_scenario_json_roundtrip():
-    obj = {"kind": "stealthy", "onset": 7, "duration": 3,
-           "sensors": [True, False, True], "d": [0.1, 0.0, -0.2]}
+    obj = {"kind": "random_sinusoid", "onset": 7, "duration": 30, "amplitude": 0.3,
+           "sinusoid_omega": 0.2, "period": 8, "duty": 3, "sensors": [True, False, True]}
     back = scenario_from_json(obj)
-    assert back.kind is AttackKind.STEALTHY
+    assert back.kind is AttackKind.RANDOM_SINUSOID
     assert back.selection == SensorSelection((True, False, True))
-    assert back.onset == 7 and back.duration == 3
-    np.testing.assert_array_equal(back.bias, [0.1, 0.0, -0.2])
+    assert back.onset == 7 and back.duration == 30
+    assert (back.amplitude, back.sinusoid_omega) == (0.3, 0.2)
+    assert (back.period, back.duty) == (8, 3)
+    assert back.fraction is None and back.bias is None
 
 
 def test_scenario_json_matches_declared_schema():

@@ -408,8 +408,10 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     ("signal", "omega", math.inf),
     ("signal", "initial", [1.0, math.nan]),
     ("attack", "fraction", -math.inf),
-    ("attack", "d", [0.1, True]),
     ("network", "dropout", math.nan),
+    # one training-data order, and no scalar stealthy kind (ac = H d is a vector)
+    ("pipeline", "order", "split_first"),
+    ("attack", "kind", "stealthy"),
 ])
 def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -427,6 +429,8 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, k
     ("outptus",), ("signal", "omgea"), ("attack", "onest"), ("filter", "forgeting"),
     ("thresholds", "kk"), ("pipeline", "sed"), ("network", "hiden"),
     ("network", "train", "epcohs"),
+    # the trace is one feature wide, and the CLI has no constant-bias attack
+    ("attack", "d"), ("network", "input_dim"),
 ])
 def test_unknown_config_key_is_config_error(tmp_path, capsys, keys):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -441,6 +445,61 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, keys):
     err = capsys.readouterr().err
     assert f"unknown config key '{'.'.join(keys)}'" in err
     assert "Traceback" not in err
+
+
+def test_train_takes_the_input_width_from_the_dataset(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path, out_name="wide")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    lines = (out / "dataset.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    wide = tmp_path / "wide.csv"
+    wide.write_text("t,z,w,label\n" + "".join(
+        f"{t},{z},{-2.0 * float(z)!r},{label}\n" for t, z, label in rows))
+    assert main(["train", "--config", str(cfg_path), "--dataset", str(wide),
+                 "--epochs", "1"]) == 0
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["config"]["input_dim"] == 2
+    capsys.readouterr()
+    # the scalar trace cannot feed a two-feature network
+    assert main(["detect", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint expects 2 features; trace detection provides 1" in err
+    assert "Traceback" not in err
+
+
+def test_passive_only_detect_drops_an_earlier_classifier_entry(tmp_path, capsys):
+    cfg_path, out = run_to_report(tmp_path, "stale")
+    assert "gru_cnn" in json.loads((out / "metrics.json").read_text())
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert "gru_cnn" not in metrics
+    assert {"improved_akf", "classic_akf", "fused", "gru_cnn_holdout"} <= set(metrics)
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg_path)]) == 3
+    assert "run detect without --passive-only" in capsys.readouterr().err
+
+
+def test_detect_removes_verdict_files_it_did_not_write(tmp_path, monkeypatch):
+    improved_cfg, out = write_config(tmp_path, out_name="rerun")
+    classic_cfg, _ = write_config(tmp_path, out_name="classic",
+                                  filter={"variant": "classic", "forgetting": 0.98})
+    assert main(["simulate", "--config", str(improved_cfg)]) == 0
+
+    def detect_lists_its_files(cfg_path):
+        assert main(["detect", "--config", str(cfg_path), "--out", str(out),
+                     "--passive-only"]) == 0
+        listed = json.loads((out / "manifest.json").read_text())["artifacts"]["detect"]
+        on_disk = sorted(path.name for path in out.glob("verdicts_passive*.csv"))
+        assert on_disk == [name for name in listed if name.startswith("verdicts_passive")]
+        return on_disk
+
+    assert detect_lists_its_files(improved_cfg) == ["verdicts_passive.csv",
+                                                    "verdicts_passive_classic.csv"]
+    assert detect_lists_its_files(classic_cfg) == ["verdicts_passive.csv",
+                                                   "verdicts_passive_improved.csv"]
+    # a variant that diverges takes its file from an earlier run with it
+    failing_variant(monkeypatch, akf.Variant.IMPROVED)
+    assert detect_lists_its_files(classic_cfg) == ["verdicts_passive.csv"]
 
 
 @pytest.mark.parametrize("name,row", [("labels.csv", 1), ("trace.csv", 43)])
