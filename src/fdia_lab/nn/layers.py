@@ -10,6 +10,7 @@ slice a layer takes along rows and columns reads runs of whole batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -52,27 +53,29 @@ class DenseLayer:
     bias: np.ndarray     # (classes,)
 
 
-def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
+def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None,
+                cache: bool = True):
     """Run the cell over a batch of windows; x (B, L, D) -> (1, L, H, B).
 
     ``h0`` (B, H) is the state before the first tick (zeros when omitted).
     The recurrence runs feature-major, on (H, B) states, so that the gates
     [r | z] of a tick are two contiguous blocks. The input projections of
-    every tick are one matmul before the loop; inside it the reset and
-    update gates share one recurrent matmul and one sigmoid, and every
-    tick writes into the preallocated cache. The cache holds tick-major,
-    feature-major arrays: the inputs (L, D, B), the states h_0..h_L
-    (L + 1, H, B), the gates [r | z] (L, 2H, B), the candidates and
-    r * h_prev (L, H, B). The returned map is a view of the states h_1..h_L
-    with a leading channel axis: the batch-last input of the first
-    convolution, with no copy.
+    every tick are one 2-D product before the loop; inside it the reset and
+    update gates share one recurrent matmul and one sigmoid. The cache holds
+    the inputs (D, L * B), columns in (tick, window) order, and tick-major,
+    feature-major stacks: the states h_0..h_L (L + 1, H, B), the gates
+    [r | z] (L, 2H, B), the candidates and r * h_prev (L, H, B). With
+    ``cache=False`` it is ``None`` and every tick overwrites one tick's
+    gates, candidate and r * h_prev. The returned map is a view of the
+    states h_1..h_L with a leading channel axis: the batch-last input of
+    the first convolution, with no copy.
     """
     b, length, d = x.shape
     hd = p.hidden
     if d != p.input_dim:
         raise DimensionError(f"window feature width {d} != GRU input_dim {p.input_dim}")
-    # the states outlive the call, so they are allocated first: the caches
-    # that inference frees then form one block for the next layer's arrays
+    # the states outlive the call, so they are allocated first: the
+    # projections and scratch it frees form one block for the next layer
     hs = np.empty((length + 1, hd, b))
     if h0 is None:
         hs[0] = 0.0
@@ -80,19 +83,24 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
         raise DimensionError(f"initial state {np.shape(h0)} != ({b}, {hd})")
     else:
         hs[0] = np.transpose(h0)
-    xs = np.ascontiguousarray(x.transpose(1, 2, 0))
-    proj = np.hstack([p.w_xr, p.w_xz, p.w_xh]).T @ xs
+    xs = x.transpose(2, 1, 0).reshape(d, length * b)
+    # einsum's own loop beats BLAS at D = 1, where each entry is one exact product
+    proj = np.einsum("dk,dn->kn", np.hstack([p.w_xr, p.w_xz, p.w_xh]), xs)
     proj += np.concatenate([p.b_r, p.b_z, p.b_h])[:, None]
     # the logistic sigmoid is 0.5 * tanh(x / 2) + 0.5, which cannot
     # overflow; the gate pre-activations are formed already halved, from
     # halved weights and projections (exact: a power-of-two scale)
-    proj[:, :2 * hd] *= 0.5
+    proj[:2 * hd] *= 0.5
     w_hrz_t = 0.5 * np.hstack([p.w_hr, p.w_hz]).T
     w_hh_t = p.w_hh.T
-    rz = np.empty((length, 2 * hd, b))
-    cand = np.empty((length, hd, b))
-    rh = np.empty((length, hd, b))
-    for h, h_new, gates, c, rh_t, proj_t in zip(hs[:-1], hs[1:], rz, cand, rh, proj):
+    ticks = length if cache else 1
+    rz = np.empty((ticks, 2 * hd, b))
+    cand = np.empty((ticks, hd, b))
+    rh = np.empty((ticks, hd, b))
+    # cycle() repeats the single scratch tick when not caching
+    for h, h_new, gates, c, rh_t, proj_t in zip(
+            hs[:-1], hs[1:], cycle(rz), cycle(cand), cycle(rh),
+            proj.reshape(3 * hd, length, b).transpose(1, 0, 2)):
         np.matmul(w_hrz_t, h, out=gates)
         gates += proj_t[:2 * hd]
         np.tanh(gates, out=gates)
@@ -106,7 +114,7 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
         np.subtract(h, c, out=h_new)
         h_new *= gates[hd:]
         h_new += c
-    return hs[None, 1:], (xs, hs, rz, cand, rh)
+    return hs[None, 1:], ((xs, hs, rz, cand, rh) if cache else None)
 
 
 def gru_backward(dseq: np.ndarray, caches, p: GruParams) -> dict[str, np.ndarray]:
@@ -154,7 +162,7 @@ def gru_backward(dseq: np.ndarray, caches, p: GruParams) -> dict[str, np.ndarray
         return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
     dpre = by_feature(terms[:, 1:4].reshape(length, 3 * hd, b))  # [reset | update | candidate]
-    g_x = by_feature(xs) @ dpre.T
+    g_x = xs @ dpre.T
     g_h = by_feature(h_prev) @ dpre[:2 * hd].T
     g_b = dpre.sum(axis=1)
     return {

@@ -23,7 +23,7 @@ from .layers import (ConvLayer, DenseLayer, GruParams, conv_backward, conv_forwa
 
 CHECKPOINT_FORMAT = "gru-cnn-checkpoint"
 CHECKPOINT_VERSION = 1
-INFER_CHUNK = 1024  # windows per inference forward pass
+INFER_CHUNK = 128  # windows per inference forward pass
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,9 @@ def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None =
     layer, which reads each window's features in (rows, cols, channels) order.
     Passing an ``rng`` selects training mode (dropout active when the
     configured rate is positive); without one inference is deterministic
-    and dropout-free. With ``cache=False`` no layer's backward cache is
-    kept and ``None`` is returned in place of the cache.
+    and dropout-free. With ``cache=False`` the GRU and the pooling layers
+    build no backward cache, each convolution's im2col matrix is freed when
+    the layer returns, and ``None`` is returned in place of the cache.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3:
@@ -156,7 +157,7 @@ def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None =
             caches.append(layer_cache)
         return out
 
-    states = keep(gru_forward(windows, net.gru))
+    states = keep(gru_forward(windows, net.gru, cache=cache))
     c1 = keep(conv_forward(states, net.conv1))
     p1 = keep(pool_forward(c1, cfg.pool, cache))
     c2 = keep(conv_forward(p1, net.conv2))
@@ -217,10 +218,16 @@ def gradients(net: Network, windows: np.ndarray, labels: np.ndarray,
 
 def predict_proba(net: Network, windows: np.ndarray) -> np.ndarray:
     """Class probabilities (B, 2), computed ``INFER_CHUNK`` windows at a time
-    without backward caches, so memory stays bounded for any B."""
+    without backward caches, into one preallocated array. Memory beyond the
+    input and output is one chunk's for any B; its largest block is conv1's
+    im2col matrix, (conv1_size**2 + 1) * oh * ow * INFER_CHUNK floats for an
+    oh x ow conv1 output (2.0 MB for the demo network's 14 x 14)."""
     windows = np.asarray(windows, dtype=float)
-    return np.concatenate([forward(net, windows[start:start + INFER_CHUNK], cache=False)[0]
-                           for start in range(0, len(windows), INFER_CHUNK)])
+    probs = np.empty((len(windows), 2))
+    for start in range(0, len(windows), INFER_CHUNK):
+        probs[start:start + INFER_CHUNK] = forward(
+            net, windows[start:start + INFER_CHUNK], cache=False)[0]
+    return probs
 
 
 def save_checkpoint(net: Network, path, standardizer: Standardizer) -> None:

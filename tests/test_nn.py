@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -744,6 +745,9 @@ def test_gru_matches_per_step_reference(rng, input_dim, hidden, batch, length):
     h0 = rng.normal(size=(batch, hidden))
     for start in (None, h0):
         states, cache = gru_forward(x, p, h0=start)
+        uncached, none = gru_forward(x, p, h0=start, cache=False)
+        assert none is None
+        np.testing.assert_array_equal(uncached, states)
         ref_seq, ref_cache = ref_gru_forward(
             x, p, np.zeros((batch, hidden)) if start is None else start)
         np.testing.assert_allclose(sequences(states), ref_seq, **TOL)
@@ -797,6 +801,27 @@ def test_predict_proba_chunks_match_per_chunk_forward(rng):
     assert [len(c) for c in chunks] == [INFER_CHUNK, INFER_CHUNK, 1]
     np.testing.assert_allclose(probs, np.concatenate(chunks), **TOL)
     np.testing.assert_allclose(probs, forward(net, windows)[0], **TOL)
+
+
+def test_predict_proba_of_no_windows_is_empty():
+    probs = predict_proba(init_network(TINY, seed=12), np.empty((0, 4, 3)))
+    assert probs.shape == (0, 2)
+
+
+def test_predict_proba_peak_memory_is_one_chunk(rng):
+    # the demo network's shape; 1024-window chunks peak at about 24 MiB,
+    # 128-window ones at about 3 MiB
+    cfg = NetworkConfig(input_dim=1, window_len=16, hidden=16, conv1_kernels=4,
+                        conv2_kernels=8)
+    net = init_network(cfg, seed=5)
+    windows = rng.normal(size=(2048, 16, 1))
+    tracemalloc.start()
+    try:
+        predict_proba(net, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_forward_without_cache_returns_same_probabilities(rng):
