@@ -37,6 +37,10 @@ class SensorSelection:
 
     deltas: tuple[bool, ...]
 
+    def __post_init__(self):
+        if not all(type(d) is bool for d in self.deltas):
+            raise TypeError("a sensor selection is a list of booleans")
+
     def as_array(self) -> np.ndarray:
         return np.array(self.deltas, dtype=float)
 
@@ -121,7 +125,8 @@ def inject_series(z: np.ndarray, scenario: AttackScenario,
                   ticks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``inject`` over a scalar-measurement series z (n,) at the given ticks.
 
-    Returns the attacked series and the mask of active ticks. Each active
+    Returns the attacked series and the mask of the ticks whose sensor was
+    attacked: active ticks, if the sensor is selected. Each active
     tick gets the same arithmetic as ``inject`` on its 1-vector, so the
     result is bit-identical to the per-tick loop; the sinusoid is taken
     with ``math.sin`` tick by tick for that reason. A stealthy scenario is
@@ -149,7 +154,7 @@ def inject_series(z: np.ndarray, scenario: AttackScenario,
                           "attack.build_stealthy's ac = H d with attack.inject")
     attacked = z.copy()
     attacked[hit] = z[hit] + scenario.selection.as_array() * value
-    return attacked, active
+    return attacked, active & scenario.selection.deltas[0]
 
 
 def build_stealthy(h: Matrix, d: Vector) -> Vector:
@@ -193,6 +198,6 @@ def scenario_from_json(obj: dict) -> AttackScenario:
               for key, cast in optional.items() if obj.get(key) is not None}
     return AttackScenario(
         selection=config_value(obj, "attack", "sensors",
-                               lambda v: SensorSelection(tuple(bool(x) for x in v))),
+                               lambda v: SensorSelection(tuple(v))),
         kind=kind, onset=config_value(obj, "attack", "onset", int),
         duration=config_value(obj, "attack", "duration", int), **values)

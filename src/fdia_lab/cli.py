@@ -97,6 +97,9 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
         att["sinusoid_omega"] = 0.7 * signal.omega
     att.setdefault("sensors", [True])
     scenario = attack.scenario_from_json(att)
+    if len(scenario.selection.deltas) != 1:
+        raise ConfigError("config key 'attack.sensors' must list one boolean per trace "
+                          "sensor, and the trace has one")
 
     filt = _section(raw, "filter")
     reject_unknown_keys(filt, "filter", ("variant", "forgetting"))
@@ -116,6 +119,9 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     # criterion 11's config names the order, so the key stays with one value
     if _get(pipe, "pipeline", "order", str, "oversample_first") != "oversample_first":
         raise ConfigError("config key 'pipeline.order' accepts only 'oversample_first'")
+    k_clusters = _get(pipe, "pipeline", "k_clusters", int, 3)
+    if k_clusters < 1:
+        raise ConfigError("config key 'pipeline.k_clusters' must be at least 1")
 
     return ExperimentConfig(
         raw=raw, outputs=outputs, signal=signal, initial=initial, n=n,
@@ -124,7 +130,7 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
         threshold_k=_get(th, "thresholds", "k", float, 3.0),
         warmup=_get(th, "thresholds", "warmup", int, 500),
         network=network, train=train_cfg,
-        k_clusters=_get(pipe, "pipeline", "k_clusters", int, 3),
+        k_clusters=k_clusters,
         train_fraction=_get(pipe, "pipeline", "train_fraction", float, 0.8),
         pipeline_seed=_get(pipe, "pipeline", "seed", int, 0),
     )
@@ -229,15 +235,9 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                passive_only: bool) -> int:
     cfg.outputs.mkdir(parents=True, exist_ok=True)
     trace = read_trace_csv(trace_path)
-    label_ticks, labels = read_labels_csv(labels_path)
+    _, labels = read_labels_csv(labels_path)
     if len(labels) != len(trace):
         raise DataError(f"{labels_path} has {len(labels)} rows, {trace_path} {len(trace)}")
-    # labels line up with the trace, whose ticks set the filter's observation phase
-    for path, ticks in ((trace_path, trace.ticks), (labels_path, label_ticks)):
-        off = np.flatnonzero(ticks != np.arange(len(ticks)))
-        if len(off):
-            raise DataError(f"{path}: row {off[0] + 1} has tick {ticks[off[0]]}, expected "
-                            f"{off[0]}; detect needs ticks 0..n-1")
     label_flags = labels.astype(bool)
     onsets = np.flatnonzero(labels)
     onset = int(onsets[0]) if len(onsets) else None
@@ -321,16 +321,6 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     return 0
 
 
-def _named_columns(path, names) -> list[list[str]]:
-    """The cells of the named columns of a CSV file, in the order of
-    ``names``; a missing column raises DataError naming file and column."""
-    header, rows = read_csv(path)
-    for name in names:
-        if name not in header:
-            raise DataError(f"{path}: missing column '{name}'")
-    return [[row[i] for row in rows] for i in map(header.index, names)]
-
-
 def cmd_report(run_dir) -> int:
     run_dir = Path(run_dir)
     required = ["metrics.json", "verdicts_passive.csv", "verdicts_active.csv",
@@ -348,11 +338,10 @@ def cmd_report(run_dir) -> int:
     table = {key: metrics_obj[key] for key in VARIANT_KEYS}
     write_json(run_dir / "report.json", {"table": table})
 
-    t, euclidean_d, residual_r, flag_passive = _named_columns(
+    _, t, euclidean_d, residual_r, flag_passive = read_csv(
         run_dir / "verdicts_passive.csv", passive_detect.VERDICTS_HEADER)
-    _, p_attack, flag_active = _named_columns(run_dir / "verdicts_active.csv",
-                                              ACTIVE_HEADER)
-    *_, flag_fused = _named_columns(run_dir / "verdicts_fused.csv", FUSED_HEADER)
+    *_, p_attack, flag_active = read_csv(run_dir / "verdicts_active.csv", ACTIVE_HEADER)
+    *_, flag_fused = read_csv(run_dir / "verdicts_fused.csv", FUSED_HEADER)
     if not (len(t) == len(p_attack) == len(flag_fused)):
         raise DataError("verdict streams have inconsistent lengths")
     write_columns(run_dir / "plot_series.csv", PLOT_HEADER,

@@ -59,24 +59,27 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """The header and the data rows of a CSV file; a missing or empty file,
-    a file without data rows or a row of the wrong width is a DataError
-    naming the file."""
+def read_csv(path, header: Sequence[str] | None = None) -> tuple[list[str], ...]:
+    """The header and then each column of a CSV file, as lists of cells:
+    ``header, *columns = read_csv(path)``. A missing or empty file, a header
+    other than ``header`` (when given), a file without data rows or a row of
+    the wrong width is a DataError naming the file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
     lines = path.read_text().splitlines()
     if not lines:
         raise DataError(f"empty CSV file: {path}")
-    header = lines[0].split(",")
+    names = lines[0].split(",")
+    if header is not None and names != list(header):
+        raise DataError(f"{path}: unexpected header {names}, expected {list(header)}")
     rows = [line.split(",") for line in lines[1:] if line != ""]
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
     for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}")
-    return header, rows
+        if len(row) != len(names):
+            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(names)}")
+    return (names, *([row[i] for row in rows] for i in range(len(names))))
 
 
 def parse_cell(text: str) -> float:
@@ -91,16 +94,12 @@ def _parses(text: str, kind) -> bool:
     return True
 
 
-def parse_column(path, rows: Sequence[Sequence[str]], index: int, name: str,
-                 kind=float, empty_is_missing: bool = False) -> np.ndarray:
-    """Column ``index`` of ``read_csv`` rows as a finite array of ``kind``.
-
-    An empty, unparsable or non-finite cell raises DataError naming the
-    file, the row (1-based, as ``read_csv`` counts them) and the column.
-    With ``empty_is_missing`` (float columns only) an empty cell reads as
-    NaN, a missing value, instead.
-    """
-    cells = [row[index] for row in rows]
+def parse_column(path, cells: Sequence[str], name: str, kind=float,
+                 empty_is_missing: bool = False) -> np.ndarray:
+    """The cells of column ``name`` as a finite array of ``kind``; an empty,
+    unparsable or non-finite cell raises DataError naming the file, the row
+    (1-based, counting data rows) and the column. With ``empty_is_missing``
+    (float columns only) an empty cell reads as NaN, a missing value."""
     convert = parse_cell if empty_is_missing else kind
     try:
         values = np.array([convert(c) for c in cells], dtype=kind)
@@ -116,6 +115,25 @@ def parse_column(path, rows: Sequence[Sequence[str]], index: int, name: str,
         bad = nonfinite[0]
         problem = f"is not finite: {cells[bad]!r}"
     raise DataError(f"{path}: row {bad + 1}, column '{name}' {problem}")
+
+
+def parse_ticks(path, cells: Sequence[str]) -> np.ndarray:
+    """The ``t`` column, which must run 0..n-1: windows slide over
+    consecutive rows, and a tick sets the filter's observation phase."""
+    ticks = parse_column(path, cells, "t", int)
+    if len(off := np.flatnonzero(ticks != np.arange(len(ticks)))):
+        raise DataError(f"{path}: row {off[0] + 1} has tick {ticks[off[0]]}, expected "
+                        f"{off[0]}; ticks run 0..n-1")
+    return ticks
+
+
+def parse_labels(path, cells: Sequence[str]) -> np.ndarray:
+    """The ``label`` column, each cell 0 (benign) or 1 (attacked)."""
+    labels = parse_column(path, cells, "label", int)
+    if len(bad := np.flatnonzero((labels != 0) & (labels != 1))):
+        raise DataError(f"{path}: row {bad[0] + 1}, column 'label' is not 0 or 1: "
+                        f"{cells[bad[0]]!r}")
+    return labels
 
 
 def write_json(path, obj) -> None:
@@ -149,7 +167,8 @@ def reject_unknown_keys(section: dict, where: str, known) -> None:
 
 def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
     """``section[key]``, or ``default`` when absent, converted by ``kind``;
-    ``int`` takes integral numbers only (never truncating), ``float`` finite ones.
+    ``int`` takes non-negative integral numbers only (never truncating: every
+    integer key is a count, a size, a tick or a seed), ``float`` finite ones.
 
     A missing required key or a value ``kind`` rejects raises ConfigError
     naming ``where.key``.
@@ -159,8 +178,9 @@ def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
         raise ConfigError(f"missing config key '{name}'")
     value = section.get(key, default)
     try:
-        if kind is int and (type(value) not in (int, float) or value != int(value)):
-            raise ValueError("not an integral number")
+        if kind is int and (type(value) not in (int, float) or value != int(value)
+                            or value < 0):
+            raise ValueError("not a non-negative integral number")
         return (finite_float if kind is float else kind)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{name}' has an invalid value {value!r}: {exc}") from exc

@@ -39,8 +39,10 @@ class NetworkConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.window_len < 1 or self.hidden < 1:
-            raise ConfigError("network dimensions must be positive")
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ConfigError(f"network dimensions must be positive: config key "
+                                  f"'network.{f.name}' is {getattr(self, f.name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout rate must lie in [0, 1)")
         self.feature_count()  # validates that the shape chain is feasible

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .io_utils import parse_column, read_csv, write_columns
+from .io_utils import parse_column, parse_labels, parse_ticks, read_csv, write_columns
 from .numerics import Matrix
 
 
@@ -55,8 +55,6 @@ class Trace:
         n = len(self.ticks)
         if self.states.shape != (n, 2) or self.z.shape != (n,):
             raise DataError("trace arrays have inconsistent lengths")
-        if n > 1 and not np.all(np.diff(self.ticks) > 0):
-            raise DataError("trace ticks must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.ticks)
@@ -120,18 +118,10 @@ def write_trace_csv(ticks, states: np.ndarray, z, path) -> None:
     write_columns(path, TRACE_HEADER, [ticks, states[:, 0], states[:, 1], z])
 
 
-def _data_rows(path, expected_header: list[str]) -> list[list[str]]:
-    """The rows of a CSV file with the given header."""
-    header, rows = read_csv(path)
-    if header != expected_header:
-        raise DataError(f"{path}: unexpected header {header}, expected {expected_header}")
-    return rows
-
-
 def read_trace_csv(path) -> Trace:
-    rows = _data_rows(path, TRACE_HEADER)
-    ticks, x1, x2, z = (parse_column(path, rows, i, name, int if name == "t" else float)
-                        for i, name in enumerate(TRACE_HEADER))
+    _, t, *cells = read_csv(path, TRACE_HEADER)
+    ticks = parse_ticks(path, t)
+    x1, x2, z = (parse_column(path, c, name) for name, c in zip(TRACE_HEADER[1:], cells))
     return Trace(ticks=ticks, states=np.column_stack([x1, x2]), z=z)
 
 
@@ -141,6 +131,5 @@ def write_labels_csv(ticks, labels, path) -> None:
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _data_rows(path, LABELS_HEADER)
-    return (parse_column(path, rows, 0, "t", int),
-            parse_column(path, rows, 1, "label", int))
+    _, t, label = read_csv(path, LABELS_HEADER)
+    return parse_ticks(path, t), parse_labels(path, label)

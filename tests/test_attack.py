@@ -75,8 +75,10 @@ def test_inject_series_bit_identical_to_per_tick_inject(rng, name, cycle, select
     per_tick = np.array([inject(np.array([z_t]), scen, int(t))[0]
                          for t, z_t in zip(ticks, z)])
     assert attacked.tobytes() == per_tick.tobytes()
-    np.testing.assert_array_equal(active, [active_at(scen, int(t)) for t in ticks])
-    np.testing.assert_array_equal(active_mask(scen, ticks), active)
+    # the mask marks a tick only where the selected sensor was attacked
+    np.testing.assert_array_equal(active, [selected and active_at(scen, int(t))
+                                           for t in ticks])
+    np.testing.assert_array_equal(active_mask(scen, ticks) & selected, active)
 
 
 def test_inject_series_rejects_stealthy_scenario():

@@ -342,7 +342,10 @@ def test_detect_bad_trace_cell_is_data_error(tmp_path, capsys, cell):
 @pytest.mark.parametrize("column,cell,problem", [
     (0, "abc", "column 't' is not a number: 'abc'"),
     (0, "", "column 't' is empty"),
+    (0, "2.5", "column 't' is not a number: '2.5'"),
     (2, "yes", "column 'label' is not a number: 'yes'"),
+    (2, "0.9", "column 'label' is not a number: '0.9'"),
+    (2, "2", "column 'label' is not 0 or 1: '2'"),
     (1, "abc", "column 'z' is not a number: 'abc'"),
     (1, "inf", "column 'z' is not finite: 'inf'"),
     (1, "-inf", "column 'z' is not finite: '-inf'"),
@@ -358,6 +361,19 @@ def test_train_bad_dataset_cell_is_data_error(tmp_path, capsys, column, cell, pr
     capsys.readouterr()
     assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 3
     assert f"dataset.csv: row 7, {problem}" in capsys.readouterr().err
+
+
+def test_train_misordered_dataset_ticks_are_data_error(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path, out_name="misordered")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    lines = (out / "dataset.csv").read_text().splitlines()
+    lines[7], lines[8] = lines[8], lines[7]
+    (out / "dataset.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 3
+    err = capsys.readouterr().err
+    assert f"{out / 'dataset.csv'}: row 7 has tick 7, expected 6" in err
+    assert "Traceback" not in err
 
 
 def test_train_header_only_dataset_is_data_error(tmp_path, capsys):
@@ -412,6 +428,23 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     # one training-data order, and no scalar stealthy kind (ac = H d is a vector)
     ("pipeline", "order", "split_first"),
     ("attack", "kind", "stealthy"),
+    # integer keys are counts, sizes, ticks or seeds: never negative, and a
+    # count or size of zero is no count at all
+    ("signal", "seed", -1),
+    ("pipeline", "seed", -1),
+    ("pipeline", "k_clusters", 0),
+    ("pipeline", "k_clusters", -2),
+    ("network", "pool", 0),
+    ("network", "conv1_size", 0),
+    ("network", "conv1_kernels", 0),
+    ("network", "conv2_kernels", -1),
+    ("network", "conv2_size", -3),
+    ("thresholds", "warmup", -5),
+    # one boolean per trace sensor, and the trace has one
+    ("attack", "sensors", "yes"),
+    ("attack", "sensors", [True, True]),
+    ("attack", "sensors", []),
+    ("attack", "sensors", [1]),
 ])
 def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -423,6 +456,30 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, k
     err = capsys.readouterr().err
     assert f"'{section}.{key}'" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("key,value", [("seed", -1), ("epochs", -1)])
+def test_negative_training_value_is_config_error(tmp_path, capsys, key, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["outputs"] = str(tmp_path / "negative")
+    cfg["network"]["train"][key] = value
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"'network.train.{key}'" in err
+    assert "Traceback" not in err
+
+
+def test_unselected_sensor_leaves_trace_and_labels_clean(tmp_path):
+    attack = dict(BASE_CONFIG["attack"], sensors=[False])
+    cfg_path, out = write_config(tmp_path, out_name="unselected", attack=attack)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert set(csv_column(out / "labels.csv", "label")) == {"0"}
+    clean_path, clean = write_config(tmp_path, out_name="clean",
+                                     attack=dict(attack, onset=1600, duration=1))
+    assert main(["simulate", "--config", str(clean_path)]) == 0
+    assert csv_column(out / "trace.csv", "z") == csv_column(clean / "trace.csv", "z")
 
 
 @pytest.mark.parametrize("keys", [
@@ -539,21 +596,19 @@ def run_to_report(tmp_path, name):
     return cfg_path, out
 
 
-def test_report_reads_verdict_columns_by_name(tmp_path, capsys):
-    cfg_path, out = run_to_report(tmp_path, "byname")
-    assert main(["report", "--config", str(cfg_path)]) == 0
-    series = (out / "plot_series.csv").read_bytes()
-    # the same columns in another order give the same plot series
+def test_report_reads_verdicts_by_their_exact_header(tmp_path, capsys):
+    cfg_path, out = run_to_report(tmp_path, "header")
     path = out / "verdicts_active.csv"
     rows = [line.split(",") for line in path.read_text().splitlines()]
-    path.write_text("".join(f"{r[2]},{r[0]},{r[1]}\n" for r in rows))
-    assert main(["report", "--run-dir", str(out)]) == 0
-    assert (out / "plot_series.csv").read_bytes() == series
-    # a missing column is a data error naming the file and the column
-    path.write_text("".join(f"{r[0]},{r[2]}\n" for r in rows))  # header t,flag
-    capsys.readouterr()
-    assert main(["report", "--run-dir", str(out)]) == 3
-    assert f"{path}: missing column 'p_attack'" in capsys.readouterr().err
+    # a missing column, or the columns in another order: no stage writes
+    # either, so report names the file and the header it expected
+    for order in ((0, 2), (2, 0, 1)):
+        path.write_text("".join(",".join(r[i] for i in order) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: unexpected header" in err
+        assert "expected ['t', 'p_attack', 'flag']" in err and "Traceback" not in err
 
 
 def test_report_header_only_verdicts_is_data_error(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fdia_lab.errors import DataError
-from fdia_lab.io_utils import parse_column, write_columns
+from fdia_lab.io_utils import parse_column, parse_labels, parse_ticks, read_csv, write_columns
 
 HEADER = ["t", "value", "flag", "count"]
 
@@ -72,23 +73,42 @@ def test_column_writer_rejects_ragged_columns(tmp_path):
 
 
 def test_parse_column_values_and_errors():
-    rows = [["0", "1.5"], ["1", "-2e-3"], ["2", "7"]]
-    np.testing.assert_array_equal(parse_column("f.csv", rows, 0, "t", int), [0, 1, 2])
-    np.testing.assert_array_equal(parse_column("f.csv", rows, 1, "z"), [1.5, -2e-3, 7.0])
+    t, z = ["0", "1", "2"], ["1.5", "-2e-3", "7"]
+    np.testing.assert_array_equal(parse_column("f.csv", t, "t", int), [0, 1, 2])
+    np.testing.assert_array_equal(parse_column("f.csv", z, "z"), [1.5, -2e-3, 7.0])
     with pytest.raises(DataError, match="f.csv: row 2, column 't' is not a number: '1.0'"):
-        parse_column("f.csv", [["0"], ["1.0"]], 0, "t", int)
+        parse_column("f.csv", ["0", "1.0"], "t", int)
     with pytest.raises(DataError, match="f.csv: row 1, column 'z' is not finite: 'inf'"):
-        parse_column("f.csv", [["inf"], ["1"]], 0, "z")
+        parse_column("f.csv", ["inf", "1"], "z")
 
 
 def test_parse_column_empty_is_missing():
-    rows = [["1.5"], [""], ["-2"]]
-    values = parse_column("f.csv", rows, 0, "x", empty_is_missing=True)
+    cells = ["1.5", "", "-2"]
+    values = parse_column("f.csv", cells, "x", empty_is_missing=True)
     np.testing.assert_array_equal(np.isnan(values), [False, True, False])
     assert values[0] == 1.5 and values[2] == -2.0
     with pytest.raises(DataError, match="f.csv: row 2, column 'x' is empty"):
-        parse_column("f.csv", rows, 0, "x")
+        parse_column("f.csv", cells, "x")
     for cell, problem in (("abc", "is not a number: 'abc'"), ("-inf", "is not finite: '-inf'"),
                           ("nan", "is not finite: 'nan'")):
         with pytest.raises(DataError, match=f"f.csv: row 3, column 'x' {problem}"):
-            parse_column("f.csv", [["1"], [""], [cell]], 0, "x", empty_is_missing=True)
+            parse_column("f.csv", ["1", "", cell], "x", empty_is_missing=True)
+
+
+def test_read_csv_returns_the_header_and_the_columns(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("t,z,label\n0,0.5,0\n1,,1\n")
+    assert read_csv(path) == (["t", "z", "label"], ["0", "1"], ["0.5", ""], ["0", "1"])
+    assert read_csv(path, ["t", "z", "label"]) == read_csv(path)
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: unexpected header ['t', 'z', 'label'], expected ['t', 'label', 'z']")):
+        read_csv(path, ["t", "label", "z"])
+
+
+def test_tick_and_label_rules():
+    np.testing.assert_array_equal(parse_ticks("f.csv", ["0", "1", "2"]), [0, 1, 2])
+    np.testing.assert_array_equal(parse_labels("f.csv", ["0", "1", "1"]), [0, 1, 1])
+    with pytest.raises(DataError, match=r"f.csv: row 2 has tick 2, expected 1; ticks run 0..n-1"):
+        parse_ticks("f.csv", ["0", "2", "1"])
+    with pytest.raises(DataError, match="f.csv: row 3, column 'label' is not 0 or 1: '-1'"):
+        parse_labels("f.csv", ["0", "1", "-1"])

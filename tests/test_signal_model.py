@@ -126,7 +126,9 @@ def test_trace_reader_names_the_bad_cell(tmp_path, cell, problem):
 
 
 @pytest.mark.parametrize("text, where", [("t,label\n0,0\n1,\n", "row 2, column 'label'"),
-                                         ("t,label\n0,0\n1.5,1\n", "row 2, column 't'")])
+                                         ("t,label\n0,0\n1.5,1\n", "row 2, column 't'"),
+                                         ("t,label\n0,0\n1,2\n", "row 2, column 'label'"),
+                                         ("t,label\n0,-1\n1,1\n", "row 1, column 'label'")])
 def test_labels_reader_names_the_bad_cell(tmp_path, text, where):
     path = tmp_path / "labels.csv"
     path.write_text(text)
