@@ -3,9 +3,10 @@
 Each subcommand takes a JSON experiment config (see README for the
 schema) and writes deterministic artifacts into the run directory:
 ``manifest.json``, ``trace.csv``, ``labels.csv``, ``dataset.csv``,
-``verdicts_{passive,active,fused}.csv``, ``metrics.json``,
-``checkpoint.json``, ``history.csv``, ``report.json``,
-``plot_series.csv``. Identical configs produce byte-identical artifacts.
+``checkpoint.json``, ``history.csv``, ``verdicts_{passive,active,fused}.csv``,
+``metrics.json``, ``plot_series.csv`` (written by a full ``detect``) and
+``report.json`` (built by ``report`` from ``metrics.json`` alone).
+Identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -28,8 +29,7 @@ from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             window, write_dataset_csv)
 from .errors import ConfigError, DataError, NumericalError
 from .io_utils import (config_dataclass, config_value as _get, finite_float, fmt_column,
-                       read_csv, read_json, reject_unknown_keys, write_columns,
-                       write_json)
+                       read_json, reject_unknown_keys, write_columns, write_json)
 from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
                  save_checkpoint, train, write_history_csv)
 from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
@@ -51,7 +51,6 @@ class ExperimentConfig:
     initial: SignalState
     n: int
     scenario: attack.AttackScenario
-    variant: akf.Variant
     forgetting: float
     threshold_k: float
     warmup: int
@@ -71,6 +70,11 @@ def _section(raw: dict, name: str) -> dict:
 
 def _state(value) -> SignalState:
     return SignalState(*map(finite_float, value))
+
+
+def _check(ok: bool, name: str, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"config key '{name}' {rule}")
 
 
 def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentConfig:
@@ -97,9 +101,8 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
         att["sinusoid_omega"] = 0.7 * signal.omega
     att.setdefault("sensors", [True])
     scenario = attack.scenario_from_json(att)
-    if len(scenario.selection.deltas) != 1:
-        raise ConfigError("config key 'attack.sensors' must list one boolean per trace "
-                          "sensor, and the trace has one")
+    _check(len(scenario.selection.deltas) == 1, "attack.sensors",
+           "must list one boolean per trace sensor, and the trace has one")
 
     filt = _section(raw, "filter")
     reject_unknown_keys(filt, "filter", ("variant", "forgetting"))
@@ -111,27 +114,36 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
         raise ConfigError("config section 'network.train' must be a JSON object")
     # the width of the trace; train reads its dataset's own
     network = config_dataclass(net_raw, "network", NetworkConfig, input_dim=1)
-    train_cfg = config_dataclass(train_raw, "network.train", TrainConfig,
-                                 window_len=network.window_len)
-
+    train_cfg = config_dataclass(train_raw, "network.train", TrainConfig)
     pipe = _section(raw, "pipeline")
     reject_unknown_keys(pipe, "pipeline", ("k_clusters", "train_fraction", "order", "seed"))
-    # criterion 11's config names the order, so the key stays with one value
-    if _get(pipe, "pipeline", "order", str, "oversample_first") != "oversample_first":
-        raise ConfigError("config key 'pipeline.order' accepts only 'oversample_first'")
+
+    # criterion 11's config names the variant and the order, so each key
+    # stays with one value
+    _check(_get(filt, "filter", "variant", str, "improved") == "improved",
+           "filter.variant", "accepts only 'improved'")
+    _check(_get(pipe, "pipeline", "order", str, "oversample_first") == "oversample_first",
+           "pipeline.order", "accepts only 'oversample_first'")
+    forgetting = _get(filt, "filter", "forgetting", float, 0.98)
+    _check(0.0 < forgetting < 1.0, "filter.forgetting", "must lie strictly in (0, 1)")
+    threshold_k = _get(th, "thresholds", "k", float, 3.0)
+    _check(threshold_k > 0.0, "thresholds.k", "must be positive")
+    # the thresholds are fitted on the warm-up ticks after the settle ticks
+    warmup = _get(th, "thresholds", "warmup", int, 500)
+    settle, samples = passive_detect.SETTLE_TICKS, passive_detect.MIN_CALIBRATION_SAMPLES
+    _check(warmup >= settle + samples, "thresholds.warmup", f"must be at least "
+           f"{settle + samples}: {settle} settle ticks and {samples} calibration samples")
     k_clusters = _get(pipe, "pipeline", "k_clusters", int, 3)
-    if k_clusters < 1:
-        raise ConfigError("config key 'pipeline.k_clusters' must be at least 1")
+    _check(k_clusters >= 1, "pipeline.k_clusters", "must be at least 1")
+    train_fraction = _get(pipe, "pipeline", "train_fraction", float, 0.8)
+    _check(0.0 < train_fraction < 1.0, "pipeline.train_fraction",
+           "must lie strictly in (0, 1)")
 
     return ExperimentConfig(
         raw=raw, outputs=outputs, signal=signal, initial=initial, n=n,
-        scenario=scenario, variant=_get(filt, "filter", "variant", akf.Variant, "improved"),
-        forgetting=_get(filt, "filter", "forgetting", float, 0.98),
-        threshold_k=_get(th, "thresholds", "k", float, 3.0),
-        warmup=_get(th, "thresholds", "warmup", int, 500),
-        network=network, train=train_cfg,
-        k_clusters=k_clusters,
-        train_fraction=_get(pipe, "pipeline", "train_fraction", float, 0.8),
+        scenario=scenario, forgetting=forgetting, threshold_k=threshold_k,
+        warmup=warmup, network=network, train=train_cfg, k_clusters=k_clusters,
+        train_fraction=train_fraction,
         pipeline_seed=_get(pipe, "pipeline", "seed", int, 0),
     )
 
@@ -242,24 +254,20 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     onsets = np.flatnonzero(labels)
     onset = int(onsets[0]) if len(onsets) else None
 
-    # the configured variant drives the passive and fused paths and must not
-    # fail; the other variant is run alongside for the comparison table and
+    # the improved filter drives the passive and fused paths and must not
+    # fail; the classic filter is run alongside for the comparison table and
     # is recorded as diverged if it does. The table rows hold exactly the
     # streams the fusion rule consumes: each filter's residual-channel decision.
     obs_rows = observation_rows(trace.ticks, cfg.signal.omega)
-    entries, passive = {}, {}
-    for variant in [cfg.variant, *(v for v in akf.Variant if v is not cfg.variant)]:
-        key = f"{variant.value}_akf"
-        try:
-            passive[variant] = _passive_channel(trace, cfg, variant, obs_rows)
-        except NumericalError as exc:
-            if variant is cfg.variant:
-                raise
-            entries[key] = {"diverged": True, "error": str(exc)}
-        else:
-            entries[key] = _metrics_entry(passive[variant].residual_flag,
-                                          label_flags, onset)
-    verdicts = passive[cfg.variant]
+    verdicts = _passive_channel(trace, cfg, akf.Variant.IMPROVED, obs_rows)
+    entries = {"improved_akf": _metrics_entry(verdicts.residual_flag, label_flags, onset)}
+    try:
+        classic = _passive_channel(trace, cfg, akf.Variant.CLASSIC, obs_rows)
+    except NumericalError as exc:
+        classic = None
+        entries["classic_akf"] = {"diverged": True, "error": str(exc)}
+    else:
+        entries["classic_akf"] = _metrics_entry(classic.residual_flag, label_flags, onset)
 
     n = len(trace)
     active_flags = np.zeros(n, dtype=bool)
@@ -295,23 +303,27 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
 
     # the files are written once the classifier is done, so the cells of the
     # columns several files share (each formatted once) never live through it
-    ticks, residual_r, flag_gc = map(fmt_column, (verdicts.t, verdicts.residual_r,
-                                                  active_flags))
-    artifacts = ["verdicts_active.csv", "verdicts_fused.csv", "metrics.json"]
-    for variant, stream in passive.items():
-        name = ("verdicts_passive.csv" if variant is cfg.variant
-                else f"verdicts_passive_{variant.value}.csv")
-        passive_detect.write_verdicts_csv(
-            ticks, stream.euclidean_d,
-            residual_r if stream is verdicts else stream.residual_r, stream.flag,
-            cfg.outputs / name)
-        artifacts.append(name)
-    for name in {f"verdicts_passive_{v.value}.csv" for v in akf.Variant} - set(artifacts):
-        (cfg.outputs / name).unlink(missing_ok=True)  # an earlier run's
-    write_columns(cfg.outputs / "verdicts_active.csv", ACTIVE_HEADER,
-                  [ticks, p_attack, flag_gc])
-    write_columns(cfg.outputs / "verdicts_fused.csv", FUSED_HEADER,
-                  [ticks, residual_r, verdicts.residual_flag, flag_gc, fused_flags])
+    t, euclidean_d, residual_r, flag_n, p_cells, flag_gc, flag_fused = map(fmt_column, (
+        verdicts.t, verdicts.euclidean_d, verdicts.residual_r, verdicts.flag, p_attack,
+        active_flags, fused_flags))
+    out = cfg.outputs
+    artifacts = ["verdicts_passive.csv", "verdicts_active.csv", "verdicts_fused.csv",
+                 "metrics.json"]
+    passive_detect.write_verdicts_csv(t, euclidean_d, residual_r, flag_n,
+                                      out / "verdicts_passive.csv")
+    write_columns(out / "verdicts_active.csv", ACTIVE_HEADER, [t, p_cells, flag_gc])
+    write_columns(out / "verdicts_fused.csv", FUSED_HEADER,
+                  [t, residual_r, verdicts.residual_flag, flag_gc, flag_fused])
+    if classic is not None:
+        passive_detect.write_verdicts_csv(t, classic.euclidean_d, classic.residual_r,
+                                          classic.flag, out / "verdicts_passive_classic.csv")
+        artifacts.append("verdicts_passive_classic.csv")
+    if not passive_only:
+        write_columns(out / "plot_series.csv", PLOT_HEADER,
+                      [t, euclidean_d, residual_r, flag_n, p_cells, flag_gc, flag_fused])
+        artifacts.append("plot_series.csv")
+    for name in {"verdicts_passive_classic.csv", "plot_series.csv"} - set(artifacts):
+        (out / name).unlink(missing_ok=True)  # an earlier run's
 
     _merge_metrics(cfg, entries, VARIANT_KEYS)
     _update_manifest(cfg, "detect", artifacts)
@@ -323,11 +335,6 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
 
 def cmd_report(run_dir) -> int:
     run_dir = Path(run_dir)
-    required = ["metrics.json", "verdicts_passive.csv", "verdicts_active.csv",
-                "verdicts_fused.csv"]
-    missing = [name for name in required if not (run_dir / name).exists()]
-    if missing:
-        raise DataError(f"incomplete run in {run_dir}; missing: {', '.join(missing)}")
     metrics_obj = read_json(run_dir / "metrics.json")
     absent = [key for key in VARIANT_KEYS if key not in metrics_obj]
     if absent:
@@ -337,16 +344,6 @@ def cmd_report(run_dir) -> int:
         )
     table = {key: metrics_obj[key] for key in VARIANT_KEYS}
     write_json(run_dir / "report.json", {"table": table})
-
-    _, t, euclidean_d, residual_r, flag_passive = read_csv(
-        run_dir / "verdicts_passive.csv", passive_detect.VERDICTS_HEADER)
-    *_, p_attack, flag_active = read_csv(run_dir / "verdicts_active.csv", ACTIVE_HEADER)
-    *_, flag_fused = read_csv(run_dir / "verdicts_fused.csv", FUSED_HEADER)
-    if not (len(t) == len(p_attack) == len(flag_fused)):
-        raise DataError("verdict streams have inconsistent lengths")
-    write_columns(run_dir / "plot_series.csv", PLOT_HEADER,
-                  [t, euclidean_d, residual_r, flag_passive, p_attack, flag_active,
-                   flag_fused])
 
     print(f"{'variant':<14} {'accuracy':>9} {'precision':>10} {'recall':>8} "
           f"{'f1':>8} {'latency':>8}")

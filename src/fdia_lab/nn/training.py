@@ -21,7 +21,6 @@ class TrainConfig:
     epochs: int = 10
     batch: int = 32
     seed: int = 0
-    window_len: int = 16
 
     def __post_init__(self):
         if self.lr <= 0:

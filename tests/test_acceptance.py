@@ -267,7 +267,7 @@ def test_criterion_9_end_to_end_training():
                                 test_d.labels, 16)
         total_windows += len(train_w) + len(test_w)
         net, _ = train(train_w, train_y, net_cfg,
-                       TrainConfig(epochs=6, batch=32, seed=seed, window_len=16))
+                       TrainConfig(epochs=6, batch=32, seed=seed))
         probs = predict_proba(net, test_w)
         accuracy = float(((probs[:, 1] > probs[:, 0]).astype(int) == test_y).mean())
         if accuracy >= 0.90:

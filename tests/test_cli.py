@@ -118,25 +118,6 @@ def test_detect_passive_only(tmp_path):
     assert main(["report", "--config", str(cfg_path)]) == 3
 
 
-def test_detect_classic_variant_drives_pipeline(tmp_path):
-    cfg_path, out = write_config(tmp_path, out_name="classic",
-                                 filter={"variant": "classic",
-                                         "forgetting": 0.98})
-    assert main(["simulate", "--config", str(cfg_path)]) == 0
-    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 0
-    assert (out / "verdicts_passive_improved.csv").exists()
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert "classic_akf" in metrics and "improved_akf" in metrics
-    # swapping the configured variant swaps the files, byte for byte
-    improved_cfg, improved = write_config(tmp_path, out_name="improved")
-    assert main(["detect", "--config", str(improved_cfg), "--passive-only",
-                 "--trace", str(out / "trace.csv"), "--labels", str(out / "labels.csv")]) == 0
-    assert ((out / "verdicts_passive.csv").read_bytes()
-            == (improved / "verdicts_passive_classic.csv").read_bytes())
-    assert ((out / "verdicts_passive_improved.csv").read_bytes()
-            == (improved / "verdicts_passive.csv").read_bytes())
-
-
 def failing_variant(monkeypatch, failing):
     """Make ``cli._passive_channel`` raise SingularMatrixError for ``failing``."""
     channel = cli._passive_channel
@@ -285,7 +266,7 @@ def test_stages_format_each_column_once(tmp_path, monkeypatch, passive_only):
     extra = ["--passive-only"] if passive_only else []
     assert main(["detect", "--config", str(cfg_path), *extra]) == 0
     # t; euclidean_d, residual_r and flag of both filters; p_attack, the
-    # classifier flag, the configured filter's residual flag and the fused flag
+    # classifier flag, the improved filter's residual flag and the fused flag
     assert formatted == [1600] * 11
     assert csv_column(out / "dataset.csv", "z") == csv_column(out / "trace.csv", "z")
     assert (csv_column(out / "verdicts_fused.csv", "r_N")
@@ -445,6 +426,14 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     ("attack", "sensors", [True, True]),
     ("attack", "sensors", []),
     ("attack", "sensors", [1]),
+    # values every stage would accept that fail in a later one: the improved
+    # filter always drives detect, the thresholds need 10 settle ticks and 100
+    # calibration samples, and both the filter weight and the split are fractions
+    ("filter", "variant", "classic"),
+    ("thresholds", "warmup", 5),
+    ("filter", "forgetting", 1.5),
+    ("thresholds", "k", -1),
+    ("pipeline", "train_fraction", 1.5),
 ])
 def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -537,26 +526,25 @@ def test_passive_only_detect_drops_an_earlier_classifier_entry(tmp_path, capsys)
 
 
 def test_detect_removes_verdict_files_it_did_not_write(tmp_path, monkeypatch):
-    improved_cfg, out = write_config(tmp_path, out_name="rerun")
-    classic_cfg, _ = write_config(tmp_path, out_name="classic",
-                                  filter={"variant": "classic", "forgetting": 0.98})
-    assert main(["simulate", "--config", str(improved_cfg)]) == 0
+    cfg_path, out = run_to_report(tmp_path, "rerun")
 
-    def detect_lists_its_files(cfg_path):
-        assert main(["detect", "--config", str(cfg_path), "--out", str(out),
-                     "--passive-only"]) == 0
-        listed = json.loads((out / "manifest.json").read_text())["artifacts"]["detect"]
-        on_disk = sorted(path.name for path in out.glob("verdicts_passive*.csv"))
-        assert on_disk == [name for name in listed if name.startswith("verdicts_passive")]
-        return on_disk
+    def detect_lists_its_files(*flags):
+        if flags:
+            assert main(["detect", "--config", str(cfg_path), *flags]) == 0
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        listed = set().union(*artifacts.values()) | {"manifest.json"}
+        assert sorted(path.name for path in out.iterdir()) == sorted(listed)
+        return [name for name in artifacts["detect"] if name != "metrics.json"]
 
-    assert detect_lists_its_files(improved_cfg) == ["verdicts_passive.csv",
-                                                    "verdicts_passive_classic.csv"]
-    assert detect_lists_its_files(classic_cfg) == ["verdicts_passive.csv",
-                                                   "verdicts_passive_improved.csv"]
-    # a variant that diverges takes its file from an earlier run with it
-    failing_variant(monkeypatch, akf.Variant.IMPROVED)
-    assert detect_lists_its_files(classic_cfg) == ["verdicts_passive.csv"]
+    verdicts = ["verdicts_active.csv", "verdicts_fused.csv", "verdicts_passive.csv"]
+    assert detect_lists_its_files() == ["plot_series.csv", *verdicts,
+                                        "verdicts_passive_classic.csv"]
+    # a passive-only rerun takes the full run's plot series with it
+    assert detect_lists_its_files("--passive-only") == [*verdicts,
+                                                        "verdicts_passive_classic.csv"]
+    # and a classic filter that diverges takes its file from an earlier run
+    failing_variant(monkeypatch, akf.Variant.CLASSIC)
+    assert detect_lists_its_files("--passive-only") == verdicts
 
 
 @pytest.mark.parametrize("name,row", [("labels.csv", 1), ("trace.csv", 43)])
@@ -596,27 +584,27 @@ def run_to_report(tmp_path, name):
     return cfg_path, out
 
 
-def test_report_reads_verdicts_by_their_exact_header(tmp_path, capsys):
-    cfg_path, out = run_to_report(tmp_path, "header")
-    path = out / "verdicts_active.csv"
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    # a missing column, or the columns in another order: no stage writes
-    # either, so report names the file and the header it expected
-    for order in ((0, 2), (2, 0, 1)):
-        path.write_text("".join(",".join(r[i] for i in order) + "\n" for r in rows))
-        capsys.readouterr()
-        assert main(["report", "--run-dir", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert f"{path}: unexpected header" in err
-        assert "expected ['t', 'p_attack', 'flag']" in err and "Traceback" not in err
-
-
-def test_report_header_only_verdicts_is_data_error(tmp_path, capsys):
-    cfg_path, out = run_to_report(tmp_path, "noverdicts")
-    path = out / "verdicts_fused.csv"
-    path.write_text(path.read_text().splitlines()[0] + "\n")
+def test_report_reads_only_metrics_json(tmp_path, capsys):
+    cfg_path, out = run_to_report(tmp_path, "full")
     capsys.readouterr()
-    assert main(["report", "--run-dir", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert f"{path} has a header but no data rows" in err
-    assert "Traceback" not in err
+    assert main(["report", "--run-dir", str(out)]) == 0
+    table = capsys.readouterr().out
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "metrics.json").write_bytes((out / "metrics.json").read_bytes())
+    assert main(["report", "--run-dir", str(alone)]) == 0
+    assert capsys.readouterr().out == table
+    assert (alone / "report.json").read_bytes() == (out / "report.json").read_bytes()
+    assert sorted(path.name for path in alone.iterdir()) == ["metrics.json", "report.json"]
+
+
+def test_plot_series_joins_the_verdict_columns(tmp_path):
+    _, out = run_to_report(tmp_path, "plot")
+    sources = [("verdicts_passive.csv", "t"), ("verdicts_passive.csv", "euclidean_d"),
+               ("verdicts_passive.csv", "residual_r"), ("verdicts_passive.csv", "flag"),
+               ("verdicts_active.csv", "p_attack"), ("verdicts_active.csv", "flag"),
+               ("verdicts_fused.csv", "flag_fused")]
+    header, *columns = io_utils.read_csv(out / "plot_series.csv", cli.PLOT_HEADER)
+    assert len(columns[0]) == BASE_CONFIG["signal"]["n"]
+    for name, column, (source, source_name) in zip(header, columns, sources, strict=True):
+        assert column == csv_column(out / source, source_name), name

@@ -456,7 +456,7 @@ def separable_windows(n, seed):
 def test_training_loss_decreases_on_separable_data():
     for seed in (0, 1, 2):
         windows, labels = separable_windows(200, seed)
-        cfg = TrainConfig(epochs=5, batch=16, seed=seed, window_len=4)
+        cfg = TrainConfig(epochs=5, batch=16, seed=seed)
         _, history = train(windows, labels, TINY, cfg)
         losses = [h[1] for h in history]
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
@@ -464,7 +464,7 @@ def test_training_loss_decreases_on_separable_data():
 
 def test_training_zero_epochs_returns_initial_net():
     windows, labels = separable_windows(50, 3)
-    cfg = TrainConfig(epochs=0, seed=9, window_len=4)
+    cfg = TrainConfig(epochs=0, seed=9)
     net, history = train(windows, labels, TINY, cfg)
     assert history == []
     # identical to a fresh initialization from the same derived seed
@@ -478,20 +478,20 @@ def test_training_zero_epochs_returns_initial_net():
 def test_training_history_keeps_last_validation_probabilities():
     windows, labels = separable_windows(100, 5)
     val_windows, val_labels = separable_windows(40, 6)
-    cfg = TrainConfig(epochs=2, batch=16, seed=12, window_len=4)
+    cfg = TrainConfig(epochs=2, batch=16, seed=12)
     net, history = train(windows, labels, TINY, cfg, val_windows=val_windows,
                          val_labels=val_labels)
     np.testing.assert_array_equal(history.val_probs, predict_proba(net, val_windows))
     assert history[-1][2] == cross_entropy(history.val_probs, val_labels)
     assert train(windows, labels, TINY, cfg)[1].val_probs is None
-    no_epochs = TrainConfig(epochs=0, seed=12, window_len=4)
+    no_epochs = TrainConfig(epochs=0, seed=12)
     assert train(windows, labels, TINY, no_epochs, val_windows=val_windows,
                  val_labels=val_labels)[1].val_probs is None
 
 
 def test_training_deterministic_history():
     windows, labels = separable_windows(120, 4)
-    cfg = TrainConfig(epochs=3, batch=16, seed=11, window_len=4)
+    cfg = TrainConfig(epochs=3, batch=16, seed=11)
     _, h1 = train(windows, labels, TINY, cfg)
     _, h2 = train(windows, labels, TINY, cfg)
     # val_loss is NaN without a validation set; compare NaN-aware
