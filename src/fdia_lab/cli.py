@@ -37,6 +37,8 @@ from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
                            write_labels_csv, write_trace_csv)
 
 VARIANT_KEYS = ("improved_akf", "classic_akf", "gru_cnn", "fused")
+ROW_KINDS = {"accuracy": (int, float), "precision": (int, float), "recall": (int, float),
+             "f1": (int, float), "latency_ticks": (int, type(None))}
 ACTIVE_HEADER = ["t", "p_attack", "flag"]
 FUSED_HEADER = ["t", "r_N", "flag_N", "flag_GC", "flag_fused"]
 PLOT_HEADER = ["t", "euclidean_d", "residual_r", "flag_passive", "p_attack",
@@ -115,6 +117,12 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     # the width of the trace; train reads its dataset's own
     network = config_dataclass(net_raw, "network", NetworkConfig, input_dim=1)
     train_cfg = config_dataclass(train_raw, "network.train", TrainConfig)
+    for key in ("lr", "epsilon"):
+        _check(getattr(train_cfg, key) > 0.0, f"network.train.{key}", "must be positive")
+    for key in ("beta1", "beta2"):
+        _check(0.0 < getattr(train_cfg, key) < 1.0, f"network.train.{key}",
+               "must lie strictly in (0, 1)")
+    _check(train_cfg.batch >= 1, "network.train.batch", "must be at least 1")
     pipe = _section(raw, "pipeline")
     reject_unknown_keys(pipe, "pipeline", ("k_clusters", "train_fraction", "order", "seed"))
 
@@ -334,16 +342,23 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
 
 
 def cmd_report(run_dir) -> int:
-    run_dir = Path(run_dir)
-    metrics_obj = read_json(run_dir / "metrics.json")
-    absent = [key for key in VARIANT_KEYS if key not in metrics_obj]
+    path = Path(run_dir) / "metrics.json"
+    metrics_obj = read_json(path)
+    absent = [key for key in VARIANT_KEYS
+              if not isinstance(metrics_obj, dict) or key not in metrics_obj]
     if absent:
         raise DataError(
             f"metrics.json lacks entries for: {', '.join(absent)} "
             f"(run detect without --passive-only)"
         )
     table = {key: metrics_obj[key] for key in VARIANT_KEYS}
-    write_json(run_dir / "report.json", {"table": table})
+    for key, row in table.items():
+        if not isinstance(row, dict):
+            raise DataError(f"{path}: entry '{key}' must be a JSON object")
+        bad = [name for name, kinds in ROW_KINDS.items() if type(row.get(name)) not in kinds]
+        if bad and not row.get("diverged"):
+            raise DataError(f"{path}: entry '{key}' has no valid '{bad[0]}'")
+    write_json(path.with_name("report.json"), {"table": table})
 
     print(f"{'variant':<14} {'accuracy':>9} {'precision':>10} {'recall':>8} "
           f"{'f1':>8} {'latency':>8}")

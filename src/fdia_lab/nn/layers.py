@@ -1,8 +1,8 @@
 """Layer primitives: GRU, valid convolution, max pooling, softmax, dropout.
 
 Forward functions return caches that the matching backward functions
-consume. Convolutions use the index form out[i,j] = f(sum_{m,n} w[m,n] *
-in[i+m, j+n] + b), i.e. valid cross-correlation followed by ReLU.
+consume. A convolution returns the valid cross-correlation out[i,j] =
+sum_{m,n} w[m,n] * in[i+m, j+n] + b; the max pooling after it applies the ReLU.
 Feature maps are batch-last: (channels, rows, cols, batch), so every
 slice a layer takes along rows and columns reads runs of whole batches.
 """
@@ -14,7 +14,7 @@ from itertools import cycle
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
+from ..errors import DimensionError
 
 
 @dataclass
@@ -174,14 +174,14 @@ def gru_backward(dseq: np.ndarray, caches, p: GruParams) -> dict[str, np.ndarray
 
 
 def conv_forward(x: np.ndarray, layer: ConvLayer):
-    """Valid cross-correlation plus ReLU; x (cin, h, w, B) -> (k, oh, ow, B).
+    """Valid cross-correlation; x (cin, h, w, B) -> pre-activation (k, oh, ow, B).
 
     The im2col matrix (kh * kw * cin + 1, oh * ow * B) has one row per
     kernel tap in (m, n, c) order, the order of the kernels' own axes,
     filled from kh * kw shifted slices of the input (runs of ow * B floats),
     and a last row of ones that carries the bias. The layer is then one
     matmul, whose (k, oh * ow * B) result is the output as it stands; the
-    cache keeps that matrix and the activation for the backward pass.
+    cache keeps that matrix for the backward pass.
     """
     kernels, bias = layer.kernels, layer.bias
     k, kh, kw, cin = kernels.shape
@@ -200,22 +200,20 @@ def conv_forward(x: np.ndarray, layer: ConvLayer):
     cols[size] = 1.0
     cols = cols.reshape(size + 1, -1)
     weights = np.hstack([kernels.reshape(k, size), bias[:, None]])
-    out = (weights @ cols).reshape(k, oh, ow, b)
-    np.maximum(out, 0.0, out=out)
-    return out, (x.shape, cols, out)
+    return (weights @ cols).reshape(k, oh, ow, b), (x.shape, cols)
 
 
 def conv_backward(dout: np.ndarray, cache, layer: ConvLayer):
-    """Returns (dx, dkernels, dbias), dx batch-last like the input.
+    """(dx, dkernels, dbias) from the pre-activation gradient; dx is batch-last.
 
     One matmul with the cached im2col matrix gives the kernel and bias
     gradients; dx is one matmul plus kh * kw shifted adds.
     """
-    x_shape, cols, out = cache
+    x_shape, cols = cache
     kernels = layer.kernels
     k, kh, kw, cin = kernels.shape
-    _, oh, ow, b = out.shape
-    dpre = (dout * (out > 0.0)).reshape(k, -1)
+    _, oh, ow, b = dout.shape
+    dpre = dout.reshape(k, -1)
     grad = dpre @ cols.T
     dkernels = grad[:, :-1].reshape(kernels.shape)
     # the gradient of every im2col row, laid out (m, n, c, oh, ow, B), is
@@ -229,42 +227,39 @@ def conv_backward(dout: np.ndarray, cache, layer: ConvLayer):
 
 
 def pool_forward(x: np.ndarray, window: int = 2, cache: bool = True):
-    """Non-overlapping max pooling; odd trailing rows/cols act as -inf padding.
+    """Non-overlapping max pooling, then ReLU; x (C, h, w, B) -> (C, oh, ow, B).
 
-    The maximum is taken over the window * window strided slices of x. The
-    cache (skipped with ``cache=False``) records, per output cell, the first
-    tile position in row-major order that holds the maximum, argmax's tie
-    rule, for the backward pass.
+    relu(max(tile)) == max(relu(tile)): the maximum starts from 0 and odd
+    trailing rows/cols are zero-padded. The cache (skipped with ``cache=False``)
+    is a boolean route mask over the (C, oh, window, ow, window, B) tiles: the
+    first cell in row-major order holding a positive tile maximum, argmax's tie rule.
     """
     if x.ndim != 4:
         raise DimensionError("pool input must be (channels, rows, cols, batch)")
-    out = x[:, ::window, ::window].copy()
-    for pos in range(1, window * window):
-        a, c = divmod(pos, window)
-        tile = x[:, a::window, c::window]
-        best = out[:, :tile.shape[1], :tile.shape[2]]
-        np.maximum(best, tile, out=best)
-    if not cache:
-        return out, None
-    idx = np.zeros(out.shape, dtype=np.intp)
-    # last position first, so that the first one holding the maximum wins
-    for pos in range(window * window - 1, -1, -1):
-        a, c = divmod(pos, window)
-        tile = x[:, a::window, c::window]
-        rows, cols = tile.shape[1:3]
-        np.copyto(idx[:, :rows, :cols], pos, where=tile == out[:, :rows, :cols])
-    return out, (x.shape, window, idx)
+    c, h, w, b = x.shape
+    oh, ow = -(-h // window), -(-w // window)
+    if (h, w) != (oh * window, ow * window):
+        padded = np.zeros((c, oh * window, ow * window, b))
+        padded[:, :h, :w] = x
+        x = padded
+    x6 = x.reshape(c, oh, window, ow, window, b)
+    out = np.zeros((c, oh, ow, b))
+    for a, d in np.ndindex(window, window):
+        np.maximum(out, x6[:, :, a, :, d], out=out)
+    if cache:
+        route = x6 == out[:, :, None, :, None]
+        # a tile whose maximum is <= 0 gets no gradient through the ReLU;
+        # each position in turn keeps its hits on unclaimed cells and claims them
+        free = out > 0.0
+        for a, d in np.ndindex(window, window):
+            free ^= np.logical_and(route[:, :, a, :, d], free, out=route[:, :, a, :, d])
+    return out, ((h, w, x.shape, route) if cache else None)
 
 
 def pool_backward(dout: np.ndarray, cache) -> np.ndarray:
-    x_shape, window, idx = cache
-    dx = np.empty(x_shape)
-    for pos in range(window * window):
-        a, c = divmod(pos, window)
-        tile = dx[:, a::window, c::window]
-        rows, cols = tile.shape[1:3]
-        tile[...] = np.where(idx[:, :rows, :cols] == pos, dout[:, :rows, :cols], 0.0)
-    return dx
+    """The gradient of the unpadded input: dout sent along the route mask."""
+    h, w, padded_shape, route = cache
+    return (route * dout[:, :, None, :, None]).reshape(padded_shape)[:, :h, :w]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -274,8 +269,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator):
-    """Inverted dropout: kept units are scaled by 1 / (1 - rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError("dropout rate must lie in [0, 1)")
+    """Inverted dropout: kept units are scaled by 1 / (1 - rate), rate in [0, 1)."""
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * mask, mask

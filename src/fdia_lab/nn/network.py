@@ -2,7 +2,7 @@
 
 One window of measurements (window_len x input_dim) passes through the
 GRU; the stacked hidden states form a single-channel 2-D map for the CNN.
-Two convolution+pooling rounds, a flatten, inverted dropout (training
+Two convolution+pooling(+ReLU) rounds, a flatten, inverted dropout (training
 only) and a dense softmax head produce the two class probabilities
 (index 1 = attack). ``gradients`` backpropagates the mean cross-entropy
 loss to every parameter.
@@ -44,7 +44,7 @@ class NetworkConfig:
                 raise ConfigError(f"network dimensions must be positive: config key "
                                   f"'network.{f.name}' is {getattr(self, f.name)}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout rate must lie in [0, 1)")
+            raise ConfigError(f"config key 'network.dropout' must lie in [0, 1): {self.dropout}")
         self.feature_count()  # validates that the shape chain is feasible
 
     def feature_count(self) -> int:
@@ -136,11 +136,11 @@ def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None =
 
     Feature maps are batch-last (channels, rows, cols, B) up to the dense
     layer, which reads each window's features in (rows, cols, channels) order.
-    Passing an ``rng`` selects training mode (dropout active when the
-    configured rate is positive); without one inference is deterministic
-    and dropout-free. With ``cache=False`` the GRU and the pooling layers
-    build no backward cache, each convolution's im2col matrix is freed when
-    the layer returns, and ``None`` is returned in place of the cache.
+    Each convolution returns its pre-activation; the pooling after it applies
+    the ReLU. An ``rng`` selects training mode (dropout when the configured
+    rate is positive); inference without one is deterministic. With
+    ``cache=False`` the GRU and pooling layers build no backward cache, each
+    im2col matrix is freed when its layer returns, and the cache is ``None``.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, DimensionError
+from ..errors import DataError, DimensionError
 from ..io_utils import write_columns
 from .network import Network, NetworkConfig, cross_entropy, gradients, \
     init_network, parameters, predict_proba
@@ -21,14 +21,6 @@ class TrainConfig:
     epochs: int = 10
     batch: int = 32
     seed: int = 0
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ConfigError("Adam betas must lie strictly in (0, 1)")
-        if self.epochs < 0 or self.batch < 1:
-            raise ConfigError("epochs must be >= 0 and batch size >= 1")
 
 
 @dataclass

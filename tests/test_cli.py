@@ -188,6 +188,44 @@ def test_report_on_empty_dir_is_data_error(tmp_path):
     assert main(["report", "--run-dir", str(tmp_path / "empty")]) == 3
 
 
+GOOD_ROW = {"accuracy": 0.5, "precision": 0.25, "recall": 1.0, "f1": 0.4,
+            "degenerate": False, "latency_ticks": 3}
+
+
+@pytest.mark.parametrize("entry,row,problem", [
+    ("improved_akf", {}, "'accuracy'"),
+    ("gru_cnn", [0.5], "JSON object"),
+    ("fused", dict(GOOD_ROW, f1="0.4"), "'f1'"),
+    ("classic_akf", dict(GOOD_ROW, precision=None), "'precision'"),
+    ("fused", dict(GOOD_ROW, recall=True), "'recall'"),
+    ("gru_cnn", dict(GOOD_ROW, latency_ticks=[3]), "'latency_ticks'"),
+    ("improved_akf", dict(GOOD_ROW, latency_ticks=2.5), "'latency_ticks'"),
+])
+def test_report_on_malformed_metrics_entry_is_data_error(tmp_path, capsys, entry, row,
+                                                         problem):
+    run_dir = tmp_path / "malformed"
+    run_dir.mkdir()
+    metrics = {key: GOOD_ROW for key in cli.VARIANT_KEYS}
+    metrics["classic_akf"] = {"diverged": True, "error": "singular"}
+    io_utils.write_json(run_dir / "metrics.json", metrics)
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    (run_dir / "report.json").unlink()
+    capsys.readouterr()
+    io_utils.write_json(run_dir / "metrics.json", dict(metrics, **{entry: row}))
+    assert main(["report", "--run-dir", str(run_dir)]) == 3
+    err = capsys.readouterr().err
+    assert str(run_dir / "metrics.json") in err and f"'{entry}'" in err and problem in err
+    assert "Traceback" not in err
+    assert not (run_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5", '"improved_akf classic_akf gru_cnn fused"'])
+def test_report_on_metrics_that_are_not_an_object_is_data_error(tmp_path, capsys, text):
+    (tmp_path / "metrics.json").write_text(text + "\n")
+    assert main(["report", "--run-dir", str(tmp_path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_train_epochs_override_and_determinism(tmp_path):
     cfg_path, out = write_config(tmp_path, out_name="t1")
     assert main(["simulate", "--config", str(cfg_path)]) == 0
@@ -434,11 +472,24 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     ("filter", "forgetting", 1.5),
     ("thresholds", "k", -1),
     ("pipeline", "train_fraction", 1.5),
+    # Adam's step size and moment decays, and a batch that holds windows;
+    # epsilon 0 divides 0 by 0 and trains a NaN checkpoint
+    ("network.train", "lr", -1.0),
+    ("network.train", "lr", 0.0),
+    ("network.train", "beta1", 1.0),
+    ("network.train", "beta2", 0.0),
+    ("network.train", "epsilon", 0.0),
+    ("network.train", "epsilon", -1e-8),
+    ("network.train", "batch", 0),
+    ("network", "dropout", 1.5),
 ])
 def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["outputs"] = str(tmp_path / "typed")
-    cfg[section][key] = value
+    target = cfg
+    for name in section.split("."):
+        target = target[name]
+    target[key] = value
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(path)]) == 2

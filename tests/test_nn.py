@@ -125,16 +125,23 @@ def test_gru_sequence_matches_unrolled_cells(rng):
 
 # --- conv / pool / softmax ----------------------------------------------------
 
+# a convolution returns its pre-activation; the pooling after it applies the
+# ReLU, so a window-1 pool is the ReLU alone
+
 def test_conv_identity_kernel():
     layer = ConvLayer(kernels=np.ones((1, 1, 1, 1)), bias=np.zeros(1))
     x = np.arange(-4.0, 5.0).reshape(1, 3, 3, 1)
-    out = batch_last(conv_forward(batch_last(x), layer)[0])
-    np.testing.assert_array_equal(out, np.maximum(x, 0.0))
+    pre = conv_forward(batch_last(x), layer)[0]
+    np.testing.assert_array_equal(batch_last(pre), x)
+    np.testing.assert_array_equal(batch_last(pool_forward(pre, 1)[0]), np.maximum(x, 0.0))
 
 
 def test_conv_zero_input_gives_relu_bias():
     layer = ConvLayer(kernels=np.ones((2, 2, 2, 1)), bias=np.array([1.5, -2.0]))
-    out = batch_last(conv_forward(batch_last(np.zeros((1, 4, 4, 1))), layer)[0])
+    pre = conv_forward(batch_last(np.zeros((1, 4, 4, 1))), layer)[0]
+    np.testing.assert_array_equal(batch_last(pre)[0, :, :, 0], np.full((3, 3), 1.5))
+    np.testing.assert_array_equal(batch_last(pre)[0, :, :, 1], np.full((3, 3), -2.0))
+    out = batch_last(pool_forward(pre, 1)[0])
     np.testing.assert_array_equal(out[0, :, :, 0], np.full((3, 3), 1.5))
     np.testing.assert_array_equal(out[0, :, :, 1], np.zeros((3, 3)))
 
@@ -701,11 +708,13 @@ def test_conv_matches_einsum_reference(rng, shape, kernel):
     layer = ConvLayer(kernels=rng.normal(size=(count, kh, kw, shape[3])),
                       bias=rng.normal(size=count))
     x = rng.normal(size=shape)
-    out, cache = conv_forward(batch_last(x), layer)
+    pre, cache = conv_forward(batch_last(x), layer)
     ref_out, ref_cache = ref_conv_forward(x, layer)
-    np.testing.assert_allclose(batch_last(out), ref_out, **TOL)
+    ref_pre = ref_cache[1]
+    np.testing.assert_allclose(batch_last(pre), ref_pre, **TOL)
+    # conv_backward takes the pre-activation gradient, the reference the output's
     dout = rng.normal(size=ref_out.shape)
-    dx, dkernels, dbias = conv_backward(batch_last(dout), cache, layer)
+    dx, dkernels, dbias = conv_backward(batch_last(dout * (ref_pre > 0.0)), cache, layer)
     for got, want in zip((batch_last(dx), dkernels, dbias),
                          ref_conv_backward(dout, ref_cache, layer)):
         assert got.shape == want.shape
@@ -717,25 +726,46 @@ def test_conv_matches_einsum_reference(rng, shape, kernel):
 def test_pool_matches_argmax_reference_with_ties(rng, shape, window):
     # small integers make tied maxima common; the first in row-major order wins
     x = rng.integers(-2, 2, size=shape).astype(float)
+    dout = rng.normal(size=ref_pool_forward(x, window)[0].shape)
+    assert_pools_as_relu_of_reference(x, window, dout)
+
+
+def assert_pools_as_relu_of_reference(x, window, dout):
+    """pool_forward is relu(ref_pool_forward), and pool_backward the reference
+    backward of the gradient through that ReLU, both bit for bit."""
     out, cache = pool_forward(batch_last(x), window)
     ref_out, ref_cache = ref_pool_forward(x, window)
-    np.testing.assert_array_equal(batch_last(out), ref_out)
+    np.testing.assert_array_equal(batch_last(out), np.maximum(ref_out, 0.0))
     np.testing.assert_array_equal(
-        batch_last(pool_forward(batch_last(x), window, cache=False)[0]), ref_out)
-    dout = rng.normal(size=ref_out.shape)
+        batch_last(pool_forward(batch_last(x), window, cache=False)[0]),
+        np.maximum(ref_out, 0.0))
     np.testing.assert_array_equal(batch_last(pool_backward(batch_last(dout), cache)),
-                                  ref_pool_backward(dout, ref_cache))
+                                  ref_pool_backward(dout * (ref_out > 0.0), ref_cache))
 
 
 def test_pool_all_negative_infinity_tile():
     x = np.full((1, 3, 3, 1), -np.inf)
     x[0, 0, 0, 0] = 1.0
-    out, cache = pool_forward(batch_last(x), 2)
-    ref_out, ref_cache = ref_pool_forward(x, 2)
-    np.testing.assert_array_equal(batch_last(out), ref_out)
-    dout = np.arange(1.0, 5.0).reshape(1, 2, 2, 1)
-    np.testing.assert_array_equal(batch_last(pool_backward(batch_last(dout), cache)),
-                                  ref_pool_backward(dout, ref_cache))
+    assert_pools_as_relu_of_reference(x, 2, np.arange(1.0, 5.0).reshape(1, 2, 2, 1))
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_pool_zero_padding_matches_negative_infinity_padding(rng, window):
+    # the ragged last row and column are zero-padded, the reference pads -inf;
+    # every cell of map 0 is negative, so the pad is the maximum of each edge
+    # tile before the ReLU; the ragged cells of map 1 are 0, tied with the
+    # pad; map 2 mixes signs
+    size = 2 * window + 1
+    x = rng.normal(size=(3, size, size, 2))
+    x[0] = -np.abs(x[0]) - 0.5
+    x[1, -1], x[1, :, -1] = 0.0, 0.0
+    dout = rng.normal(size=(3, 3, 3, 2))
+    assert_pools_as_relu_of_reference(x, window, dout)
+    out, cache = pool_forward(batch_last(x), window)
+    assert out.shape == (2, 3, 3, 3)
+    dx = batch_last(pool_backward(batch_last(dout), cache))
+    assert dx.shape == x.shape
+    assert not dx[0].any() and not batch_last(out)[0].any()
 
 
 @pytest.mark.parametrize("input_dim,hidden,batch,length", [(1, 16, 32, 16), (3, 5, 4, 7)])
