@@ -15,24 +15,22 @@ places, where it tests ``classic``:
 * the measurement noise: ``Classic`` re-estimates its mean and covariance
   with the forgetting factor; ``Improved`` holds them fixed.
 
-Measurements are vectors of any width; the rest of this package drives the
-filters with the scalar sinusoidal measurement model.
-
-Determinism: ``run`` returns a columnar ``FilterRun``. For a config with two
-states, identity transition and noise gain and a scalar measurement (the
-sinusoidal model) it runs a kernel on Python floats; every other config
-stacks ``step``, the general numpy implementation that stays the oracle.
-The kernel performs the oracle's arithmetic in the oracle's order, with its
-``if classic`` branches at the same places, so it is bit-identical to
-``step`` wherever numpy's BLAS does not fuse multiply-adds (OpenBLAS's
-Sandybridge kernel, say) and within rounding elsewhere. Its pivot test is
-not the same operations but the oracle's test in closed form: it raises on
-exactly the values of the innovation variance where the oracle raises,
-including +-inf, and never on NaN. Its results depend on no BLAS kernel,
-so artifacts are byte-identical on a given machine whatever OpenBLAS
-kernel numpy picks. This matters most for the classic filter, which
-amplifies rounding (a covariance diagonal goes negative at tick 0); see
-the README.
+Two implementations, one role each. ``step`` is the general numpy update
+for any config and measurement width, one sample at a time, and the
+reference oracle. ``run`` filters a whole trace on a kernel written on
+Python floats for the model the pipeline drives (two states, identity
+transition and noise gain, the scalar sinusoidal measurement) and refuses
+any other config with a ConfigError; stack ``step`` for it. The kernel
+performs the oracle's arithmetic in the oracle's order, with its ``if
+classic`` branches at the same places, so it is bit-identical to ``step``
+wherever numpy's BLAS does not fuse multiply-adds (OpenBLAS's Sandybridge
+kernel, say) and within rounding elsewhere. Its pivot test is not the same
+operations but the oracle's test in closed form: it raises on exactly the
+values of the innovation variance where the oracle raises, including
++-inf, and never on NaN. Its results depend on no BLAS kernel, so
+artifacts are byte-identical on a given machine whatever OpenBLAS kernel
+numpy picks. This matters most for the classic filter, which amplifies
+rounding (a covariance diagonal goes negative at tick 0); see the README.
 """
 
 from __future__ import annotations
@@ -320,13 +318,12 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
 
 def run(trace: Trace, cfg: FilterConfig, variant: Variant,
         obs_rows: np.ndarray | None = None) -> FilterRun:
-    """Filter every sample of a trace in order; step i reads ``cfg.obs_at(i)``.
-
-    A config of the 2-state, scalar-measurement shape (see
-    ``_is_scalar_two_state``) runs on the float kernel; every other config
-    stacks ``step``, which stays the reference both are tested against.
-    ``obs_rows`` may pass in the kernel's (n, 1, 2) observation rows when the
-    caller already has them; they must equal ``cfg.obs_at(i)`` stacked.
+    """Filter every sample of a trace in order on the float kernel; step i
+    reads ``cfg.obs_at(i)``. The config must be of the 2-state,
+    scalar-measurement shape (see ``_is_scalar_two_state``); for any other,
+    stack ``step``, the oracle the kernel is tested against. ``obs_rows``
+    may pass in the (n, 1, 2) observation rows when the caller already has
+    them; they must equal ``cfg.obs_at(i)`` stacked.
     """
     n = len(trace)
     if n == 0:
@@ -334,25 +331,20 @@ def run(trace: Trace, cfg: FilterConfig, variant: Variant,
     bad = np.flatnonzero(~np.isfinite(trace.z))
     if len(bad):
         raise DataError(f"measurement at tick {int(trace.ticks[bad[0]])} is not finite")
-    if _is_scalar_two_state(cfg):
-        if obs_rows is None:
-            rows = [np.atleast_2d(cfg.obs_at(t)) for t in range(n)]
-            # a row of another shape is left to the oracle, which raises at its step
-            if all(h.shape == (1, 2) for h in rows):
-                return _run_scalar_two_state(trace.z, np.array(rows, dtype=float),
-                                             cfg, variant)
-        elif np.shape(obs_rows) == (n, 1, 2):
-            return _run_scalar_two_state(trace.z, np.asarray(obs_rows, dtype=float),
-                                         cfg, variant)
-        else:
-            raise DimensionError(f"observation rows of shape {np.shape(obs_rows)} "
-                                 f"do not match {n} scalar measurements of 2 states")
-    state = initial_state(cfg)
-    outputs = []
-    for z_t in trace.z:
-        state, out = step(state, z_t, cfg, variant)
-        outputs.append(out)
-    return FilterRun.from_steps(outputs)
+    if not _is_scalar_two_state(cfg):
+        raise ConfigError("akf.run takes only two states, identity transition and noise "
+                          "gain and a scalar measurement; stack akf.step for this config")
+    if obs_rows is None:
+        rows = [np.atleast_2d(cfg.obs_at(t)) for t in range(n)]
+        off = next((t for t, h in enumerate(rows) if h.shape != (1, 2)), None)
+        if off is not None:
+            raise DimensionError(f"observation matrix {rows[off].shape} at tick {off} "
+                                 f"does not map 2 states to a scalar measurement")
+        obs_rows = np.array(rows, dtype=float)
+    elif np.shape(obs_rows) != (n, 1, 2):
+        raise DimensionError(f"observation rows of shape {np.shape(obs_rows)} "
+                             f"do not match {n} scalar measurements of 2 states")
+    return _run_scalar_two_state(trace.z, np.asarray(obs_rows, dtype=float), cfg, variant)
 
 
 def config_for_sinusoid(params: SignalParams, z0: float,

@@ -60,24 +60,26 @@ class AttackScenario:
 
     def __post_init__(self):
         if self.onset < 0:
-            raise ConfigError("attack onset must be non-negative")
+            raise ConfigError(f"config key 'attack.onset' must be non-negative: {self.onset}")
         if self.duration < 1:
-            raise ConfigError("attack duration must be at least 1 tick")
+            raise ConfigError(f"config key 'attack.duration' must be at least 1: {self.duration}")
         if self.kind is AttackKind.RANDOM_SINUSOID:
             if self.amplitude is None or self.sinusoid_omega is None:
-                raise ConfigError("random sinusoid attack needs amplitude and sinusoid_omega")
+                raise ConfigError("config keys 'attack.amplitude' and 'attack.sinusoid_omega' "
+                                  "are required by the random_sinusoid kind")
         elif self.kind is AttackKind.FRACTION_SCALE:
             if self.fraction is None or self.fraction <= 0:
-                raise ConfigError("fraction-scale attack needs a positive fraction")
+                raise ConfigError(f"config key 'attack.fraction' must be positive: "
+                                  f"{self.fraction}")
         elif self.kind is AttackKind.STEALTHY:
             if self.bias is None:
                 raise ConfigError("stealthy attack needs a precomputed bias vector")
             if len(self.bias) != len(self.selection.deltas):
                 raise DimensionError("stealthy bias length must match sensor count")
         if (self.period is None) != (self.duty is None):
-            raise ConfigError("period and duty must be given together")
+            raise ConfigError("config keys 'attack.period' and 'attack.duty' go together")
         if self.period is not None and not 0 < self.duty <= self.period:
-            raise ConfigError("duty must lie in (0, period]")
+            raise ConfigError(f"config key 'attack.duty' must lie in (0, period]: {self.duty}")
 
 
 def active_at(scenario: AttackScenario, t: int) -> bool:

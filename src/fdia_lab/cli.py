@@ -97,6 +97,7 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     )
     initial = _get(sig, "signal", "initial", _state, [1.0, 0.0])
     n = _get(sig, "signal", "n", int)
+    _check(n >= 1, "signal.n", "must be at least 1")
 
     att = dict(_section(raw, "attack"))
     if att.get("kind") == "random_sinusoid" and "sinusoid_omega" not in att:
@@ -344,8 +345,9 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
 def cmd_report(run_dir) -> int:
     path = Path(run_dir) / "metrics.json"
     metrics_obj = read_json(path)
-    absent = [key for key in VARIANT_KEYS
-              if not isinstance(metrics_obj, dict) or key not in metrics_obj]
+    if not isinstance(metrics_obj, dict):
+        raise DataError(f"{path}: the root must be a JSON object")
+    absent = [key for key in VARIANT_KEYS if key not in metrics_obj]
     if absent:
         raise DataError(
             f"metrics.json lacks entries for: {', '.join(absent)} "

@@ -167,8 +167,9 @@ def reject_unknown_keys(section: dict, where: str, known) -> None:
 
 def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
     """``section[key]``, or ``default`` when absent, converted by ``kind``;
-    ``int`` takes non-negative integral numbers only (never truncating: every
-    integer key is a count, a size, a tick or a seed), ``float`` finite ones.
+    ``int`` takes integral numbers in [0, 2**63) only (never truncating: every
+    integer key is a count, a size, a tick or a seed, and numpy holds it in an
+    int64), ``float`` finite ones.
 
     A missing required key or a value ``kind`` rejects raises ConfigError
     naming ``where.key``.
@@ -179,8 +180,8 @@ def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
     value = section.get(key, default)
     try:
         if kind is int and (type(value) not in (int, float) or value != int(value)
-                            or value < 0):
-            raise ValueError("not a non-negative integral number")
+                            or not 0 <= value < 2**63):
+            raise ValueError("not an integral number in [0, 2**63)")
         return (finite_float if kind is float else kind)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{name}' has an invalid value {value!r}: {exc}") from exc

@@ -30,9 +30,11 @@ class SignalParams:
 
     def __post_init__(self):
         if self.omega <= 0:
-            raise ConfigError("omega must be positive")
-        if self.sigma_process < 0 or self.sigma_meas < 0:
-            raise ConfigError("noise standard deviations must be non-negative")
+            raise ConfigError(f"config key 'signal.omega' must be positive: {self.omega}")
+        for key in ("sigma_process", "sigma_meas"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"config key 'signal.{key}' must be non-negative: "
+                                  f"{getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,6 @@ def simulate(params: SignalParams, initial: SignalState, n: int) -> Trace:
     angles = params.omega * ticks
     z = np.cos(angles) * states[:, 0] - np.sin(angles) * states[:, 1] + zetas
     return Trace(ticks=ticks, states=states, z=z)
-
-
-def amplitude_phase(state: SignalState) -> tuple[float, float]:
-    """Recover (V_a, psi) from the state components."""
-    return math.hypot(state.x1, state.x2), math.atan2(state.x2, state.x1)
 
 
 TRACE_HEADER = ["t", "x1", "x2", "z"]

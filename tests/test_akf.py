@@ -435,8 +435,9 @@ def test_kernel_matches_oracle_on_transcription_inputs(variant):
                                    rtol=1e-12, atol=1e-12, err_msg=name)
 
 
-def test_run_uses_oracle_outside_kernel_shape():
-    # a non-identity transition is not the kernel's model: run stacks step
+def test_run_refuses_config_outside_kernel_shape():
+    # a non-identity transition is not the kernel's model: run refuses it and
+    # points at step, and stacking step filters it
     params = SignalParams(omega=0.3, sigma_process=1e-3, sigma_meas=0.01, seed=4)
     trace = simulate(params, SignalState(1.0, 0.0), 40)
     base = akf.config_for_sinusoid(params, float(trace.z[0]))
@@ -444,10 +445,23 @@ def test_run_uses_oracle_outside_kernel_shape():
                            noise_gain=base.noise_gain, obs_at=base.obs_at,
                            init=base.init, forgetting=base.forgetting,
                            meas_cov_fixed=base.meas_cov_fixed)
-    run = akf.run(trace, cfg, akf.Variant.IMPROVED)
+    with pytest.raises(ConfigError, match="akf.step"):
+        akf.run(trace, cfg, akf.Variant.IMPROVED)
     oracle = oracle_run(trace, cfg, akf.Variant.IMPROVED)
-    for name in COLUMNS:
-        np.testing.assert_array_equal(getattr(run, name), getattr(oracle, name))
+    assert len(oracle) == len(trace)
+    assert np.isfinite(oracle.x_hat).all()
+    assert not np.array_equal(oracle.x_hat, akf.run(trace, base, akf.Variant.IMPROVED).x_hat)
+
+
+def test_run_names_the_tick_of_a_misshapen_observation_row():
+    trace = demo_trace(20)
+    base = akf.config_for_sinusoid(DEMO, float(trace.z[0]))
+    cfg = akf.FilterConfig(
+        transition=base.transition, noise_gain=base.noise_gain,
+        obs_at=lambda t: np.ones((2, 2)) if t == 7 else base.obs_at(t),
+        init=base.init, forgetting=base.forgetting, meas_cov_fixed=base.meas_cov_fixed)
+    with pytest.raises(DimensionError, match="tick 7"):
+        akf.run(trace, cfg, akf.Variant.IMPROVED)
 
 
 def test_run_takes_precomputed_observation_rows():

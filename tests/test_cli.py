@@ -223,7 +223,9 @@ def test_report_on_malformed_metrics_entry_is_data_error(tmp_path, capsys, entry
 def test_report_on_metrics_that_are_not_an_object_is_data_error(tmp_path, capsys, text):
     (tmp_path / "metrics.json").write_text(text + "\n")
     assert main(["report", "--run-dir", str(tmp_path)]) == 3
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(tmp_path / "metrics.json") in err
+    assert "Traceback" not in err and "--passive-only" not in err
 
 
 def test_train_epochs_override_and_determinism(tmp_path):
@@ -482,6 +484,12 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     ("network.train", "epsilon", -1e-8),
     ("network.train", "batch", 0),
     ("network", "dropout", 1.5),
+    # numpy holds every integer key in an int64
+    ("attack", "onset", 2**70),
+    ("attack", "period", 2**70),
+    ("attack", "duration", 2**63),
+    ("signal", "n", 2**64),
+    ("signal", "seed", 2**63),
 ])
 def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -496,6 +504,29 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, k
     err = capsys.readouterr().err
     assert f"'{section}.{key}'" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("name,changes", [
+    ("signal.omega", {"omega": -1.0}),
+    ("signal.sigma_meas", {"sigma_meas": -0.1}),
+    ("signal.sigma_process", {"sigma_process": -1e-3}),
+    ("signal.n", {"n": 0}),
+    ("attack.duration", {"duration": 0}),
+    ("attack.fraction", {"fraction": 0.0}),
+    ("attack.duty", {"period": 10}),
+    ("attack.duty", {"period": 10, "duty": 0}),
+    ("attack.amplitude", {"kind": "random_sinusoid", "fraction": None}),
+])
+def test_out_of_range_signal_or_attack_value_names_its_key(tmp_path, capsys, name, changes):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["outputs"] = str(tmp_path / "range")
+    cfg[name.split(".")[0]].update(changes)
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{name}'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key,value", [("seed", -1), ("epochs", -1)])

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fdia_lab.errors import ConfigError, DataError
-from fdia_lab.signal_model import (SignalParams, SignalState, amplitude_phase,
-                                   observation_row, observation_rows, read_labels_csv,
-                                   read_trace_csv, simulate, write_labels_csv,
-                                   write_trace_csv)
+from fdia_lab.signal_model import (SignalParams, SignalState, observation_row,
+                                   observation_rows, read_labels_csv, read_trace_csv,
+                                   simulate, write_labels_csv, write_trace_csv)
 
 
 def test_observation_row_t0():
@@ -53,23 +52,6 @@ def test_simulation_deterministic_per_seed():
 def test_simulation_needs_positive_length():
     with pytest.raises(ConfigError):
         simulate(SignalParams(omega=0.1), SignalState(1.0, 0.0), 0)
-
-
-def test_amplitude_phase_examples():
-    assert amplitude_phase(SignalState(1.0, 0.0)) == pytest.approx((1.0, 0.0))
-    va, psi = amplitude_phase(SignalState(0.0, 2.0))
-    assert (va, psi) == pytest.approx((2.0, math.pi / 2))
-    va, psi = amplitude_phase(SignalState(1.0, 1.0))
-    assert va == pytest.approx(1.4142135623730951)
-    assert psi == pytest.approx(math.pi / 4)
-
-
-def test_amplitude_phase_constant_along_noiseless_trace():
-    params = SignalParams(omega=0.17, seed=1)
-    trace = simulate(params, SignalState(1.2, -0.4), 64)
-    ref = amplitude_phase(SignalState(*trace.states[0]))
-    for i in range(len(trace)):
-        assert amplitude_phase(SignalState(*trace.states[i])) == pytest.approx(ref)
 
 
 def test_measurement_bias_is_centred():
