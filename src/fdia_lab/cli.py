@@ -28,7 +28,7 @@ from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split,
                             window, write_dataset_csv)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import (config_dataclass, config_value as _get, finite_float, fmt_column,
+from .io_utils import (REQUIRED, _field_kinds, config_value, finite_number, fmt_column,
                        read_json, reject_unknown_keys, write_columns, write_json)
 from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
                  save_checkpoint, train, write_history_csv)
@@ -63,97 +63,116 @@ class ExperimentConfig:
     pipeline_seed: int
 
 
+def _dataclass_rows(section: str, cls, **rules) -> dict:
+    """SCHEMA rows for the fields of ``cls`` that have a default: the field's
+    type and default, and the rule given for it."""
+    kinds = _field_kinds(cls)
+    return {f"{section}.{f.name}": (kinds[f.name], f.default, rules.get(f.name))
+            for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_FRACTION = (lambda v: 0 < v < 1, "must lie strictly in (0, 1)")
+# akf.config_for_sinusoid squares each sigma
+_SIGMA = (lambda v: v >= 0 and finite_number(v * v), "must be non-negative with a finite square")
+_MIN_WARMUP = passive_detect.SETTLE_TICKS + passive_detect.MIN_CALIBRATION_SAMPLES
+
+# section.key -> (type, default, rule): each key is read by config_value, a
+# default of None leaves a key that is absent or null to its dataclass's own
+# default (None), and a rule is a (predicate, "must ...") pair on the value
+# read. The network rows take each field's type and default from
+# NetworkConfig and TrainConfig; the dimension, dropout and feature-map rules
+# stay in NetworkConfig, which load_checkpoint applies too.
+SCHEMA = {
+    "outputs": (Path, REQUIRED, None),
+    "signal.omega": (float, REQUIRED, _POSITIVE),
+    "signal.sigma_process": (float, 0.0, _SIGMA),
+    "signal.sigma_meas": (float, 0.0, _SIGMA),
+    "signal.seed": (int, 0, None),
+    "signal.initial": (list, [1.0, 0.0], (lambda v: len(v) == 2 and all(map(finite_number, v)),
+                                          "must list two finite numbers")),
+    "signal.n": (int, REQUIRED, _AT_LEAST_1),
+    # the stealthy ac = H d acts on measurement vectors, not on a scalar trace
+    "attack.kind": (attack.AttackKind, REQUIRED, (
+        lambda v: v is not attack.AttackKind.STEALTHY,
+        "must not be 'stealthy'; build ac = H d with attack.build_stealthy and apply "
+        "it with attack.inject")),
+    "attack.onset": (int, REQUIRED, None),
+    "attack.duration": (int, REQUIRED, _AT_LEAST_1),
+    "attack.amplitude": (float, None, None),
+    "attack.sinusoid_omega": (float, None, None),
+    "attack.fraction": (float, None, _POSITIVE),
+    "attack.period": (int, None, None),
+    "attack.duty": (int, None, None),
+    "attack.sensors": (list, [True], (
+        lambda v: len(v) == 1 and type(v[0]) is bool,
+        "must list one boolean per trace sensor, and the trace has one")),
+    # criterion 11's config names the variant and the order, so each key
+    # stays with one value
+    "filter.variant": (str, "improved", (lambda v: v == "improved", "must be 'improved'")),
+    "filter.forgetting": (float, 0.98, _FRACTION),
+    "thresholds.k": (float, 3.0, _POSITIVE),
+    # the thresholds are fitted on the warm-up ticks after the settle ticks
+    "thresholds.warmup": (int, 500, (lambda v: v >= _MIN_WARMUP, (
+        f"must be at least {_MIN_WARMUP}: {passive_detect.SETTLE_TICKS} settle ticks "
+        f"and {passive_detect.MIN_CALIBRATION_SAMPLES} calibration samples"))),
+    **_dataclass_rows("network", NetworkConfig),
+    **_dataclass_rows("network.train", TrainConfig, lr=_POSITIVE, epsilon=_POSITIVE,
+                      beta1=_FRACTION, beta2=_FRACTION, batch=_AT_LEAST_1),
+    "pipeline.k_clusters": (int, 3, _AT_LEAST_1),
+    "pipeline.train_fraction": (float, 0.8, _FRACTION),
+    "pipeline.order": (str, "oversample_first", (lambda v: v == "oversample_first",
+                                                 "must be 'oversample_first'")),
+    "pipeline.seed": (int, 0, None),
+}
+
+
 def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section '{name}' must be a JSON object")
-    return value
-
-
-def _state(value) -> SignalState:
-    return SignalState(*map(finite_float, value))
-
-
-def _check(ok: bool, name: str, rule: str) -> None:
-    if not ok:
-        raise ConfigError(f"config key '{name}' {rule}")
+    """The keys of config section ``name`` ("" for the root) that SCHEMA
+    reads from it, each read and checked by its row."""
+    obj = raw
+    for part in name.split(".") if name else ():
+        obj = obj.get(part, {})
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config section '{name}' must be a JSON object")
+    prefix = f"{name}." if name else ""
+    rows = {key[len(prefix):]: row for key, row in SCHEMA.items() if key.startswith(prefix)}
+    reject_unknown_keys(obj, name, {key.partition(".")[0] for key in rows})
+    values = {}
+    for key, (kind, default, rule) in rows.items():
+        if "." in key or default is None and obj.get(key) is None:
+            continue
+        value = config_value(obj, name, key, kind, default)
+        if rule and not rule[0](value):
+            raise ConfigError(f"config key '{prefix}{key}' {rule[1]}")
+        values[key] = value
+    return values
 
 
 def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    reject_unknown_keys(raw, "", ("outputs", "signal", "attack", "filter", "thresholds",
-                                  "network", "pipeline"))
-    outputs = Path(outputs_override) if outputs_override else _get(raw, "", "outputs", Path)
-
+    root = _section(dict(raw, outputs=outputs_override) if outputs_override else raw, "")
     sig = _section(raw, "signal")
-    reject_unknown_keys(sig, "signal", ("omega", "sigma_process", "sigma_meas", "seed",
-                                        "initial", "n"))
-    signal = SignalParams(
-        omega=_get(sig, "signal", "omega", float),
-        sigma_process=_get(sig, "signal", "sigma_process", float, 0.0),
-        sigma_meas=_get(sig, "signal", "sigma_meas", float, 0.0),
-        seed=_get(sig, "signal", "seed", int, 0),
-    )
-    initial = _get(sig, "signal", "initial", _state, [1.0, 0.0])
-    n = _get(sig, "signal", "n", int)
-    _check(n >= 1, "signal.n", "must be at least 1")
-
-    att = dict(_section(raw, "attack"))
-    if att.get("kind") == "random_sinusoid" and "sinusoid_omega" not in att:
-        att["sinusoid_omega"] = 0.7 * signal.omega
-    att.setdefault("sensors", [True])
-    scenario = attack.scenario_from_json(att)
-    _check(len(scenario.selection.deltas) == 1, "attack.sensors",
-           "must list one boolean per trace sensor, and the trace has one")
-
-    filt = _section(raw, "filter")
-    reject_unknown_keys(filt, "filter", ("variant", "forgetting"))
-    th = _section(raw, "thresholds")
-    reject_unknown_keys(th, "thresholds", ("k", "warmup"))
-    net_raw = dict(_section(raw, "network"))
-    train_raw = net_raw.pop("train", {})
-    if not isinstance(train_raw, dict):
-        raise ConfigError("config section 'network.train' must be a JSON object")
-    # the width of the trace; train reads its dataset's own
-    network = config_dataclass(net_raw, "network", NetworkConfig, input_dim=1)
-    train_cfg = config_dataclass(train_raw, "network.train", TrainConfig)
-    for key in ("lr", "epsilon"):
-        _check(getattr(train_cfg, key) > 0.0, f"network.train.{key}", "must be positive")
-    for key in ("beta1", "beta2"):
-        _check(0.0 < getattr(train_cfg, key) < 1.0, f"network.train.{key}",
-               "must lie strictly in (0, 1)")
-    _check(train_cfg.batch >= 1, "network.train.batch", "must be at least 1")
+    initial = SignalState(*map(float, sig.pop("initial")))
+    n = sig.pop("n")
+    signal = SignalParams(**sig)
+    att = _section(raw, "attack")
+    if att["kind"] is attack.AttackKind.RANDOM_SINUSOID:
+        att.setdefault("sinusoid_omega", 0.7 * signal.omega)
+    selection = attack.SensorSelection(tuple(att.pop("sensors")))
+    filt, th = _section(raw, "filter"), _section(raw, "thresholds")
     pipe = _section(raw, "pipeline")
-    reject_unknown_keys(pipe, "pipeline", ("k_clusters", "train_fraction", "order", "seed"))
-
-    # criterion 11's config names the variant and the order, so each key
-    # stays with one value
-    _check(_get(filt, "filter", "variant", str, "improved") == "improved",
-           "filter.variant", "accepts only 'improved'")
-    _check(_get(pipe, "pipeline", "order", str, "oversample_first") == "oversample_first",
-           "pipeline.order", "accepts only 'oversample_first'")
-    forgetting = _get(filt, "filter", "forgetting", float, 0.98)
-    _check(0.0 < forgetting < 1.0, "filter.forgetting", "must lie strictly in (0, 1)")
-    threshold_k = _get(th, "thresholds", "k", float, 3.0)
-    _check(threshold_k > 0.0, "thresholds.k", "must be positive")
-    # the thresholds are fitted on the warm-up ticks after the settle ticks
-    warmup = _get(th, "thresholds", "warmup", int, 500)
-    settle, samples = passive_detect.SETTLE_TICKS, passive_detect.MIN_CALIBRATION_SAMPLES
-    _check(warmup >= settle + samples, "thresholds.warmup", f"must be at least "
-           f"{settle + samples}: {settle} settle ticks and {samples} calibration samples")
-    k_clusters = _get(pipe, "pipeline", "k_clusters", int, 3)
-    _check(k_clusters >= 1, "pipeline.k_clusters", "must be at least 1")
-    train_fraction = _get(pipe, "pipeline", "train_fraction", float, 0.8)
-    _check(0.0 < train_fraction < 1.0, "pipeline.train_fraction",
-           "must lie strictly in (0, 1)")
-
     return ExperimentConfig(
-        raw=raw, outputs=outputs, signal=signal, initial=initial, n=n,
-        scenario=scenario, forgetting=forgetting, threshold_k=threshold_k,
-        warmup=warmup, network=network, train=train_cfg, k_clusters=k_clusters,
-        train_fraction=train_fraction,
-        pipeline_seed=_get(pipe, "pipeline", "seed", int, 0),
+        raw=raw, outputs=root["outputs"], signal=signal, initial=initial, n=n,
+        scenario=attack.AttackScenario(selection=selection, **att),
+        forgetting=filt["forgetting"], threshold_k=th["k"], warmup=th["warmup"],
+        # the width of the trace; train reads its dataset's own
+        network=NetworkConfig(input_dim=1, **_section(raw, "network")),
+        train=TrainConfig(**_section(raw, "network.train")),
+        k_clusters=pipe["k_clusters"], train_fraction=pipe["train_fraction"],
+        pipeline_seed=pipe["seed"],
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-_REQUIRED = object()
+REQUIRED = object()  # config_value's default for a key without one
 
 
 def fmt_column(values) -> list[str]:
@@ -150,11 +150,9 @@ def read_json(path):
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def finite_float(value) -> float:
-    """A finite JSON number as a float; anything else raises ValueError."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return float(value)
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite JSON number (a bool is not one)."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def reject_unknown_keys(section: dict, where: str, known) -> None:
@@ -165,7 +163,7 @@ def reject_unknown_keys(section: dict, where: str, known) -> None:
         raise ConfigError(f"unknown config key '{name}'")
 
 
-def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
+def config_value(section: dict, where: str, key: str, kind, default=REQUIRED):
     """``section[key]``, or ``default`` when absent, converted by ``kind``;
     ``int`` takes integral numbers in [0, 2**63) only (never truncating: every
     integer key is a count, a size, a tick or a seed, and numpy holds it in an
@@ -175,14 +173,16 @@ def config_value(section: dict, where: str, key: str, kind, default=_REQUIRED):
     naming ``where.key``.
     """
     name = f"{where}.{key}" if where else key
-    if key not in section and default is _REQUIRED:
+    if key not in section and default is REQUIRED:
         raise ConfigError(f"missing config key '{name}'")
     value = section.get(key, default)
     try:
         if kind is int and (type(value) not in (int, float) or value != int(value)
                             or not 0 <= value < 2**63):
             raise ValueError("not an integral number in [0, 2**63)")
-        return (finite_float if kind is float else kind)(value)
+        if kind is float and not finite_number(value):
+            raise ValueError("not a finite number")
+        return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{name}' has an invalid value {value!r}: {exc}") from exc
 

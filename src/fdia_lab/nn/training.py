@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, DimensionError
+from ..errors import DataError, DimensionError, NumericalError
 from ..io_utils import write_columns
 from .network import Network, NetworkConfig, cross_entropy, gradients, \
     init_network, parameters, predict_proba
@@ -68,7 +68,8 @@ class History(list):
 def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
           cfg: TrainConfig, val_windows: np.ndarray | None = None,
           val_labels: np.ndarray | None = None) -> tuple[Network, History]:
-    """Mini-batch Adam over the given epochs with seeded shuffling.
+    """Mini-batch Adam over the given epochs with seeded shuffling; an epoch
+    that leaves the loss or a parameter non-finite raises NumericalError.
 
     Returns the trained network and its ``History``; val_loss is NaN when
     no validation set is given. With epochs = 0 the freshly initialized
@@ -95,14 +96,19 @@ def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         losses = []
-        for start in range(0, n, cfg.batch):
-            batch_idx = order[start:start + cfg.batch]
-            loss, grads = gradients(net, windows[batch_idx], labels[batch_idx],
-                                    rng=dropout_rng)
-            flat_grads = np.concatenate([grads[name] for name in names], axis=None)
-            adam_step(net.flat, flat_grads, adam, cfg)
-            losses.append(loss)
+        # a diverging step overflows quietly, and the epoch's end catches it
+        with np.errstate(all="ignore"):
+            for start in range(0, n, cfg.batch):
+                batch_idx = order[start:start + cfg.batch]
+                loss, grads = gradients(net, windows[batch_idx], labels[batch_idx],
+                                        rng=dropout_rng)
+                flat_grads = np.concatenate([grads[name] for name in names], axis=None)
+                adam_step(net.flat, flat_grads, adam, cfg)
+                losses.append(loss)
         train_loss = float(np.mean(losses))
+        if not (np.isfinite(train_loss) and np.isfinite(net.flat).all()):
+            raise NumericalError(f"training diverged in epoch {epoch}: the loss or a "
+                                 f"parameter is no longer finite")
         if val_windows is not None and len(val_windows):
             history.val_probs = predict_proba(net, val_windows)
             val_loss = cross_entropy(history.val_probs, val_labels)

@@ -28,14 +28,6 @@ class SignalParams:
     sigma_meas: float = 0.0
     seed: int = 0
 
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ConfigError(f"config key 'signal.omega' must be positive: {self.omega}")
-        for key in ("sigma_process", "sigma_meas"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"config key 'signal.{key}' must be non-negative: "
-                                  f"{getattr(self, key)}")
-
 
 @dataclass(frozen=True)
 class SignalState:

@@ -4,7 +4,8 @@ import pytest
 from conftest import random_dc_system
 from fdia_lab.attack import (AttackKind, AttackScenario, SensorSelection,
                              active_at, active_mask, attacked_residual_bound,
-                             build_stealthy, inject, inject_series, scenario_from_json)
+                             build_stealthy, inject, inject_series)
+from fdia_lab.cli import parse_config
 from fdia_lab.dc_estimation import bad_data_check, objective, wls_estimate
 from fdia_lab.errors import ConfigError, DataError, DimensionError
 
@@ -186,12 +187,17 @@ def test_injection_locality_bit_identical():
             assert out[0] == z[0]  # bitwise identical outside the window
 
 
+def scenario_from_config(attack: dict) -> AttackScenario:
+    return parse_config({"outputs": "run", "signal": {"omega": 0.25, "n": 10},
+                         "attack": attack}).scenario
+
+
 def test_scenario_json_roundtrip():
     obj = {"kind": "random_sinusoid", "onset": 7, "duration": 30, "amplitude": 0.3,
-           "sinusoid_omega": 0.2, "period": 8, "duty": 3, "sensors": [True, False, True]}
-    back = scenario_from_json(obj)
+           "sinusoid_omega": 0.2, "period": 8, "duty": 3, "sensors": [False]}
+    back = scenario_from_config(obj)
     assert back.kind is AttackKind.RANDOM_SINUSOID
-    assert back.selection == SensorSelection((True, False, True))
+    assert back.selection == SensorSelection((False,))
     assert back.onset == 7 and back.duration == 30
     assert (back.amplitude, back.sinusoid_omega) == (0.3, 0.2)
     assert (back.period, back.duty) == (8, 3)
@@ -202,4 +208,4 @@ def test_scenario_json_matches_declared_schema():
     scen = fraction_scenario(onset=2310, duration=944, fraction=0.05)
     obj = {"kind": "fraction_scale", "onset": 2310, "duration": 944,
            "fraction": 0.05, "sensors": [True]}
-    assert scenario_from_json(obj) == scen
+    assert scenario_from_config(obj) == scen

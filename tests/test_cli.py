@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from fdia_lab import akf, cli, evaluation, fusion, io_utils, nn, passive_detect
 from fdia_lab.cli import main
-from fdia_lab.data_pipeline import read_dataset_csv
+from fdia_lab.data_pipeline import apply_standardizer, read_dataset_csv, window
 from fdia_lab.errors import SingularMatrixError
 
 BASE_CONFIG = {
@@ -490,6 +491,9 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     ("attack", "duration", 2**63),
     ("signal", "n", 2**64),
     ("signal", "seed", 2**63),
+    # akf.config_for_sinusoid squares each sigma
+    ("signal", "sigma_meas", 1e200),
+    ("signal", "sigma_process", 1e200),
 ])
 def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -527,6 +531,60 @@ def test_out_of_range_signal_or_attack_value_names_its_key(tmp_path, capsys, nam
     err = capsys.readouterr().err
     assert f"'{name}'" in err
     assert "Traceback" not in err
+
+
+# one value outside each SCHEMA rule
+OUT_OF_RULE = {
+    "signal.omega": 0.0, "signal.sigma_process": -1e-3, "signal.sigma_meas": 1e300,
+    "signal.initial": [1.0, 0.0, 0.0], "signal.n": 0, "attack.kind": "stealthy",
+    "attack.duration": 0, "attack.fraction": -0.05, "attack.sensors": [False, True],
+    "filter.variant": "classic", "filter.forgetting": 1.0, "thresholds.k": 0.0,
+    "thresholds.warmup": 109, "network.train.lr": 0.0, "network.train.beta1": 1.0,
+    "network.train.beta2": 0.0, "network.train.epsilon": -1.0, "network.train.batch": 0,
+    "pipeline.k_clusters": 0, "pipeline.train_fraction": 1.0,
+    "pipeline.order": "split_first",
+}
+
+
+@pytest.mark.parametrize("name", [name for name, (_, _, rule) in cli.SCHEMA.items() if rule])
+def test_each_schema_rule_rejects_a_value_outside_it(tmp_path, capsys, name):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["outputs"] = str(tmp_path / "rule")
+    *sections, key = name.split(".")
+    target = cfg
+    for section in sections:
+        target = target[section]
+    target[key] = OUT_OF_RULE[name]
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{name}' {cli.SCHEMA[name][2][1]}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("initial", [[1.0], [1.0, 2.0, 3.0]])
+def test_initial_state_of_the_wrong_length_is_config_error(tmp_path, capsys, initial):
+    signal = dict(BASE_CONFIG["signal"], initial=initial)
+    cfg_path, _ = write_config(tmp_path, signal=signal)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'signal.initial' must list two finite numbers" in err
+    assert "__init__" not in err
+
+
+def test_readme_config_schema_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Config schema", 1)[1].split("```jsonc\n", 1)[1].split("```")[0]
+    example = json.loads(re.sub(r"//.*", "", block))
+
+    def names(section, prefix=""):
+        return [name for key, value in section.items()
+                for name in (names(value, f"{prefix}{key}.") if isinstance(value, dict)
+                             else [prefix + key])]
+
+    assert sorted(names(example)) == sorted(cli.SCHEMA)
+    cli.parse_config(example)
 
 
 @pytest.mark.parametrize("key,value", [("seed", -1), ("epochs", -1)])
@@ -664,6 +722,33 @@ def run_to_report(tmp_path, name):
         args = [stage, "--config", str(cfg_path)]
         assert main(args + (["--epochs", "0"] if stage == "train" else [])) == 0
     return cfg_path, out
+
+
+def test_active_flags_are_the_classifier_decision(tmp_path):
+    _, out = run_to_report(tmp_path, "active")
+    net, std = nn.load_checkpoint(out / "checkpoint.json")
+    z = np.array(csv_column(out / "trace.csv", "z"), dtype=float)
+    length = net.config.window_len
+    windows, _ = window(apply_standardizer(std, z[:, None]), np.zeros(len(z), dtype=int),
+                        length)
+    probs = nn.predict_proba(net, windows)
+    expected = np.zeros(len(z), dtype=bool)
+    expected[length - 1:] = probs[:, 1] > probs[:, 0]
+    assert expected.any()
+    assert csv_column(out / "verdicts_active.csv", "flag") == [str(int(f)) for f in expected]
+
+
+def test_diverging_training_is_numerical_error_and_saves_no_checkpoint(tmp_path, capsys):
+    network = dict(BASE_CONFIG["network"], train=dict(BASE_CONFIG["network"]["train"],
+                                                      lr=1e308))
+    cfg_path, out = write_config(tmp_path, out_name="diverge", network=network)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--epochs", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "training diverged in epoch 0" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_report_reads_only_metrics_json(tmp_path, capsys):

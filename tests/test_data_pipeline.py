@@ -66,6 +66,18 @@ def test_oversample_synthetics_on_segment():
         assert -1e-12 <= row[0] <= 2.0 + 1e-12
 
 
+def test_oversample_interpolates_between_nearest_neighbours():
+    # one cluster of two far-apart groups of 7 rows: each row's 5 nearest
+    # neighbours lie in its own group, and so does every synthetic row
+    groups = [np.linspace(0.0, 0.6, 7), np.linspace(100.0, 100.6, 7)]
+    values = np.concatenate([*groups, np.linspace(40.0, 60.0, 40)])[:, None]
+    d = small_dataset(values, [1] * 14 + [0] * 40)
+    synthetic = cks_oversample(d, k_clusters=1, seed=0).values[54:, 0]
+    assert len(synthetic) == 26
+    for x in synthetic:
+        assert any(group[0] <= x <= group[-1] for group in groups)
+
+
 def test_oversample_balances_90_10(rng):
     values = rng.normal(size=(1000, 3))
     labels = (rng.random(1000) < 0.1).astype(int)
