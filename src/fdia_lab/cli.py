@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import akf, attack, evaluation, passive_detect
+from . import akf, attack, evaluation, fusion, passive_detect
 from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split,
                             window, write_dataset_csv)
@@ -229,6 +229,11 @@ def _prepared_splits(cfg: ExperimentConfig, dataset: RawDataset):
 
 def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
     cfg.outputs.mkdir(parents=True, exist_ok=True)
+    # an earlier train's network and score must not outlive a train that fails
+    for name in ("checkpoint.json", "history.csv"):
+        (cfg.outputs / name).unlink(missing_ok=True)
+    if (cfg.outputs / "metrics.json").exists():
+        _merge_metrics(cfg, {}, owned=("gru_cnn_holdout",))
     dataset = read_dataset_csv(dataset_path)
     network = dataclasses.replace(cfg.network, input_dim=len(dataset.columns))
     std, train_w, train_y, test_w, test_y = _prepared_splits(cfg, dataset)
@@ -323,10 +328,9 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
         active_flags[length - 1:] = probs[:, 1] > probs[:, 0]
         entries["gru_cnn"] = _metrics_entry(active_flags, label_flags, onset)
 
-    # fused = residual decision OR classifier flag; the residual flags are
-    # already false before the warm-up ends (the threshold does not exist
-    # yet), so there only the classifier contributes
-    fused_flags = verdicts.residual_flag | active_flags
+    # the residual flags are already false before the warm-up ends (the
+    # threshold does not exist yet), so there only the classifier contributes
+    fused_flags = fusion.fuse(verdicts.residual_flag, active_flags)
     entries["fused"] = _metrics_entry(fused_flags, label_flags, onset)
 
     # the files are written once the classifier is done, so the cells of the

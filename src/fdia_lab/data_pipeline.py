@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .io_utils import parse_column, parse_labels, parse_ticks, read_csv, write_columns
+from .io_utils import read_csv, write_columns
 
 
 @dataclass
@@ -210,11 +210,8 @@ def write_dataset_csv(ticks, features: dict, labels, path) -> None:
 
 
 def read_dataset_csv(path) -> RawDataset:
-    header, t, *columns = read_csv(path)
+    header, *columns = read_csv(path, empty_is_missing=True)
     if len(header) < 3 or header[0] != "t" or header[-1] != "label":
         raise DataError(f"{path}: dataset header must be t,<feature...>,label, got {header}")
-    parse_ticks(path, t)
-    values = np.column_stack([parse_column(path, cells, name, empty_is_missing=True)
-                              for name, cells in zip(header[1:-1], columns)])
-    return RawDataset(columns=header[1:-1], values=values,
-                      labels=parse_labels(path, columns[-1]))
+    return RawDataset(columns=header[1:-1], values=np.column_stack(columns[1:-1]),
+                      labels=columns[-1])

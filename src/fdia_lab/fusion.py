@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .passive_detect import Thresholds, decide
 
 
@@ -18,13 +20,19 @@ class FusionVerdict:
     t: int
     residual: float      # passive residual metric value at tick t
     active_flag: bool    # classifier verdict
-    fused: bool          # decide(residual) OR active_flag
+    fused: bool          # fuse(decide(residual), active_flag)
+
+
+def fuse(residual_flags, active_flags) -> np.ndarray:
+    """The fusion rule, tick by tick: a tick is attacked when the passive
+    residual decision or the classifier flags it. Takes arrays or single
+    flags alike."""
+    return np.logical_or(residual_flags, active_flags)
 
 
 def combine(residual: float, th: Thresholds, active_flag: bool, t: int = 0) -> FusionVerdict:
-    passive_flag = decide(residual, th)
     return FusionVerdict(t=t, residual=residual, active_flag=bool(active_flag),
-                         fused=passive_flag or bool(active_flag))
+                         fused=bool(fuse(decide(residual, th), active_flag)))
 
 
 def combine_streams(residuals: Sequence[float], th: Thresholds,

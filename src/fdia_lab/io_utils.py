@@ -21,27 +21,31 @@ from .errors import ConfigError, DataError
 REQUIRED = object()  # config_value's default for a key without one
 
 
-def fmt_column(values) -> list[str]:
+class Cells(list):
+    """A column's CSV cells as ``fmt_column`` made them."""
+
+
+def fmt_column(values) -> Cells:
     """Format a 1-D column as CSV cells: bools as 1/0, integers with ``str``,
-    floats with ``repr`` and NaN as the empty cell (= missing); a column of
-    strings passes through unchanged, and a list of str is returned as is.
+    floats with ``repr``, NaN as the empty cell (= missing) and strings as
+    they are; the ``Cells`` it made are returned as is.
 
     Float ``repr`` is the cost floor of every writer, so a stage that writes
     one column into several files formats it once and hands the cells on.
     """
-    if type(values) is list and set(map(type, values)) == {str}:
+    if type(values) is Cells:
         return values
     a = np.asarray(values)
     if a.ndim != 1:
         raise DataError(f"a CSV column must be 1-D, got shape {a.shape}")
     if a.dtype.kind == "U":
-        return a.tolist()
+        return Cells(a.tolist())
     if a.dtype == bool:
-        return ["1" if v else "0" for v in a.tolist()]
+        return Cells(["1" if v else "0" for v in a.tolist()])
     if np.issubdtype(a.dtype, np.integer):
-        return [str(v) for v in a.tolist()]
+        return Cells(map(str, a.tolist()))
     a = a.astype(float, copy=False)
-    cells = [repr(v) for v in a.tolist()]
+    cells = Cells(map(repr, a.tolist()))
     for i in np.flatnonzero(np.isnan(a)).tolist():
         cells[i] = ""
     return cells
@@ -59,11 +63,18 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path, header: Sequence[str] | None = None) -> tuple[list[str], ...]:
-    """The header and then each column of a CSV file, as lists of cells:
-    ``header, *columns = read_csv(path)``. A missing or empty file, a header
-    other than ``header`` (when given), a file without data rows or a row of
-    the wrong width is a DataError naming the file."""
+def read_csv(path, header: Sequence[str] | None = None,
+             empty_is_missing: bool = False) -> tuple:
+    """The header and then each column of a CSV file as an array:
+    ``header, *columns = read_csv(path)``. A ``t`` column holds ticks that run
+    0..n-1 and a ``label`` column 0/1 labels, both int64; every other column
+    holds finite float64 values, and with ``empty_is_missing`` an empty cell
+    there reads as NaN, a missing value.
+
+    A missing or empty file, a header other than ``header`` (when given), a
+    file without data rows, a row of the wrong width or a cell that breaks
+    its column's rule is a DataError naming the file (and the row and column).
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
@@ -73,39 +84,93 @@ def read_csv(path, header: Sequence[str] | None = None) -> tuple[list[str], ...]
     names = lines[0].split(",")
     if header is not None and names != list(header):
         raise DataError(f"{path}: unexpected header {names}, expected {list(header)}")
-    rows = [line.split(",") for line in lines[1:] if line != ""]
-    if not rows:
+    lines = [line for line in lines[1:] if line != ""]
+    if not lines:  # and loadtxt would warn of no data
         raise DataError(f"{path} has a header but no data rows")
+    columns = _read_table(names, lines)
+    if columns is None:
+        columns = _read_cells(path, names, lines, empty_is_missing)
+    return (names, *columns)
+
+
+def _read_table(names: list[str], lines: list[str]) -> list[np.ndarray] | None:
+    """``read_csv``'s columns as numpy's C reader converts them, bit-identical
+    to ``float`` and ``int`` but stricter; None when it refuses a cell or a
+    column breaks its rule, for the cell reader to name the bad cell."""
+    kinds = [np.int64 if name in ("t", "label") else np.float64 for name in names]
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                           dtype=[(f"c{j}", kind) for j, kind in enumerate(kinds)])
+    except ValueError:
+        return None
+    # contiguous copies, as the cell reader makes, that let the table go
+    columns = [table[field].copy() for field in table.dtype.names]
+    del table
+    if any(_breaks_rule(name, column).any() for name, column in zip(names, columns)):
+        return None
+    return columns
+
+
+def _breaks_rule(name: str, column: np.ndarray) -> np.ndarray:
+    """Which values break their column's rule: ticks run 0..n-1, labels are
+    0 or 1, and every other value is finite."""
+    if name == "t":
+        return column != np.arange(len(column))
+    if name == "label":
+        return (column != 0) & (column != 1)
+    return ~np.isfinite(column)
+
+
+def _read_cells(path, names: list[str], lines: list[str],
+                empty_is_missing: bool) -> list[np.ndarray]:
+    """``read_csv``'s columns, parsed cell by cell in Python: the first bad
+    cell raises DataError naming its file, row and column."""
+    rows = [line.split(",") for line in lines]
     for i, row in enumerate(rows):
         if len(row) != len(names):
             raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(names)}")
-    return (names, *([row[i] for row in rows] for i in range(len(names))))
+    columns = []
+    for j, name in enumerate(names):
+        cells = [row[j] for row in rows]
+        if name == "t":
+            columns.append(parse_ticks(path, cells))
+        elif name == "label":
+            columns.append(parse_labels(path, cells))
+        else:
+            columns.append(parse_column(path, cells, name, empty_is_missing=empty_is_missing))
+    return columns
 
 
 def parse_cell(text: str) -> float:
     return math.nan if text == "" else float(text)
 
 
-def _parses(text: str, kind) -> bool:
+def _problem(text: str, convert, kind) -> str | None:
+    """Why ``text`` is not a cell of ``kind`` read by ``convert``, or None."""
     try:
-        kind(text)
+        value = convert(text)
     except ValueError:
-        return False
-    return True
+        return "is empty" if text == "" else f"is not a number: {text!r}"
+    try:
+        np.array(value, dtype=kind)
+    except OverflowError:
+        return f"is beyond the int64 range: {text!r}"
+    return None
 
 
 def parse_column(path, cells: Sequence[str], name: str, kind=float,
                  empty_is_missing: bool = False) -> np.ndarray:
     """The cells of column ``name`` as a finite array of ``kind``; an empty,
-    unparsable or non-finite cell raises DataError naming the file, the row
-    (1-based, counting data rows) and the column. With ``empty_is_missing``
-    (float columns only) an empty cell reads as NaN, a missing value."""
+    unparsable, out-of-range or non-finite cell raises DataError naming the
+    file, the row (1-based, counting data rows) and the column. With
+    ``empty_is_missing`` (float columns only) an empty cell reads as NaN, a
+    missing value."""
     convert = parse_cell if empty_is_missing else kind
     try:
         values = np.array([convert(c) for c in cells], dtype=kind)
-    except ValueError:
-        bad = next(i for i, c in enumerate(cells) if not _parses(c, convert))
-        problem = "is empty" if cells[bad] == "" else f"is not a number: {cells[bad]!r}"
+    except (ValueError, OverflowError):
+        bad, problem = next((i, problem) for i, c in enumerate(cells)
+                            if (problem := _problem(c, convert, kind)))
     else:
         nonfinite = np.flatnonzero(~np.isfinite(values)).tolist()
         if empty_is_missing:
@@ -121,7 +186,7 @@ def parse_ticks(path, cells: Sequence[str]) -> np.ndarray:
     """The ``t`` column, which must run 0..n-1: windows slide over
     consecutive rows, and a tick sets the filter's observation phase."""
     ticks = parse_column(path, cells, "t", int)
-    if len(off := np.flatnonzero(ticks != np.arange(len(ticks)))):
+    if len(off := np.flatnonzero(_breaks_rule("t", ticks))):
         raise DataError(f"{path}: row {off[0] + 1} has tick {ticks[off[0]]}, expected "
                         f"{off[0]}; ticks run 0..n-1")
     return ticks
@@ -130,7 +195,7 @@ def parse_ticks(path, cells: Sequence[str]) -> np.ndarray:
 def parse_labels(path, cells: Sequence[str]) -> np.ndarray:
     """The ``label`` column, each cell 0 (benign) or 1 (attacked)."""
     labels = parse_column(path, cells, "label", int)
-    if len(bad := np.flatnonzero((labels != 0) & (labels != 1))):
+    if len(bad := np.flatnonzero(_breaks_rule("label", labels))):
         raise DataError(f"{path}: row {bad[0] + 1}, column 'label' is not 0 or 1: "
                         f"{cells[bad[0]]!r}")
     return labels

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .io_utils import parse_column, parse_labels, parse_ticks, read_csv, write_columns
+from .io_utils import read_csv, write_columns
 from .numerics import Matrix
 
 
@@ -108,9 +108,7 @@ def write_trace_csv(ticks, states: np.ndarray, z, path) -> None:
 
 
 def read_trace_csv(path) -> Trace:
-    _, t, *cells = read_csv(path, TRACE_HEADER)
-    ticks = parse_ticks(path, t)
-    x1, x2, z = (parse_column(path, c, name) for name, c in zip(TRACE_HEADER[1:], cells))
+    _, ticks, x1, x2, z = read_csv(path, TRACE_HEADER)
     return Trace(ticks=ticks, states=np.column_stack([x1, x2]), z=z)
 
 
@@ -120,5 +118,5 @@ def write_labels_csv(ticks, labels, path) -> None:
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    _, t, label = read_csv(path, LABELS_HEADER)
-    return parse_ticks(path, t), parse_labels(path, label)
+    _, ticks, labels = read_csv(path, LABELS_HEADER)
+    return ticks, labels

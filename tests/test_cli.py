@@ -361,6 +361,25 @@ def test_detect_bad_trace_cell_is_data_error(tmp_path, capsys, cell):
     assert "trace.csv: row 42, column 'z'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,column", [("trace.csv", 0), ("labels.csv", 0),
+                                         ("labels.csv", 1)])
+def test_detect_integer_cell_beyond_int64_is_data_error(tmp_path, capsys, name, column):
+    cfg_path, out = write_config(tmp_path, out_name="int64")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    lines = (out / name).read_text().splitlines()
+    cells = lines[42].split(",")
+    cells[column] = "99999999999999999999"
+    lines[42] = ",".join(cells)
+    (out / name).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
+    err = capsys.readouterr().err
+    header = lines[0].split(",")
+    assert (f"{out / name}: row 42, column '{header[column]}' is beyond the int64 range: "
+            "'99999999999999999999'") in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("column,cell,problem", [
     (0, "abc", "column 't' is not a number: 'abc'"),
     (0, "", "column 't' is empty"),
@@ -371,6 +390,9 @@ def test_detect_bad_trace_cell_is_data_error(tmp_path, capsys, cell):
     (1, "abc", "column 'z' is not a number: 'abc'"),
     (1, "inf", "column 'z' is not finite: 'inf'"),
     (1, "-inf", "column 'z' is not finite: '-inf'"),
+    (0, "99999999999999999999", "column 't' is beyond the int64 range: '99999999999999999999'"),
+    (2, "-99999999999999999999",
+     "column 'label' is beyond the int64 range: '-99999999999999999999'"),
 ])
 def test_train_bad_dataset_cell_is_data_error(tmp_path, capsys, column, cell, problem):
     cfg_path, out = write_config(tmp_path, out_name="baddata")
@@ -751,6 +773,22 @@ def test_diverging_training_is_numerical_error_and_saves_no_checkpoint(tmp_path,
     assert not (out / "checkpoint.json").exists()
 
 
+def test_failed_train_leaves_no_earlier_network(tmp_path, capsys):
+    cfg_path, out = run_to_report(tmp_path, "retrain")
+    assert "gru_cnn_holdout" in json.loads((out / "metrics.json").read_text())
+    network = dict(BASE_CONFIG["network"], train=dict(BASE_CONFIG["network"]["train"],
+                                                      lr=1e308))
+    diverge_path, _ = write_config(tmp_path, out_name="retrain", network=network)
+    assert main(["train", "--config", str(diverge_path), "--epochs", "1"]) == 4
+    assert not (out / "checkpoint.json").exists() and not (out / "history.csv").exists()
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert "gru_cnn_holdout" not in metrics and "improved_akf" in metrics
+    capsys.readouterr()
+    assert main(["detect", "--config", str(diverge_path)]) == 3
+    assert (f"missing network checkpoint {out / 'checkpoint.json'}; train first"
+            in capsys.readouterr().err)
+
+
 def test_report_reads_only_metrics_json(tmp_path, capsys):
     cfg_path, out = run_to_report(tmp_path, "full")
     capsys.readouterr()
@@ -771,7 +809,9 @@ def test_plot_series_joins_the_verdict_columns(tmp_path):
                ("verdicts_passive.csv", "residual_r"), ("verdicts_passive.csv", "flag"),
                ("verdicts_active.csv", "p_attack"), ("verdicts_active.csv", "flag"),
                ("verdicts_fused.csv", "flag_fused")]
-    header, *columns = io_utils.read_csv(out / "plot_series.csv", cli.PLOT_HEADER)
+    header, *columns = io_utils.read_csv(out / "plot_series.csv", cli.PLOT_HEADER,
+                                         empty_is_missing=True)
     assert len(columns[0]) == BASE_CONFIG["signal"]["n"]
-    for name, column, (source, source_name) in zip(header, columns, sources, strict=True):
-        assert column == csv_column(out / source, source_name), name
+    for name, (source, source_name) in zip(header, sources, strict=True):
+        assert (csv_column(out / "plot_series.csv", name)
+                == csv_column(out / source, source_name)), name

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdia_lab.evaluation import confusion, metrics
-from fdia_lab.fusion import combine, combine_streams
+from fdia_lab.fusion import combine, combine_streams, fuse
 from fdia_lab.passive_detect import Thresholds
 
 TH = Thresholds(sigma=1.0, k=3.0)  # limit = 3.0
@@ -71,3 +71,12 @@ def test_combine_streams_assigns_ticks():
     assert [v.t for v in verdicts] == [10, 11]
     assert [v.fused for v in verdicts] == [False, True]
 
+
+
+def test_fuse_is_the_rule_for_arrays_and_single_flags():
+    residual = np.array([False, False, True, True])
+    active = np.array([False, True, False, True])
+    np.testing.assert_array_equal(fuse(residual, active), [False, True, True, True])
+    for r, a in zip(residual.tolist(), active.tolist()):
+        assert fuse(r, a) == (r or a)
+        assert combine(3.0 if r else 1.0, TH, a).fused is (r or a)

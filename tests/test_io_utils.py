@@ -1,11 +1,19 @@
 import math
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdia_lab import io_utils
 from fdia_lab.errors import DataError
-from fdia_lab.io_utils import parse_column, parse_labels, parse_ticks, read_csv, write_columns
+from fdia_lab.io_utils import (fmt_column, parse_column, parse_labels, parse_ticks, read_csv,
+                               write_columns)
+from fdia_lab.signal_model import LABELS_HEADER, TRACE_HEADER
 
 HEADER = ["t", "value", "flag", "count"]
 
@@ -63,6 +71,13 @@ def test_column_writer_empty_table(tmp_path):
     assert by_rows == by_columns == b"t,value,flag,count\n"
 
 
+def test_column_writer_returns_its_own_cells_as_they_are():
+    cells = fmt_column(np.array([0.5, np.nan]))
+    assert cells == ["0.5", ""] and fmt_column(cells) is cells
+    strings = ["1", "2"]  # not made by fmt_column: formatted again, to equal cells
+    assert fmt_column(strings) == strings and fmt_column(strings) is not strings
+
+
 def test_column_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(DataError):
         write_columns(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
@@ -82,6 +97,15 @@ def test_parse_column_values_and_errors():
         parse_column("f.csv", ["inf", "1"], "z")
 
 
+def test_parse_column_names_an_integer_beyond_int64():
+    for cell in ("9223372036854775808", "-99999999999999999999"):
+        with pytest.raises(DataError, match=re.escape(
+                f"f.csv: row 2, column 't' is beyond the int64 range: {cell!r}")):
+            parse_column("f.csv", ["0", cell, "x"], "t", int)
+    assert parse_column("f.csv", ["9223372036854775807"], "t", int)[0] == 2**63 - 1
+    assert parse_column("f.csv", ["99999999999999999999"], "z")[0] == 1e20
+
+
 def test_parse_column_empty_is_missing():
     cells = ["1.5", "", "-2"]
     values = parse_column("f.csv", cells, "x", empty_is_missing=True)
@@ -98,8 +122,13 @@ def test_parse_column_empty_is_missing():
 def test_read_csv_returns_the_header_and_the_columns(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("t,z,label\n0,0.5,0\n1,,1\n")
-    assert read_csv(path) == (["t", "z", "label"], ["0", "1"], ["0.5", ""], ["0", "1"])
-    assert read_csv(path, ["t", "z", "label"]) == read_csv(path)
+    header, t, z, label = read_csv(path, empty_is_missing=True)
+    assert header == ["t", "z", "label"]
+    assert t.dtype == label.dtype == np.int64 and z.dtype == np.float64
+    assert t.tolist() == [0, 1] and label.tolist() == [0, 1]
+    assert z[0] == 0.5 and math.isnan(z[1])
+    with pytest.raises(DataError, match=re.escape(f"{path}: row 2, column 'z' is empty")):
+        read_csv(path, ["t", "z", "label"])
     with pytest.raises(DataError, match=re.escape(
             f"{path}: unexpected header ['t', 'z', 'label'], expected ['t', 'label', 'z']")):
         read_csv(path, ["t", "label", "z"])
@@ -112,3 +141,119 @@ def test_tick_and_label_rules():
         parse_ticks("f.csv", ["0", "2", "1"])
     with pytest.raises(DataError, match="f.csv: row 3, column 'label' is not 0 or 1: '-1'"):
         parse_labels("f.csv", ["0", "1", "-1"])
+
+
+# --- numpy's C reader against the cell reader ------------------------------------
+
+FLOAT_FORMATS = (repr, "%.17g".__mod__, "%.25e".__mod__)
+BIG = "99999999999999999999"  # beyond int64
+RAGGED, TRAILING_COMMA, BLANK_LINE = "<ragged row>", "<trailing comma>", "<whitespace line>"
+CORRUPTIONS = ("", "-1", "nan", "inf", "1e400", "1_0", "0x10", "\uff12", BIG,
+               RAGGED, TRAILING_COMMA, BLANK_LINE)
+
+
+@st.composite
+def csv_files(draw, plain=False):
+    """A well-formed trace, labels or dataset file: its header, data rows
+    (lists of cells) and whether an empty cell is a missing value. Unless
+    ``plain``, cells come space-padded and ``+``-signed at random."""
+    kind = draw(st.sampled_from(["trace", "labels", "dataset"]))
+    header = {"trace": TRACE_HEADER, "labels": LABELS_HEADER,
+              "dataset": ["t", *(f"f{i}" for i in range(draw(st.integers(1, 3)))),
+                          "label"]}[kind]
+    rows = []
+    for tick in range(draw(st.integers(1, 12))):
+        row = []
+        for name in header:
+            if name == "t":
+                cell = str(tick)
+            elif name == "label":
+                cell = str(draw(st.integers(0, 1)))
+            else:
+                value = draw(st.floats(allow_nan=False, allow_infinity=False))
+                cell = draw(st.sampled_from(FLOAT_FORMATS))(value)
+            if not plain:
+                if not cell.startswith("-") and draw(st.booleans()):
+                    cell = "+" + cell
+                cell = (draw(st.sampled_from(["", " ", "\t", "  "])) + cell
+                        + draw(st.sampled_from(["", " ", "\t"])))
+            row.append(cell)
+        rows.append(row)
+    return header, rows, kind == "dataset"
+
+
+def write_csv_text(path, header, rows, blank_after=(), newline="\n"):
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        lines.append(row if isinstance(row, str) else ",".join(row))
+        lines.extend([""] * (i in blank_after))
+    path.write_text(newline.join(lines) + newline, newline="")
+
+
+def cell_reader(path, empty_is_missing):
+    """``read_csv`` with the cell reader only, as read_csv gives it the lines."""
+    names, *lines = path.read_text().splitlines()
+    names = names.split(",")
+    lines = [line for line in lines if line != ""]
+    return (names, *io_utils._read_cells(path, names, lines, empty_is_missing))
+
+
+def outcome(read, *args):
+    """The columns' dtypes and bytes, or the DataError message."""
+    try:
+        header, *columns = read(*args)
+    except DataError as exc:
+        return str(exc)
+    return header, [(c.dtype.str, c.tobytes()) for c in columns]
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_files(), st.sets(st.integers(0, 11)), st.sampled_from(["\n", "\r\n"]))
+def test_c_reader_reads_well_formed_files_bit_identically(file, blank_after, newline):
+    header, rows, empty_is_missing = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        write_csv_text(path, header, rows, blank_after, newline)
+        lines = [",".join(row) for row in rows]
+        assert io_utils._read_table(header, lines) is not None  # no fallback
+        read = outcome(read_csv, path, header, empty_is_missing)
+        assert read == outcome(cell_reader, path, empty_is_missing)
+        assert isinstance(read, tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files(plain=True), st.sampled_from(CORRUPTIONS), st.data())
+def test_a_corrupt_cell_gives_the_cell_readers_outcome(file, corruption, data):
+    header, rows, empty_is_missing = file
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(header) - 1))
+    name = header[j]
+    if corruption == RAGGED:
+        rows[i] = rows[i][:-1]  # every header has two names or more
+    elif corruption == TRAILING_COMMA:
+        rows[i] = ",".join(rows[i]) + ","
+    elif corruption == BLANK_LINE:
+        rows[i] = data.draw(st.sampled_from([" ", "\t", "  "]))
+    else:
+        rows[i][j] = corruption
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        write_csv_text(path, header, rows)
+        read = outcome(read_csv, path, header, empty_is_missing)
+        assert read == outcome(cell_reader, path, empty_is_missing)
+    # the cases no reader may accept
+    integer = name in ("t", "label")
+    bad = (corruption in ("nan", "inf", "1e400", "0x10", RAGGED, TRAILING_COMMA, BLANK_LINE)
+           or (corruption in (BIG, "-1") and integer)
+           or (corruption == "" and (integer or not empty_is_missing)))
+    if bad:
+        assert isinstance(read, str) and read.startswith(f"{path}: row {i + 1}")
+
+
+def test_header_only_file_never_reaches_numpy(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("t,z,label\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns of a file with no data
+        with pytest.raises(DataError, match=re.escape(f"{path} has a header but no data rows")):
+            read_csv(path)

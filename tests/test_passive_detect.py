@@ -160,6 +160,22 @@ def test_evaluate_stream_matches_per_tick_decisions():
                                      or decide(v.residual_r, resid_th)))
 
 
+def test_stream_limits_are_inclusive_and_armed_from_is_armed():
+    trace, outputs, obs = run_filtered_trace(300, seed=4)
+    off = Thresholds(sigma=1e300)
+    values = evaluate_stream(outputs, trace.z, obs, off, off)
+    i = 150
+    # k = 1 makes each limit exactly the channel's value at tick i
+    at_d = Thresholds(sigma=values.euclidean_d[i], k=1.0)
+    at_r = Thresholds(sigma=values.residual_r[i], k=1.0)
+    by_d = evaluate_stream(outputs, trace.z, obs, at_d, off, armed_from=i)
+    assert by_d.flag[i] and not by_d.residual_flag[i]
+    by_r = evaluate_stream(outputs, trace.z, obs, off, at_r, armed_from=i)
+    assert by_r.residual_flag[i] and by_r.flag[i]
+    for verdicts in (by_d, by_r):
+        assert not verdicts.flag[:i].any() and not verdicts.residual_flag[:i].any()
+
+
 def test_step_list_and_filter_run_give_equal_verdicts():
     trace, outputs, obs = run_filtered_trace(800, seed=2)
     rows = observation_rows(trace.ticks, 2 * np.pi / 20)
