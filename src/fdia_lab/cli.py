@@ -368,8 +368,6 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
 def cmd_report(run_dir) -> int:
     path = Path(run_dir) / "metrics.json"
     metrics_obj = read_json(path)
-    if not isinstance(metrics_obj, dict):
-        raise DataError(f"{path}: the root must be a JSON object")
     absent = [key for key in VARIANT_KEYS if key not in metrics_obj]
     if absent:
         raise DataError(

@@ -6,8 +6,9 @@ stratified splitting, and sliding-window extraction.
 
 Dataset CSV schema: header ``t,<feature...>,label`` with an empty feature
 cell meaning a missing value; the label column is required, and the tick
-column is checked but not kept. Any other unparsable or non-finite cell is
-a DataError naming its file, row and column.
+column is checked but not kept. Any other cell that numpy's reader refuses
+(``1_0`` and ``\uff12`` among them) or whose value is not finite is a
+DataError naming its file, row and column.
 """
 
 from __future__ import annotations

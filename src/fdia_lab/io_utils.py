@@ -1,9 +1,9 @@
 """CSV/JSON helpers shared by the module-level exporters, and the typed
 reading of config values.
 
-All writers are byte-deterministic: floats are serialized with ``repr``
-(shortest round-trip form), JSON keys are sorted, and no timestamps are
-emitted anywhere.
+Writers are byte-deterministic: floats are written with ``repr`` (shortest
+round-trip form), JSON keys are sorted, and no timestamps are emitted.
+``read_csv``'s one ``np.loadtxt`` call converts every CSV cell to a value.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -69,11 +70,11 @@ def read_csv(path, header: Sequence[str] | None = None,
     ``header, *columns = read_csv(path)``. A ``t`` column holds ticks that run
     0..n-1 and a ``label`` column 0/1 labels, both int64; every other column
     holds finite float64 values, and with ``empty_is_missing`` an empty cell
-    there reads as NaN, a missing value.
-
+    there reads as NaN, a missing value. numpy's C reader converts the cells.
     A missing or empty file, a header other than ``header`` (when given), a
-    file without data rows, a row of the wrong width or a cell that breaks
-    its column's rule is a DataError naming the file (and the row and column).
+    file without data rows, a row of the wrong width, or a cell that numpy
+    refuses or whose value breaks its column's rule is a DataError naming the
+    file (and the row and column).
     """
     path = Path(path)
     if not path.exists():
@@ -87,132 +88,86 @@ def read_csv(path, header: Sequence[str] | None = None,
     lines = [line for line in lines[1:] if line != ""]
     if not lines:  # and loadtxt would warn of no data
         raise DataError(f"{path} has a header but no data rows")
-    columns = _read_table(names, lines)
-    if columns is None:
-        columns = _read_cells(path, names, lines, empty_is_missing)
+    kinds = [np.int64 if name in ("t", "label") else np.float64 for name in names]
+    text = lines
+    # with each line wrapped in commas, an empty cell shows as ",,"
+    if empty_is_missing and ",," in "," + ",\n,".join(lines) + ",":
+        text = [",".join(cell or "nan" for cell in line.split(",")) for line in lines]
+    table = _load(text, kinds)
+    if table is None:
+        _locate(path, names, kinds, lines, text)
+        raise DataError(f"{path}: numpy's reader refused it")  # _locate raises first
+    # contiguous copies that let the table go
+    columns = [table[field].copy() for field in table.dtype.names]
+    del table
+    for j, column in enumerate(columns):
+        _check_rule(path, names[j], j, column, lines)
     return (names, *columns)
 
 
-def _read_table(names: list[str], lines: list[str]) -> list[np.ndarray] | None:
-    """``read_csv``'s columns as numpy's C reader converts them, bit-identical
-    to ``float`` and ``int`` but stricter; None when it refuses a cell or a
-    column breaks its rule, for the cell reader to name the bad cell."""
-    kinds = [np.int64 if name in ("t", "label") else np.float64 for name in names]
+def _load(lines: list[str], kinds: list, usecols: list[int] | None = None):
+    """numpy's C reader, the one conversion of CSV cells to values: a field
+    ``c<j>`` of ``kinds[j]`` per column read, or None if it refuses a cell."""
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
-                           dtype=[(f"c{j}", kind) for j, kind in enumerate(kinds)])
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, usecols=usecols,
+                          dtype=[(f"c{j}", kind) for j, kind in enumerate(kinds)])
     except ValueError:
         return None
-    # contiguous copies, as the cell reader makes, that let the table go
-    columns = [table[field].copy() for field in table.dtype.names]
-    del table
-    if any(_breaks_rule(name, column).any() for name, column in zip(names, columns)):
-        return None
-    return columns
 
 
-def _breaks_rule(name: str, column: np.ndarray) -> np.ndarray:
-    """Which values break their column's rule: ticks run 0..n-1, labels are
-    0 or 1, and every other value is finite."""
-    if name == "t":
-        return column != np.arange(len(column))
-    if name == "label":
-        return (column != 0) & (column != 1)
-    return ~np.isfinite(column)
-
-
-def _read_cells(path, names: list[str], lines: list[str],
-                empty_is_missing: bool) -> list[np.ndarray]:
-    """``read_csv``'s columns, parsed cell by cell in Python: the first bad
-    cell raises DataError naming its file, row and column."""
-    rows = [line.split(",") for line in lines]
-    for i, row in enumerate(rows):
-        if len(row) != len(names):
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(names)}")
-    columns = []
-    for j, name in enumerate(names):
-        cells = [row[j] for row in rows]
+def _check_rule(path, name: str, j: int, column: np.ndarray, lines: list[str]) -> None:
+    """Raise the DataError for the first value of column ``j`` that breaks its
+    rule, from its index and its cell in ``lines``: ticks run 0..n-1, labels
+    are 0 or 1, and every other value is finite or is NaN from an empty cell
+    (which numpy reads only as ``empty_is_missing`` rewrites it)."""
+    breaks = (column != np.arange(len(column)) if name == "t" else
+              (column != 0) & (column != 1) if name == "label" else ~np.isfinite(column))
+    for i in np.flatnonzero(breaks).tolist():
+        cell = lines[i].split(",")[j]
         if name == "t":
-            columns.append(parse_ticks(path, cells))
-        elif name == "label":
-            columns.append(parse_labels(path, cells))
-        else:
-            columns.append(parse_column(path, cells, name, empty_is_missing=empty_is_missing))
-    return columns
+            raise DataError(f"{path}: row {i + 1} has tick {column[i]}, expected {i}; "
+                            "ticks run 0..n-1")
+        if name == "label":
+            raise DataError(f"{path}: row {i + 1}, column 'label' is not 0 or 1: {cell!r}")
+        if cell != "":
+            raise DataError(f"{path}: row {i + 1}, column '{name}' is not finite: {cell!r}")
 
 
-def parse_cell(text: str) -> float:
-    return math.nan if text == "" else float(text)
-
-
-def _problem(text: str, convert, kind) -> str | None:
-    """Why ``text`` is not a cell of ``kind`` read by ``convert``, or None."""
-    try:
-        value = convert(text)
-    except ValueError:
-        return "is empty" if text == "" else f"is not a number: {text!r}"
-    try:
-        np.array(value, dtype=kind)
-    except OverflowError:
-        return f"is beyond the int64 range: {text!r}"
-    return None
-
-
-def parse_column(path, cells: Sequence[str], name: str, kind=float,
-                 empty_is_missing: bool = False) -> np.ndarray:
-    """The cells of column ``name`` as a finite array of ``kind``; an empty,
-    unparsable, out-of-range or non-finite cell raises DataError naming the
-    file, the row (1-based, counting data rows) and the column. With
-    ``empty_is_missing`` (float columns only) an empty cell reads as NaN, a
-    missing value."""
-    convert = parse_cell if empty_is_missing else kind
-    try:
-        values = np.array([convert(c) for c in cells], dtype=kind)
-    except (ValueError, OverflowError):
-        bad, problem = next((i, problem) for i, c in enumerate(cells)
-                            if (problem := _problem(c, convert, kind)))
-    else:
-        nonfinite = np.flatnonzero(~np.isfinite(values)).tolist()
-        if empty_is_missing:
-            nonfinite = [i for i in nonfinite if cells[i] != ""]
-        if not nonfinite:
-            return values
-        bad = nonfinite[0]
-        problem = f"is not finite: {cells[bad]!r}"
-    raise DataError(f"{path}: row {bad + 1}, column '{name}' {problem}")
-
-
-def parse_ticks(path, cells: Sequence[str]) -> np.ndarray:
-    """The ``t`` column, which must run 0..n-1: windows slide over
-    consecutive rows, and a tick sets the filter's observation phase."""
-    ticks = parse_column(path, cells, "t", int)
-    if len(off := np.flatnonzero(_breaks_rule("t", ticks))):
-        raise DataError(f"{path}: row {off[0] + 1} has tick {ticks[off[0]]}, expected "
-                        f"{off[0]}; ticks run 0..n-1")
-    return ticks
-
-
-def parse_labels(path, cells: Sequence[str]) -> np.ndarray:
-    """The ``label`` column, each cell 0 (benign) or 1 (attacked)."""
-    labels = parse_column(path, cells, "label", int)
-    if len(bad := np.flatnonzero(_breaks_rule("label", labels))):
-        raise DataError(f"{path}: row {bad[0] + 1}, column 'label' is not 0 or 1: "
-                        f"{cells[bad[0]]!r}")
-    return labels
+def _locate(path, names: list[str], kinds: list, lines: list[str], text: list[str]) -> None:
+    """Raise the DataError naming what numpy refused in ``text``, the data
+    ``lines`` as it read them: the first row of the wrong width or else,
+    column by column, the first cell it refuses or value that breaks a rule."""
+    for i, line in enumerate(lines):
+        if (width := line.count(",") + 1) != len(names):
+            raise DataError(f"{path}: row {i + 1} has {width} cells, expected {len(names)}")
+    for j, (name, kind) in enumerate(zip(names, kinds)):
+        column = _load(text, [kind], [j])
+        if column is None:
+            i = next(i for i, line in enumerate(text) if _load([line], [kind], [j]) is None)
+            cell = lines[i].split(",")[j]
+            integer = kind is np.int64 and re.fullmatch(r"\s*[+-]?[0-9]+\s*", cell)
+            problem = ("is empty" if cell == "" else f"is beyond the int64 range: {cell!r}"
+                       if integer else f"is not a number: {cell!r}")
+            raise DataError(f"{path}: row {i + 1}, column '{name}' {problem}")
+        _check_rule(path, name, j, column["c0"], lines)
 
 
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path):
+def read_json(path) -> dict:
+    """The JSON object in ``path``: every JSON file here has an object root."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
     try:
-        return json.loads(path.read_text())
+        obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: the root must be a JSON object")
+    return obj
 
 
 def finite_number(value) -> bool:

@@ -274,7 +274,7 @@ def load_checkpoint(path) -> tuple[Network, Standardizer]:
     is checked: a missing, unknown, mistyped or misshapen one raises a
     DataError naming the file."""
     obj = read_json(path)
-    if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
+    if obj.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a checkpoint file: {path}")
     if obj.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {obj.get('version')}")

@@ -229,6 +229,21 @@ def test_report_on_metrics_that_are_not_an_object_is_data_error(tmp_path, capsys
     assert "Traceback" not in err and "--passive-only" not in err
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "metrics.json"])
+def test_stage_on_json_artifact_that_is_not_an_object_is_data_error(tmp_path, capsys, name):
+    cfg_path, out = write_config(tmp_path, out_name="notobject")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    (out / name).write_text("[1, 2]\n")
+    for stage, *flags in (["simulate"], ["train", "--epochs", "0"], ["detect", "--passive-only"]):
+        if stage == "simulate" and name == "metrics.json":
+            continue  # simulate does not touch metrics.json
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path), *flags]) == 3, stage
+        err = capsys.readouterr().err
+        assert f"{out / name}: the root must be a JSON object" in err and "Traceback" not in err
+        assert (out / name).read_text() == "[1, 2]\n"
+
+
 def test_train_epochs_override_and_determinism(tmp_path):
     cfg_path, out = write_config(tmp_path, out_name="t1")
     assert main(["simulate", "--config", str(cfg_path)]) == 0

@@ -9,10 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdia_lab import io_utils
 from fdia_lab.errors import DataError
-from fdia_lab.io_utils import (fmt_column, parse_column, parse_labels, parse_ticks, read_csv,
-                               write_columns)
+from fdia_lab.io_utils import fmt_column, read_csv, write_columns
 from fdia_lab.signal_model import LABELS_HEADER, TRACE_HEADER
 
 HEADER = ["t", "value", "flag", "count"]
@@ -87,36 +85,59 @@ def test_column_writer_rejects_ragged_columns(tmp_path):
         write_columns(tmp_path / "x.csv", ["a"], [np.zeros((3, 2))])
 
 
-def test_parse_column_values_and_errors():
-    t, z = ["0", "1", "2"], ["1.5", "-2e-3", "7"]
-    np.testing.assert_array_equal(parse_column("f.csv", t, "t", int), [0, 1, 2])
-    np.testing.assert_array_equal(parse_column("f.csv", z, "z"), [1.5, -2e-3, 7.0])
-    with pytest.raises(DataError, match="f.csv: row 2, column 't' is not a number: '1.0'"):
-        parse_column("f.csv", ["0", "1.0"], "t", int)
-    with pytest.raises(DataError, match="f.csv: row 1, column 'z' is not finite: 'inf'"):
-        parse_column("f.csv", ["inf", "1"], "z")
+def read_text(tmp_path, text, header=None, empty_is_missing=False):
+    """``read_csv`` on a file holding ``text``."""
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    return read_csv(path, header, empty_is_missing)
 
 
-def test_parse_column_names_an_integer_beyond_int64():
+def raises_data_error(tmp_path, message):
+    """A ``pytest.raises`` for the DataError ``message`` about f.csv."""
+    return pytest.raises(DataError, match=re.escape(f"{tmp_path / 'f.csv'}: {message}"))
+
+
+def test_read_csv_values_and_errors(tmp_path):
+    _, t, z = read_text(tmp_path, "t,z\n0,1.5\n1,-2e-3\n2,7\n")
+    np.testing.assert_array_equal(t, [0, 1, 2])
+    np.testing.assert_array_equal(z, [1.5, -2e-3, 7.0])
+    with raises_data_error(tmp_path, "row 2, column 't' is not a number: '1.0'"):
+        read_text(tmp_path, "t,z\n0,1\n1.0,2\n")
+    with raises_data_error(tmp_path, "row 1, column 'z' is not finite: 'inf'"):
+        read_text(tmp_path, "t,z\n0,inf\n1,1\n")
+    # float() and int() take these, numpy's reader does not
+    for cell in ("1_0", "\uff12"):
+        for text, name in ((f"t,z\n0,{cell}\n", "z"), (f"t,z\n{cell},1\n", "t")):
+            with raises_data_error(tmp_path, f"row 1, column '{name}' is not a number: {cell!r}"):
+                read_text(tmp_path, text)
+
+
+def test_read_csv_names_an_integer_beyond_int64(tmp_path):
     for cell in ("9223372036854775808", "-99999999999999999999"):
-        with pytest.raises(DataError, match=re.escape(
-                f"f.csv: row 2, column 't' is beyond the int64 range: {cell!r}")):
-            parse_column("f.csv", ["0", cell, "x"], "t", int)
-    assert parse_column("f.csv", ["9223372036854775807"], "t", int)[0] == 2**63 - 1
-    assert parse_column("f.csv", ["99999999999999999999"], "z")[0] == 1e20
+        with raises_data_error(tmp_path, f"row 2, column 't' is beyond the int64 range: {cell!r}"):
+            read_text(tmp_path, f"t,z\n0,1\n{cell},1\nx,1\n")
+    # the largest int64 is read, and then breaks the tick rule
+    with raises_data_error(tmp_path, "row 1 has tick 9223372036854775807, expected 0"):
+        read_text(tmp_path, "t,z\n9223372036854775807,1\n")
+    assert read_text(tmp_path, "t,z\n0,99999999999999999999\n")[2][0] == 1e20
 
 
-def test_parse_column_empty_is_missing():
-    cells = ["1.5", "", "-2"]
-    values = parse_column("f.csv", cells, "x", empty_is_missing=True)
-    np.testing.assert_array_equal(np.isnan(values), [False, True, False])
-    assert values[0] == 1.5 and values[2] == -2.0
-    with pytest.raises(DataError, match="f.csv: row 2, column 'x' is empty"):
-        parse_column("f.csv", cells, "x")
+def test_read_csv_empty_is_missing(tmp_path):
+    _, _, x = read_text(tmp_path, "t,x\n0,1.5\n1,\n2,-2\n", empty_is_missing=True)
+    np.testing.assert_array_equal(np.isnan(x), [False, True, False])
+    assert x[0] == 1.5 and x[2] == -2.0
+    with raises_data_error(tmp_path, "row 2, column 'x' is empty"):
+        read_text(tmp_path, "t,x\n0,1.5\n1,\n2,-2\n")
     for cell, problem in (("abc", "is not a number: 'abc'"), ("-inf", "is not finite: '-inf'"),
                           ("nan", "is not finite: 'nan'")):
-        with pytest.raises(DataError, match=f"f.csv: row 3, column 'x' {problem}"):
-            parse_column("f.csv", ["1", "", cell], "x", empty_is_missing=True)
+        with raises_data_error(tmp_path, f"row 3, column 'x' {problem}"):
+            read_text(tmp_path, f"t,x\n0,1\n1,\n2,{cell}\n", empty_is_missing=True)
+    with raises_data_error(tmp_path, "row 1, column 'x' is not finite: 'nan'"):
+        read_text(tmp_path, "t,x\n0,nan\n1,2\n", empty_is_missing=True)
+    # only a float column reads an empty cell as missing
+    for text, name in (("t,x\n,1\n", "t"), ("t,x,label\n0,,\n", "label")):
+        with raises_data_error(tmp_path, f"row 1, column '{name}' is empty"):
+            read_text(tmp_path, text, empty_is_missing=True)
 
 
 def test_read_csv_returns_the_header_and_the_columns(tmp_path):
@@ -134,16 +155,33 @@ def test_read_csv_returns_the_header_and_the_columns(tmp_path):
         read_csv(path, ["t", "label", "z"])
 
 
-def test_tick_and_label_rules():
-    np.testing.assert_array_equal(parse_ticks("f.csv", ["0", "1", "2"]), [0, 1, 2])
-    np.testing.assert_array_equal(parse_labels("f.csv", ["0", "1", "1"]), [0, 1, 1])
-    with pytest.raises(DataError, match=r"f.csv: row 2 has tick 2, expected 1; ticks run 0..n-1"):
-        parse_ticks("f.csv", ["0", "2", "1"])
-    with pytest.raises(DataError, match="f.csv: row 3, column 'label' is not 0 or 1: '-1'"):
-        parse_labels("f.csv", ["0", "1", "-1"])
+def test_tick_and_label_rules(tmp_path):
+    _, t, label = read_text(tmp_path, "t,label\n0,0\n1,1\n2,1\n")
+    np.testing.assert_array_equal(t, [0, 1, 2])
+    np.testing.assert_array_equal(label, [0, 1, 1])
+    with raises_data_error(tmp_path, "row 2 has tick 2, expected 1; ticks run 0..n-1"):
+        read_text(tmp_path, "t,label\n0,0\n2,1\n1,1\n")
+    with raises_data_error(tmp_path, "row 3, column 'label' is not 0 or 1: '-1'"):
+        read_text(tmp_path, "t,label\n0,0\n1,1\n2,-1\n")
 
 
-# --- numpy's C reader against the cell reader ------------------------------------
+def test_row_of_the_wrong_width_is_named(tmp_path):
+    for row, width in (("1,0.5", 2), ("1,0.5,0,", 4), (" ", 1)):
+        with raises_data_error(tmp_path, f"row 2 has {width} cells, expected 3"):
+            read_text(tmp_path, f"t,z,label\n0,abc,0\n{row}\n")
+
+
+def test_columns_are_checked_in_order(tmp_path):
+    # a later column's refused cell in an earlier row waits for the rule of 't'
+    with raises_data_error(tmp_path, "row 2 has tick 5, expected 1"):
+        read_text(tmp_path, "t,z\n0,abc\n5,1\n")
+    with raises_data_error(tmp_path, "row 2, column 'z' is not finite: 'inf'"):
+        read_text(tmp_path, "t,z,label\n0,1,x\n1,inf,0\n")
+    with raises_data_error(tmp_path, "row 3, column 'z' is not a number: 'abc'"):
+        read_text(tmp_path, "t,z,label\n0,1,x\n1,1,0\n2,abc,0\n")
+
+
+# --- numpy's reader against float() and int() -----------------------------------
 
 FLOAT_FORMATS = (repr, "%.17g".__mod__, "%.25e".__mod__)
 BIG = "99999999999999999999"  # beyond int64
@@ -155,8 +193,9 @@ CORRUPTIONS = ("", "-1", "nan", "inf", "1e400", "1_0", "0x10", "\uff12", BIG,
 @st.composite
 def csv_files(draw, plain=False):
     """A well-formed trace, labels or dataset file: its header, data rows
-    (lists of cells) and whether an empty cell is a missing value. Unless
-    ``plain``, cells come space-padded and ``+``-signed at random."""
+    (lists of cells) and whether an empty cell is a missing value, as it is
+    in a dataset's feature cells. Unless ``plain``, cells come space-padded
+    and ``+``-signed at random."""
     kind = draw(st.sampled_from(["trace", "labels", "dataset"]))
     header = {"trace": TRACE_HEADER, "labels": LABELS_HEADER,
               "dataset": ["t", *(f"f{i}" for i in range(draw(st.integers(1, 3)))),
@@ -169,6 +208,9 @@ def csv_files(draw, plain=False):
                 cell = str(tick)
             elif name == "label":
                 cell = str(draw(st.integers(0, 1)))
+            elif kind == "dataset" and draw(st.integers(0, 4)) == 0:
+                row.append("")  # a missing value
+                continue
             else:
                 value = draw(st.floats(allow_nan=False, allow_infinity=False))
                 cell = draw(st.sampled_from(FLOAT_FORMATS))(value)
@@ -190,12 +232,21 @@ def write_csv_text(path, header, rows, blank_after=(), newline="\n"):
     path.write_text(newline.join(lines) + newline, newline="")
 
 
-def cell_reader(path, empty_is_missing):
-    """``read_csv`` with the cell reader only, as read_csv gives it the lines."""
+def reference_reader(path, empty_is_missing):
+    """``read_csv``'s header and columns of a well-formed file, each cell
+    converted by ``int`` (ticks and labels) or ``float``."""
     names, *lines = path.read_text().splitlines()
     names = names.split(",")
-    lines = [line for line in lines if line != ""]
-    return (names, *io_utils._read_cells(path, names, lines, empty_is_missing))
+    rows = [line.split(",") for line in lines if line != ""]
+    columns = []
+    for j, name in enumerate(names):
+        cells = [row[j] for row in rows]
+        if name in ("t", "label"):
+            columns.append(np.array([int(c) for c in cells], dtype=np.int64))
+        else:
+            columns.append(np.array([math.nan if c == "" and empty_is_missing else float(c)
+                                     for c in cells]))
+    return (names, *columns)
 
 
 def outcome(read, *args):
@@ -214,16 +265,14 @@ def test_c_reader_reads_well_formed_files_bit_identically(file, blank_after, new
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.csv"
         write_csv_text(path, header, rows, blank_after, newline)
-        lines = [",".join(row) for row in rows]
-        assert io_utils._read_table(header, lines) is not None  # no fallback
         read = outcome(read_csv, path, header, empty_is_missing)
-        assert read == outcome(cell_reader, path, empty_is_missing)
-        assert isinstance(read, tuple)
+        assert isinstance(read, tuple), read
+        assert read == outcome(reference_reader, path, empty_is_missing)
 
 
 @settings(max_examples=300, deadline=None)
 @given(csv_files(plain=True), st.sampled_from(CORRUPTIONS), st.data())
-def test_a_corrupt_cell_gives_the_cell_readers_outcome(file, corruption, data):
+def test_a_corrupt_cell_is_named_by_its_row_and_column(file, corruption, data):
     header, rows, empty_is_missing = file
     i = data.draw(st.integers(0, len(rows) - 1))
     j = data.draw(st.integers(0, len(header) - 1))
@@ -240,14 +289,18 @@ def test_a_corrupt_cell_gives_the_cell_readers_outcome(file, corruption, data):
         path = Path(tmp) / "f.csv"
         write_csv_text(path, header, rows)
         read = outcome(read_csv, path, header, empty_is_missing)
-        assert read == outcome(cell_reader, path, empty_is_missing)
-    # the cases no reader may accept
-    integer = name in ("t", "label")
-    bad = (corruption in ("nan", "inf", "1e400", "0x10", RAGGED, TRAILING_COMMA, BLANK_LINE)
-           or (corruption in (BIG, "-1") and integer)
-           or (corruption == "" and (integer or not empty_is_missing)))
-    if bad:
-        assert isinstance(read, str) and read.startswith(f"{path}: row {i + 1}")
+        integer = name in ("t", "label")
+        if corruption in (RAGGED, TRAILING_COMMA, BLANK_LINE):
+            assert isinstance(read, str) and re.fullmatch(
+                rf"{re.escape(str(path))}: row {i + 1} has \d+ cells, expected {len(header)}", read)
+        elif (corruption in ("nan", "inf", "1e400", "0x10", "1_0", "\uff12")
+              or (corruption in (BIG, "-1") and integer)
+              or (corruption == "" and (integer or not empty_is_missing))):
+            where = (f"row {i + 1} has tick -1" if name == "t" and corruption == "-1"
+                     else f"row {i + 1}, column '{name}' ")
+            assert isinstance(read, str) and read.startswith(f"{path}: {where}"), read
+        else:  # a value float() reads: an empty feature cell, -1 or 1e20
+            assert read == outcome(reference_reader, path, empty_is_missing)
 
 
 def test_header_only_file_never_reaches_numpy(tmp_path):
