@@ -19,18 +19,19 @@ Two implementations, one role each. ``step`` is the general numpy update
 for any config and measurement width, one sample at a time, and the
 reference oracle. ``run`` filters a whole trace on a kernel written on
 Python floats for the model the pipeline drives (two states, identity
-transition and noise gain, the scalar sinusoidal measurement) and refuses
-any other config with a ConfigError; stack ``step`` for it. The kernel
-performs the oracle's arithmetic in the oracle's order, with its ``if
-classic`` branches at the same places, so it is bit-identical to ``step``
+transition and noise gain, the scalar sinusoidal measurement, symmetric
+initial covariances) and refuses any other config with a ConfigError;
+stack ``step`` for it. It carries only each covariance's distinct entries,
+and its ``FilterRun`` has no gain column. It performs the oracle's
+arithmetic in the oracle's order, with its ``if classic`` branches at
+the same places, so it is bit-identical to ``step``
 wherever numpy's BLAS does not fuse multiply-adds (OpenBLAS's Sandybridge
 kernel, say) and within rounding elsewhere. Its pivot test is not the same
 operations but the oracle's test in closed form: it raises on exactly the
 values of the innovation variance where the oracle raises, including
-+-inf, and never on NaN. Its results depend on no BLAS kernel, so
-artifacts are byte-identical on a given machine whatever OpenBLAS kernel
-numpy picks. This matters most for the classic filter, which amplifies
-rounding (a covariance diagonal goes negative at tick 0); see the README.
++-inf, and never on NaN. It uses no BLAS, so its outputs do not depend on
+the OpenBLAS kernel numpy picks, which matters most for the classic filter:
+it amplifies rounding (a covariance diagonal goes negative at tick 0).
 """
 
 from __future__ import annotations
@@ -212,7 +213,6 @@ class FilterRun:
     x_pred: np.ndarray       # (n, states)
     x_hat: np.ndarray        # (n, states)
     innovation: np.ndarray   # (n, k)
-    gain: np.ndarray         # (n, states, k)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -221,31 +221,30 @@ class FilterRun:
         if not isinstance(rows, slice):
             raise TypeError("a FilterRun is indexed by slices of rows")
         return FilterRun(self.t[rows], self.x_pred[rows], self.x_hat[rows],
-                         self.innovation[rows], self.gain[rows])
+                         self.innovation[rows])
 
     @classmethod
     def from_steps(cls, steps: FilterRun | Sequence[StepOutput]) -> FilterRun:
-        """Stack ``StepOutput``s into columns; a FilterRun passes through."""
+        """Stack ``StepOutput``s but their gains into columns; a FilterRun passes through."""
         if isinstance(steps, FilterRun):
             return steps
         if len(steps) == 0:
-            return cls(np.empty(0, dtype=int), np.empty((0, 0)), np.empty((0, 0)),
-                       np.empty((0, 0)), np.empty((0, 0, 0)))
-        return cls(np.array([s.t for s in steps]),
-                   np.stack([s.x_pred for s in steps]),
-                   np.stack([s.x_hat for s in steps]),
-                   np.stack([s.innovation for s in steps]),
-                   np.stack([s.gain for s in steps]))
+            return cls(np.empty(0, dtype=int), *[np.empty((0, 0))] * 3)
+        return cls(np.array([s.t for s in steps]), np.stack([s.x_pred for s in steps]),
+                   np.stack([s.x_hat for s in steps]), np.stack([s.innovation for s in steps]))
 
 
 def _is_scalar_two_state(cfg: FilterConfig) -> bool:
     """True iff ``cfg`` is the shape the 2-state kernel handles: two states,
-    identity transition and noise gain, and a scalar measurement."""
+    identity transition and noise gain, a scalar measurement and symmetric
+    initial covariances."""
     init, eye = cfg.init, np.eye(2)
     shapes = [np.shape(a) for a in (init.x0, init.proc_mean0, init.err_cov0,
                                     init.proc_cov0, init.meas_cov0, init.meas_mean0)]
     return (np.array_equal(cfg.transition, eye) and np.array_equal(cfg.noise_gain, eye)
             and shapes == [(2,), (2,), (2, 2), (2, 2), (1, 1), (1,)]
+            and all(np.array_equal(a, np.transpose(a), equal_nan=True)
+                    for a in (init.err_cov0, init.proc_cov0))
             and (cfg.meas_cov_fixed is None or np.shape(cfg.meas_cov_fixed) == (1, 1)))
 
 
@@ -255,21 +254,22 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
 
     Every arithmetic operation is the one the oracle's numpy calls perform,
     in the same order, with products by the identity transition and noise
-    gain dropped (they are exact). Matrices are carried entry by entry, so a
-    non-symmetric initial covariance is handled as the oracle handles it.
+    gain dropped (they are exact). The covariances start symmetric (``run``
+    checks) and the update keeps them so bit for bit: only their distinct
+    entries are carried, and the gain numerators C h' are the products h C.
     """
     classic = variant is Variant.CLASSIC
     if not classic and cfg.meas_cov_fixed is None:
         raise ConfigError("improved variant requires meas_cov_fixed")
-    init, g = cfg.init, cfg.forgetting
-    weights = [(1.0 - g) / (1.0 - g ** (t + 1)) for t in range(len(zs))]
+    init, g, og = cfg.init, cfg.forgetting, 1.0 - cfg.forgetting
+    weights = [og / (1.0 - g ** t) for t in range(1, len(zs) + 1)]
     # the oracle's pivot test in closed form: |s| <= PIVOT_RTOL * max(|s|, 1e-300)
     # holds exactly for |s| <= b and for s = +-inf, and never for NaN
-    b, inf = PIVOT_RTOL * 1e-300, math.inf
+    b, inf, ninf = PIVOT_RTOL * 1e-300, math.inf, -math.inf
     x0, x1 = np.asarray(init.x0, dtype=float).tolist()
-    (p00, p01), (p10, p11) = np.asarray(init.err_cov0, dtype=float).tolist()
+    (p00, p01), (_, p11) = np.asarray(init.err_cov0, dtype=float).tolist()
     pm0, pm1 = np.asarray(init.proc_mean0, dtype=float).tolist()
-    (m00, m01), (m10, m11) = np.asarray(init.proc_cov0, dtype=float).tolist()
+    (m00, m01), (_, m11) = np.asarray(init.proc_cov0, dtype=float).tolist()
     if classic:
         sm, nc = float(init.meas_mean0[0]), float(init.meas_cov0[0, 0])
     else:
@@ -279,22 +279,22 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
                             weights):
         # predict
         xp0, xp1 = x0 + pm0, x1 + pm1
-        c00, c01, c10, c11 = p00 + m00, p01 + m01, p10 + m10, p11 + m11
+        c00, c01, c11 = p00 + m00, p01 + m01, p11 + m11
         # gain and measurement update
         hx = h0 * xp0 + h1 * xp1
         e = (z - hx) - sm
-        hc0, hc1 = h0 * c00 + h1 * c10, h0 * c01 + h1 * c11
+        hc0, hc1 = h0 * c00 + h1 * c01, h0 * c01 + h1 * c11
         hph = hc0 * h0 + hc1 * h1
         s = hph + nc
-        if s <= b and s >= -b or s == inf or s == -inf:
+        if s <= b and s >= -b or s == inf or s == ninf:
             raise SingularMatrixError(rcond=abs(s) / max(abs(s), 1e-300))
-        k0, k1 = (c00 * h0 + c01 * h1) / s, (c10 * h0 + c11 * h1) / s
+        k0, k1 = hc0 / s, hc1 / s
         g0, g1 = k0 * e, k1 * e
         xn0, xn1 = xp0 + g0, xp1 + g1
         a00, a01 = 1.0 - k0 * h0, 0.0 - k0 * h1
         a10, a11 = 0.0 - k1 * h0, 1.0 - k1 * h1
-        q00, q01 = a00 * c00 + a01 * c10, a00 * c01 + a01 * c11
-        q10, q11 = a10 * c00 + a11 * c10, a10 * c01 + a11 * c11
+        q00, q01 = a00 * c00 + a01 * c01, a00 * c01 + a01 * c11
+        q10, q11 = a10 * c00 + a11 * c01, a10 * c01 + a11 * c11
         n00, n01, n11 = 0.5 * (q00 + q00), 0.5 * (q01 + q10), 0.5 * (q11 + q11)
         # forgetting-factor noise statistics
         oc = 1.0 - c
@@ -302,28 +302,28 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
         if classic:
             m00 = oc * m00 + c * ((g0 * g0 + n00) - p00)
             m01 = oc * m01 + c * ((g0 * g1 + n01) - p01)
-            m10 = oc * m10 + c * ((g1 * g0 + n01) - p10)
             m11 = oc * m11 + c * ((g1 * g1 + n11) - p11)
             sm = oc * sm + c * (z - hx)
             nc = oc * nc + c * (e * e - hph)
         else:
             m00, m01 = oc * m00 + c * (g0 * g0), oc * m01 + c * (g0 * g1)
-            m10, m11 = oc * m10 + c * (g1 * g0), oc * m11 + c * (g1 * g1)
-        x0, x1, p00, p01, p10, p11 = xn0, xn1, n00, n01, n01, n11
-        out.extend((xp0, xp1, xn0, xn1, e, k0, k1))
-    cols = np.array(out).reshape(len(zs), 7)
+            m11 = oc * m11 + c * (g1 * g1)
+        x0, x1 = xn0, xn1
+        p00, p01, p11 = n00, n01, n11
+        out.extend((xp0, xp1, xn0, xn1, e))
+    cols = np.array(out).reshape(len(zs), 5)
     return FilterRun(t=np.arange(len(zs)), x_pred=cols[:, 0:2], x_hat=cols[:, 2:4],
-                     innovation=cols[:, 4:5], gain=cols[:, 5:7, None])
+                     innovation=cols[:, 4:5])
 
 
 def run(trace: Trace, cfg: FilterConfig, variant: Variant,
         obs_rows: np.ndarray | None = None) -> FilterRun:
     """Filter every sample of a trace in order on the float kernel; step i
-    reads ``cfg.obs_at(i)``. The config must be of the 2-state,
-    scalar-measurement shape (see ``_is_scalar_two_state``); for any other,
-    stack ``step``, the oracle the kernel is tested against. ``obs_rows``
-    may pass in the (n, 1, 2) observation rows when the caller already has
-    them; they must equal ``cfg.obs_at(i)`` stacked.
+    reads ``cfg.obs_at(i)``. The config must be of the shape
+    ``_is_scalar_two_state`` accepts; for any other, stack ``step``, the
+    oracle the kernel is tested against. ``obs_rows`` may pass in the (n, 1, 2)
+    observation rows when the caller already has them; they must equal
+    ``cfg.obs_at(i)`` stacked.
     """
     n = len(trace)
     if n == 0:
@@ -333,7 +333,8 @@ def run(trace: Trace, cfg: FilterConfig, variant: Variant,
         raise DataError(f"measurement at tick {int(trace.ticks[bad[0]])} is not finite")
     if not _is_scalar_two_state(cfg):
         raise ConfigError("akf.run takes only two states, identity transition and noise "
-                          "gain and a scalar measurement; stack akf.step for this config")
+                          "gain, a scalar measurement and symmetric initial covariances; "
+                          "stack akf.step for this config")
     if obs_rows is None:
         rows = [np.atleast_2d(cfg.obs_at(t)) for t in range(n)]
         off = next((t for t, h in enumerate(rows) if h.shape != (1, 2)), None)

@@ -28,7 +28,7 @@ from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split,
                             window, write_dataset_csv)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import (REQUIRED, _field_kinds, config_value, finite_number, fmt_column,
+from .io_utils import (REQUIRED, Cells, _field_kinds, config_value, finite_number, fmt_column,
                        read_json, reject_unknown_keys, write_columns, write_json)
 from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
                  save_checkpoint, train, write_history_csv)
@@ -176,30 +176,33 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     )
 
 
-def _update_manifest(cfg: ExperimentConfig, command: str, artifacts: list[str]) -> None:
-    path = cfg.outputs / "manifest.json"
-    manifest = read_json(path) if path.exists() else {}
+def _run_files(out: Path) -> tuple[dict, dict]:
+    """``manifest.json`` and ``metrics.json`` ({} if absent), checked before a stage writes."""
+    manifest, metrics = (read_json(path) if path.exists() else {}
+                         for path in (out / "manifest.json", out / "metrics.json"))
+    for key in ("seeds", "artifacts"):
+        if not isinstance(manifest.get(key, {}), dict):
+            raise DataError(f"{out / 'manifest.json'}: entry '{key}' must be a JSON object")
+    return manifest, metrics
+
+
+def _update_manifest(cfg: ExperimentConfig, manifest: dict, command: str,
+                     artifacts: list[str]) -> None:
     manifest["config"] = cfg.raw
-    manifest.setdefault("seeds", {})
-    manifest["seeds"].update({
-        "signal": cfg.signal.seed,
-        "train": cfg.train.seed,
-        "pipeline": cfg.pipeline_seed,
-    })
+    manifest.setdefault("seeds", {}).update(
+        signal=cfg.signal.seed, train=cfg.train.seed, pipeline=cfg.pipeline_seed)
     manifest.setdefault("artifacts", {})[command] = sorted(artifacts)
-    write_json(path, manifest)
+    write_json(cfg.outputs / "manifest.json", manifest)
 
 
-def _merge_metrics(cfg: ExperimentConfig, entries: dict, owned=()) -> None:
+def _merge_metrics(cfg: ExperimentConfig, metrics: dict, entries: dict, owned=()) -> None:
     # an ``owned`` key this run did not produce is an earlier run's: drop it
-    path = cfg.outputs / "metrics.json"
-    merged = read_json(path) if path.exists() else {}
-    merged = {key: value for key, value in merged.items() if key not in owned}
-    merged.update(entries)
-    write_json(path, merged)
+    kept = {key: value for key, value in metrics.items() if key not in owned}
+    write_json(cfg.outputs / "metrics.json", kept | entries)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    manifest, _ = _run_files(cfg.outputs)
     cfg.outputs.mkdir(parents=True, exist_ok=True)
     trace = simulate(cfg.signal, cfg.initial, cfg.n)
     z_attacked, active = attack.inject_series(trace.z, cfg.scenario, trace.ticks)
@@ -209,7 +212,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     write_trace_csv(ticks, trace.states, z, cfg.outputs / "trace.csv")
     write_labels_csv(ticks, labels, cfg.outputs / "labels.csv")
     write_dataset_csv(ticks, {"z": z}, labels, cfg.outputs / "dataset.csv")
-    _update_manifest(cfg, "simulate", ["trace.csv", "labels.csv", "dataset.csv"])
+    _update_manifest(cfg, manifest, "simulate", ["trace.csv", "labels.csv", "dataset.csv"])
     print(f"simulate: wrote {cfg.n} samples to {cfg.outputs}")
     return 0
 
@@ -228,12 +231,13 @@ def _prepared_splits(cfg: ExperimentConfig, dataset: RawDataset):
 
 
 def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
+    manifest, metrics = _run_files(cfg.outputs)
     cfg.outputs.mkdir(parents=True, exist_ok=True)
     # an earlier train's network and score must not outlive a train that fails
     for name in ("checkpoint.json", "history.csv"):
         (cfg.outputs / name).unlink(missing_ok=True)
-    if (cfg.outputs / "metrics.json").exists():
-        _merge_metrics(cfg, {}, owned=("gru_cnn_holdout",))
+    if "gru_cnn_holdout" in metrics:
+        _merge_metrics(cfg, metrics, {}, owned=("gru_cnn_holdout",))
     dataset = read_dataset_csv(dataset_path)
     network = dataclasses.replace(cfg.network, input_dim=len(dataset.columns))
     std, train_w, train_y, test_w, test_y = _prepared_splits(cfg, dataset)
@@ -247,8 +251,8 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
 
     save_checkpoint(net, cfg.outputs / "checkpoint.json", std)
     write_history_csv(history, cfg.outputs / "history.csv")
-    _merge_metrics(cfg, {"gru_cnn_holdout": evaluation.report_dict(report)})
-    _update_manifest(cfg, "train", ["checkpoint.json", "history.csv", "metrics.json"])
+    _merge_metrics(cfg, metrics, {"gru_cnn_holdout": evaluation.report_dict(report)})
+    _update_manifest(cfg, manifest, "train", ["checkpoint.json", "history.csv", "metrics.json"])
     print(f"train: {len(train_w)} train / {len(test_w)} test windows, "
           f"holdout accuracy {report.accuracy:.4f}")
     return 0
@@ -256,28 +260,23 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
 
 def _passive_channel(trace: Trace, cfg: ExperimentConfig, variant: akf.Variant,
                      obs_rows: np.ndarray) -> passive_detect.PassiveVerdicts:
-    """Run one filter variant and compute its calibrated passive verdicts
-    (both channels, armed after the warm-up; ``residual_flag`` feeds the
-    fusion rule)."""
+    """One filter variant's calibrated passive verdicts (both channels, armed
+    after the warm-up; ``residual_flag`` feeds the fusion rule)."""
     filter_cfg = akf.config_for_sinusoid(cfg.signal, float(trace.z[0]),
                                          forgetting=cfg.forgetting)
     run = akf.run(trace, filter_cfg, variant, obs_rows)
-    euclid_th, resid_th = passive_detect.calibrate_channels(
-        run, trace.z, obs_rows, warmup=cfg.warmup, k=cfg.threshold_k)
-    return passive_detect.evaluate_stream(run, trace.z, obs_rows, euclid_th,
-                                          resid_th, armed_from=cfg.warmup)
+    return passive_detect.detect_stream(run, trace.z, obs_rows, cfg.warmup, cfg.threshold_k)
 
 
 def _metrics_entry(flags, labels, onset):
     report = evaluation.metrics(evaluation.confusion(flags, labels))
-    latency = None
-    if onset is not None:
-        latency = evaluation.detection_latency(flags, onset)
+    latency = None if onset is None else evaluation.detection_latency(flags, onset)
     return evaluation.report_dict(report, latency)
 
 
 def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                passive_only: bool) -> int:
+    manifest, metrics = _run_files(cfg.outputs)
     cfg.outputs.mkdir(parents=True, exist_ok=True)
     trace = read_trace_csv(trace_path)
     _, labels = read_labels_csv(labels_path)
@@ -304,27 +303,23 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
 
     n = len(trace)
     active_flags = np.zeros(n, dtype=bool)
-    p_attack = np.full(n, np.nan)
+    p_attack = Cells([""] * n)  # stays empty in a passive-only run: nothing to format
     if not passive_only:
         checkpoint_path = Path(checkpoint_path)
         if not checkpoint_path.exists():
-            raise DataError(
-                f"missing network checkpoint {checkpoint_path}; train first or "
-                f"pass --passive-only"
-            )
+            raise DataError(f"missing network checkpoint {checkpoint_path}; train first or "
+                            "pass --passive-only")
         net, std = load_checkpoint(checkpoint_path)
         if net.config.input_dim != 1:
-            raise ConfigError(
-                f"checkpoint expects {net.config.input_dim} features; trace "
-                f"detection provides 1"
-            )
+            raise ConfigError(f"checkpoint expects {net.config.input_dim} features; trace "
+                              "detection provides 1")
         length = net.config.window_len
         if n < length:
             raise DataError(f"trace of {n} ticks is shorter than window {length}")
         values = apply_standardizer(std, trace.z[:, None])
         windows_, _ = window(values, np.zeros(n, dtype=int), length)
         probs = predict_proba(net, windows_)
-        p_attack[length - 1:] = probs[:, 1]
+        p_attack = np.concatenate([np.full(length - 1, np.nan), probs[:, 1]])
         active_flags[length - 1:] = probs[:, 1] > probs[:, 0]
         entries["gru_cnn"] = _metrics_entry(active_flags, label_flags, onset)
 
@@ -357,8 +352,8 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     for name in {"verdicts_passive_classic.csv", "plot_series.csv"} - set(artifacts):
         (out / name).unlink(missing_ok=True)  # an earlier run's
 
-    _merge_metrics(cfg, entries, VARIANT_KEYS)
-    _update_manifest(cfg, "detect", artifacts)
+    _merge_metrics(cfg, metrics, entries, VARIANT_KEYS)
+    _update_manifest(cfg, manifest, "detect", artifacts)
     flag_rate = float(fused_flags.mean())
     print(f"detect: fused flag rate {flag_rate:.4f} over {n} ticks "
           f"({'passive-only' if passive_only else 'passive+active'})")

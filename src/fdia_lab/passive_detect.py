@@ -7,6 +7,9 @@ reference x is the one-step prediction (the true state is unavailable in
 live detection). The sigma of each channel is calibrated from signed,
 zero-mean samples on an attack-free warm-up window so that the k-sigma
 rule attains the expected two-sided false-alarm rate (~0.27% at k = 3).
+``detect_stream``, the pipeline's call, computes both channels once per
+filter run, fits the thresholds on their warm-up slice and decides every
+tick; ``calibrate_channels`` and ``evaluate_stream`` are its two halves.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from .akf import FilterRun
 from .errors import ConfigError, DataError, DimensionError
 from .io_utils import write_columns
-from .numerics import Vector, as_vector, norm2
 
 MIN_CALIBRATION_SAMPLES = 100
 SETTLE_TICKS = 10  # first ticks of the warm-up left out of calibration
@@ -63,21 +65,6 @@ def calibrate_sigma(clean_metrics: Sequence[float]) -> float:
     return float(np.std(values, ddof=1))
 
 
-def euclidean_deviation(estimated: float, observed: float) -> float:
-    """Absolute deviation between predicted and observed signal values."""
-    return abs(float(estimated) - float(observed))
-
-
-def residual_metric(x: Vector, x_hat: Vector) -> float:
-    """Normalized residual ||x - x_hat|| / (||x|| * ||x_hat||)."""
-    x = as_vector(x)
-    x_hat = as_vector(x_hat, length=len(x))
-    nx, nh = norm2(x), norm2(x_hat)
-    if nx == 0.0 or nh == 0.0:
-        raise DataError("residual metric undefined for zero-norm state")
-    return norm2(x - x_hat) / (nx * nh)
-
-
 def decide(metric: float, th: Thresholds) -> bool:
     """True iff the metric reaches k * sigma (inclusive)."""
     if metric < 0:
@@ -86,10 +73,9 @@ def decide(metric: float, th: Thresholds) -> bool:
 
 
 def _channels(outputs, zs, obs_rows) -> tuple[FilterRun, np.ndarray, np.ndarray]:
-    """Per-tick signed deviation H x_pred - z and residual metric, as arrays.
-
-    The same arithmetic as ``euclidean_deviation`` and ``residual_metric``
-    tick by tick, with the same DataErrors, which here name the tick.
+    """Per-tick signed deviation H x_pred - z and residual metric
+    ||x_pred - x_hat|| / (||x_pred|| * ||x_hat||), as arrays, with a
+    DataError naming the first tick whose state is non-finite or of zero norm.
     """
     run = FilterRun.from_steps(outputs)
     n = len(run)
@@ -115,6 +101,10 @@ def _channels(outputs, zs, obs_rows) -> tuple[FilterRun, np.ndarray, np.ndarray]
     return run, deviations, residuals
 
 
+def _signed(deviations, residuals) -> tuple[np.ndarray, np.ndarray]:
+    return deviations, np.where(deviations != 0.0, np.copysign(residuals, deviations), residuals)
+
+
 def channel_samples(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     """Signed per-tick calibration samples for both channels.
 
@@ -123,23 +113,22 @@ def channel_samples(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     Euclidean deviation attached, likewise zero-mean by symmetry.
     ``outputs`` is a FilterRun or a sequence of StepOutput.
     """
-    _, deviations, residuals = _channels(outputs, zs, obs_rows)
-    return deviations, np.where(deviations != 0.0,
-                                np.copysign(residuals, deviations), residuals)
+    return _signed(*_channels(outputs, zs, obs_rows)[1:])
+
+
+def _fit(devs, signed_res, k: float) -> tuple[Thresholds, Thresholds]:
+    return (Thresholds(sigma=calibrate_sigma(devs), k=k),
+            Thresholds(sigma=calibrate_sigma(signed_res), k=k))
 
 
 def calibrate_channels(outputs, zs, obs_rows, warmup: int,
                        k: float = 3.0) -> tuple[Thresholds, Thresholds]:
-    """Fit both channel thresholds on an attack-free warm-up window.
-
-    The first ``SETTLE_TICKS`` ticks are excluded to let the filter settle.
-    """
+    """Fit both channel thresholds on an attack-free warm-up window, leaving out
+    its first ``SETTLE_TICKS`` ticks to let the filter settle."""
     if warmup > len(outputs):
         raise DataError(f"warm-up window {warmup} exceeds run length {len(outputs)}")
-    devs, signed_res = channel_samples(outputs[SETTLE_TICKS:warmup], zs[SETTLE_TICKS:warmup],
-                                       obs_rows[SETTLE_TICKS:warmup])
-    return (Thresholds(sigma=calibrate_sigma(devs), k=k),
-            Thresholds(sigma=calibrate_sigma(signed_res), k=k))
+    ticks = slice(SETTLE_TICKS, warmup)
+    return _fit(*channel_samples(outputs[ticks], zs[ticks], obs_rows[ticks]), k)
 
 
 @dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
@@ -161,6 +150,16 @@ class PassiveVerdicts:
             yield PassiveVerdict(*row)
 
 
+def _verdicts(run: FilterRun, deviations, residuals, euclid_th: Thresholds,
+              resid_th: Thresholds, armed_from: int) -> PassiveVerdicts:
+    t, d = run.t, np.abs(deviations)
+    armed = t >= armed_from
+    residual_flag = armed & (residuals >= resid_th.limit)
+    flag = residual_flag | (armed & (d >= euclid_th.limit))
+    return PassiveVerdicts(t=t, euclidean_d=d, residual_r=residuals,
+                           residual_flag=residual_flag, flag=flag)
+
+
 def evaluate_stream(outputs, zs, obs_rows, euclid_th: Thresholds,
                     resid_th: Thresholds, armed_from: int = 0) -> PassiveVerdicts:
     """Per-tick verdicts; the flag is the union of both channel decisions.
@@ -169,13 +168,18 @@ def evaluate_stream(outputs, zs, obs_rows, euclid_th: Thresholds,
     record their metric values but never flag: the thresholds do not exist
     yet while they are being fitted.
     """
+    return _verdicts(*_channels(outputs, zs, obs_rows), euclid_th, resid_th, armed_from)
+
+
+def detect_stream(outputs, zs, obs_rows, warmup: int, k: float = 3.0) -> PassiveVerdicts:
+    """``calibrate_channels`` then ``evaluate_stream`` armed from the warm-up's end,
+    on one channel pass: the thresholds are fitted on the warm-up slice of it."""
+    if warmup > len(outputs):
+        raise DataError(f"warm-up window {warmup} exceeds run length {len(outputs)}")
     run, deviations, residuals = _channels(outputs, zs, obs_rows)
-    d = np.abs(deviations)
-    armed = run.t >= armed_from
-    residual_flag = armed & (residuals >= resid_th.limit)
-    flag = residual_flag | (armed & (d >= euclid_th.limit))
-    return PassiveVerdicts(t=run.t, euclidean_d=d, residual_r=residuals,
-                           residual_flag=residual_flag, flag=flag)
+    ticks = slice(SETTLE_TICKS, warmup)
+    thresholds = _fit(*_signed(deviations[ticks], residuals[ticks]), k)
+    return _verdicts(run, deviations, residuals, *thresholds, warmup)
 
 
 def write_verdicts_csv(t, euclidean_d, residual_r, flag, path) -> None:

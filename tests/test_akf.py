@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import platform
@@ -307,7 +308,7 @@ def test_run_deterministic():
     a = akf.run(trace, cfg, akf.Variant.IMPROVED)
     b = akf.run(trace, cfg, akf.Variant.IMPROVED)
     np.testing.assert_array_equal(a.x_hat, b.x_hat)
-    np.testing.assert_array_equal(a.gain, b.gain)
+    np.testing.assert_array_equal(a.innovation, b.innovation)
 
 
 def test_improved_tracks_below_measurement_noise():
@@ -368,7 +369,7 @@ def test_classic_divergence_witness_high_order():
 
 DEMO = SignalParams(omega=0.3141592653589793, sigma_process=0.001,
                     sigma_meas=0.002, seed=7)
-COLUMNS = ("x_pred", "x_hat", "innovation", "gain")
+COLUMNS = ("x_pred", "x_hat", "innovation")
 
 
 def oracle_run(trace, cfg, variant):
@@ -391,14 +392,9 @@ def test_improved_kernel_matches_oracle_over_20k_steps():
     kernel = akf.run(trace, cfg, akf.Variant.IMPROVED)
     oracle = oracle_run(trace, cfg, akf.Variant.IMPROVED)
     np.testing.assert_array_equal(kernel.t, oracle.t)
-    for name in ("x_pred", "x_hat", "innovation"):
+    for name in COLUMNS:
         np.testing.assert_allclose(getattr(kernel, name), getattr(oracle, name),
                                    rtol=1e-12, atol=1e-12, err_msg=name)
-    # The gain is where the oracle's own BLAS rounding shows most: while the
-    # covariance collapses from eye(2) in the first ~50 steps, FMA kernels
-    # move it by up to 1.3e-12 relative (OpenBLAS SkylakeX; 0 without FMA,
-    # see the Sandybridge test below).
-    np.testing.assert_allclose(kernel.gain, oracle.gain, rtol=1e-11, atol=1e-11)
 
 
 def test_classic_kernel_matches_oracle_over_first_30_ticks():
@@ -450,6 +446,21 @@ def test_run_refuses_config_outside_kernel_shape():
     oracle = oracle_run(trace, cfg, akf.Variant.IMPROVED)
     assert len(oracle) == len(trace)
     assert np.isfinite(oracle.x_hat).all()
+    assert not np.array_equal(oracle.x_hat, akf.run(trace, base, akf.Variant.IMPROVED).x_hat)
+
+
+@pytest.mark.parametrize("field", ["err_cov0", "proc_cov0"])
+def test_run_refuses_an_asymmetric_initial_covariance(field):
+    # the kernel carries one off-diagonal entry per covariance; an asymmetric
+    # one is refused with the pointer to step, which filters it
+    trace = demo_trace(40)
+    base = akf.config_for_sinusoid(DEMO, float(trace.z[0]))
+    skewed = getattr(base.init, field) + np.array([[0.0, 1e-3], [0.0, 0.0]])
+    cfg = dataclasses.replace(base, init=dataclasses.replace(base.init, **{field: skewed}))
+    with pytest.raises(ConfigError, match="akf.step"):
+        akf.run(trace, cfg, akf.Variant.IMPROVED)
+    oracle = oracle_run(trace, cfg, akf.Variant.IMPROVED)
+    assert len(oracle) == len(trace) and np.isfinite(oracle.x_hat).all()
     assert not np.array_equal(oracle.x_hat, akf.run(trace, base, akf.Variant.IMPROVED).x_hat)
 
 
@@ -522,7 +533,7 @@ def test_filter_run_slices_rows():
     part = run[5:9]
     assert len(part) == 4
     np.testing.assert_array_equal(part.t, [5, 6, 7, 8])
-    np.testing.assert_array_equal(part.gain, run.gain[5:9])
+    np.testing.assert_array_equal(part.innovation, run.innovation[5:9])
     with pytest.raises(TypeError):
         run[0]
 

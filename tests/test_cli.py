@@ -244,6 +244,25 @@ def test_stage_on_json_artifact_that_is_not_an_object_is_data_error(tmp_path, ca
         assert (out / name).read_text() == "[1, 2]\n"
 
 
+@pytest.mark.parametrize("entry", ["seeds", "artifacts"])
+@pytest.mark.parametrize("value", [[1], None])
+@pytest.mark.parametrize("stage", [["simulate"], ["train", "--epochs", "0"],
+                                   ["detect", "--passive-only"], ["detect"]])
+def test_stage_checks_manifest_entries_before_writing(tmp_path, capsys, stage, entry, value):
+    cfg_path, out = write_config(tmp_path, out_name="entries")
+    for earlier in (["simulate"], ["train", "--epochs", "0"]):
+        assert main([earlier[0], "--config", str(cfg_path), *earlier[1:]]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps(dict(manifest, **{entry: value})))
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main([stage[0], "--config", str(cfg_path), *stage[1:]]) == 3
+    err = capsys.readouterr().err
+    assert f"{out / 'manifest.json'}: entry '{entry}' must be a JSON object" in err
+    assert "Traceback" not in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_train_epochs_override_and_determinism(tmp_path):
     cfg_path, out = write_config(tmp_path, out_name="t1")
     assert main(["simulate", "--config", str(cfg_path)]) == 0
@@ -321,9 +340,13 @@ def test_stages_format_each_column_once(tmp_path, monkeypatch, passive_only):
     formatted.clear()
     extra = ["--passive-only"] if passive_only else []
     assert main(["detect", "--config", str(cfg_path), *extra]) == 0
-    # t; euclidean_d, residual_r and flag of both filters; p_attack, the
-    # classifier flag, the improved filter's residual flag and the fused flag
-    assert formatted == [1600] * 11
+    # t; euclidean_d, residual_r and flag of both filters; p_attack (a
+    # passive-only run has no probabilities and writes its cells empty, with
+    # no formatting), the classifier flag, the improved filter's residual flag
+    # and the fused flag
+    assert formatted == [1600] * (10 if passive_only else 11)
+    p_attack = csv_column(out / "verdicts_active.csv", "p_attack")
+    assert (p_attack == [""] * 1600) == passive_only
     assert csv_column(out / "dataset.csv", "z") == csv_column(out / "trace.csv", "z")
     assert (csv_column(out / "verdicts_fused.csv", "r_N")
             == csv_column(out / "verdicts_passive.csv", "residual_r"))

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fdia_lab import akf
+from fdia_lab import akf, passive_detect
 from fdia_lab.errors import DataError
 from fdia_lab.passive_detect import (PassiveVerdict, Thresholds, calibrate_channels,
                                      calibrate_sigma, channel_samples, decide,
-                                     euclidean_deviation, evaluate_stream,
-                                     residual_metric, write_verdicts_csv)
+                                     detect_stream, evaluate_stream, write_verdicts_csv)
 from fdia_lab.signal_model import (SignalParams, SignalState, observation_row,
                                    observation_rows, simulate)
 
@@ -32,6 +31,22 @@ def test_calibrate_sigma_alternating_unit_sequence():
 def test_calibrate_sigma_gaussian_monte_carlo():
     draws = np.random.default_rng(7).normal(0.0, 2.0, size=100_000)
     assert calibrate_sigma(draws) == pytest.approx(2.0, rel=0.02)
+
+
+# --- per-tick references for the channel arrays --------------------------------
+
+def euclidean_deviation(estimated: float, observed: float) -> float:
+    """Absolute deviation between predicted and observed signal values."""
+    return abs(float(estimated) - float(observed))
+
+
+def residual_metric(x, x_hat) -> float:
+    """Normalized residual ||x - x_hat|| / (||x|| * ||x_hat||)."""
+    x, x_hat = np.asarray(x, dtype=float), np.asarray(x_hat, dtype=float)
+    nx, nh = np.linalg.norm(x), np.linalg.norm(x_hat)
+    if nx == 0.0 or nh == 0.0:
+        raise DataError("residual metric undefined for zero-norm state")
+    return float(np.linalg.norm(x - x_hat) / (nx * nh))
 
 
 def test_euclidean_deviation_examples():
@@ -124,8 +139,9 @@ def test_verdicts_csv(tmp_path):
 # --- columns against the per-tick detectors ------------------------------------
 
 def as_steps(run):
+    # a FilterRun has no gain column, and no stage reads a step's gain
     return [akf.StepOutput(t=int(run.t[i]), x_pred=run.x_pred[i], x_hat=run.x_hat[i],
-                           innovation=run.innovation[i], gain=run.gain[i])
+                           innovation=run.innovation[i], gain=np.zeros((2, 1)))
             for i in range(len(run))]
 
 
@@ -194,9 +210,37 @@ def test_bad_filter_state_names_the_tick(value, message):
     trace, outputs, obs = run_filtered_trace(10, seed=1)
     x_pred = outputs.x_pred.copy()
     x_pred[3] = value
-    broken = akf.FilterRun(outputs.t, x_pred, outputs.x_hat, outputs.innovation,
-                           outputs.gain)
+    broken = akf.FilterRun(outputs.t, x_pred, outputs.x_hat, outputs.innovation)
     with pytest.raises(DataError, match=message):
         channel_samples(broken, trace.z, obs)
     with pytest.raises(DataError, match=message):
         evaluate_stream(broken, trace.z, obs, Thresholds(1.0), Thresholds(1.0))
+    with pytest.raises(DataError, match=message):
+        detect_stream(broken, trace.z, obs, warmup=5)
+
+
+@pytest.mark.parametrize("variant", list(akf.Variant))
+def test_one_pass_thresholds_equal_calibrate_channels(monkeypatch, variant):
+    # detect_stream fits on the warm-up slice of the whole run's channel
+    # arrays; calibrate_channels on the channels of the sliced run
+    trace, _, obs = run_filtered_trace(2000, seed=6)
+    params = SignalParams(omega=2 * np.pi / 20, sigma_process=1e-3, sigma_meas=0.004, seed=6)
+    run = akf.run(trace, akf.config_for_sinusoid(params, float(trace.z[0])), variant)
+    rows = observation_rows(trace.ticks, params.omega)
+    fitted, fit = [], passive_detect._fit
+
+    def recording(*args):
+        fitted.append(fit(*args))
+        return fitted[-1]
+
+    monkeypatch.setattr(passive_detect, "_fit", recording)
+    one_pass = detect_stream(run, trace.z, rows, warmup=600, k=2.5)
+    two_pass = evaluate_stream(run, trace.z, rows,
+                               *calibrate_channels(run, trace.z, rows, warmup=600, k=2.5),
+                               armed_from=600)
+    (e1, r1), (e2, r2) = fitted
+    for a, b in ((e1, e2), (r1, r2)):
+        assert a.k == b.k == 2.5 and a.sigma.hex() == b.sigma.hex()
+    for name in ("t", "euclidean_d", "residual_r", "residual_flag", "flag"):
+        np.testing.assert_array_equal(getattr(one_pass, name), getattr(two_pass, name))
+    assert one_pass.flag.any() and not one_pass.flag[:600].any()
