@@ -4,8 +4,8 @@ Each subcommand takes a JSON experiment config (see README for the
 schema) and writes deterministic artifacts into the run directory:
 ``manifest.json``, ``trace.csv``, ``labels.csv``, ``dataset.csv``,
 ``checkpoint.json``, ``history.csv``, ``verdicts_{passive,active,fused}.csv``,
-``metrics.json``, ``plot_series.csv`` (written by a full ``detect``) and
-``report.json`` (built by ``report`` from ``metrics.json`` alone).
+``metrics.json`` and ``report.json`` (built by ``report`` from
+``metrics.json`` alone).
 Identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
@@ -41,8 +41,6 @@ ROW_KINDS = {"accuracy": (int, float), "precision": (int, float), "recall": (int
              "f1": (int, float), "latency_ticks": (int, type(None))}
 ACTIVE_HEADER = ["t", "p_attack", "flag"]
 FUSED_HEADER = ["t", "r_N", "flag_N", "flag_GC", "flag_fused"]
-PLOT_HEADER = ["t", "euclidean_d", "residual_r", "flag_passive", "p_attack",
-               "flag_active", "flag_fused"]
 
 
 @dataclass(frozen=True)
@@ -93,11 +91,7 @@ SCHEMA = {
     "signal.initial": (list, [1.0, 0.0], (lambda v: len(v) == 2 and all(map(finite_number, v)),
                                           "must list two finite numbers")),
     "signal.n": (int, REQUIRED, _AT_LEAST_1),
-    # the stealthy ac = H d acts on measurement vectors, not on a scalar trace
-    "attack.kind": (attack.AttackKind, REQUIRED, (
-        lambda v: v is not attack.AttackKind.STEALTHY,
-        "must not be 'stealthy'; build ac = H d with attack.build_stealthy and apply "
-        "it with attack.inject")),
+    "attack.kind": (attack.AttackKind, REQUIRED, None),
     "attack.onset": (int, REQUIRED, None),
     "attack.duration": (int, REQUIRED, _AT_LEAST_1),
     "attack.amplitude": (float, None, None),
@@ -345,12 +339,8 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
         passive_detect.write_verdicts_csv(t, classic.euclidean_d, classic.residual_r,
                                           classic.flag, out / "verdicts_passive_classic.csv")
         artifacts.append("verdicts_passive_classic.csv")
-    if not passive_only:
-        write_columns(out / "plot_series.csv", PLOT_HEADER,
-                      [t, euclidean_d, residual_r, flag_n, p_cells, flag_gc, flag_fused])
-        artifacts.append("plot_series.csv")
-    for name in {"verdicts_passive_classic.csv", "plot_series.csv"} - set(artifacts):
-        (out / name).unlink(missing_ok=True)  # an earlier run's
+    else:
+        (out / "verdicts_passive_classic.csv").unlink(missing_ok=True)  # an earlier run's
 
     _merge_metrics(cfg, metrics, entries, VARIANT_KEYS)
     _update_manifest(cfg, manifest, "detect", artifacts)

@@ -1,8 +1,8 @@
-"""DC-model weighted-least-squares state estimation and bad-data detection.
+"""DC-model weighted-least-squares state estimation and its bad-data threshold.
 
-The classic workflow a stealthy injection bypasses: estimate x from
-z = Hx + e by minimizing the weighted quadratic objective, then compare
-the objective value against a chi-square threshold.
+The classic workflow that the stealthy injection ac = H d bypasses: estimate
+x from z = Hx + e by minimizing the weighted quadratic objective, then flag
+the measurement when the objective value exceeds a chi-square threshold.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .numerics import Vector, as_matrix, as_vector, solve
 
 
@@ -57,15 +57,6 @@ def objective(sys: DcSystem, z: Vector, x_hat: Vector) -> float:
     x_hat = as_vector(x_hat, length=sys.n)
     r = z - sys.jacobian @ x_hat
     return float(np.dot(r, sys.weights * r))
-
-
-def bad_data_check(g_value: float, mu: float) -> bool:
-    """True iff the objective exceeds the threshold (strictly)."""
-    if g_value < 0:
-        raise DataError("objective value cannot be negative")
-    if mu <= 0:
-        raise ConfigError("threshold must be positive")
-    return g_value > mu
 
 
 def chi_square_threshold(dof: int, significance: float) -> float:

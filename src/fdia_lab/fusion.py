@@ -2,7 +2,9 @@
 
 Both detection paths run on every tick independently; the final boolean is
 the OR of the passive residual threshold decision and the classifier flag
-(1 = attack, 0 = clean).
+(1 = attack, 0 = clean). ``fuse`` is the rule; ``combine_streams`` applies
+it to a residual stream's array ``decide`` and returns the ticks as rows,
+and ``combine`` is its one-tick view.
 """
 
 from __future__ import annotations
@@ -30,15 +32,17 @@ def fuse(residual_flags, active_flags) -> np.ndarray:
     return np.logical_or(residual_flags, active_flags)
 
 
-def combine(residual: float, th: Thresholds, active_flag: bool, t: int = 0) -> FusionVerdict:
-    return FusionVerdict(t=t, residual=residual, active_flag=bool(active_flag),
-                         fused=bool(fuse(decide(residual, th), active_flag)))
-
-
 def combine_streams(residuals: Sequence[float], th: Thresholds,
                     active_flags: Sequence[bool],
                     ticks: Sequence[int] | None = None) -> list[FusionVerdict]:
+    residuals = np.asarray(residuals, dtype=float)
+    active = np.asarray(active_flags, dtype=bool)
+    fused = fuse(decide(residuals, th), active)
     if ticks is None:
         ticks = range(len(residuals))
-    return [combine(r, th, a, t)
-            for r, a, t in zip(residuals, active_flags, ticks)]
+    return [FusionVerdict(*row) for row in zip(ticks, residuals.tolist(), active.tolist(),
+                                               fused.tolist(), strict=True)]
+
+
+def combine(residual: float, th: Thresholds, active_flag: bool, t: int = 0) -> FusionVerdict:
+    return combine_streams([residual], th, [active_flag], [t])[0]

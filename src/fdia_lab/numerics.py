@@ -67,9 +67,3 @@ def solve(a: Matrix, b) -> np.ndarray:
     if rcond <= PIVOT_RTOL:
         raise SingularMatrixError(rcond=float(rcond))
     return np.linalg.solve(a, b)
-
-
-def norm2(v: Vector) -> float:
-    """Euclidean norm."""
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(np.dot(v.ravel(), v.ravel())))

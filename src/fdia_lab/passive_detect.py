@@ -8,8 +8,11 @@ live detection). The sigma of each channel is calibrated from signed,
 zero-mean samples on an attack-free warm-up window so that the k-sigma
 rule attains the expected two-sided false-alarm rate (~0.27% at k = 3).
 ``detect_stream``, the pipeline's call, computes both channels once per
-filter run, fits the thresholds on their warm-up slice and decides every
-tick; ``calibrate_channels`` and ``evaluate_stream`` are its two halves.
+filter run as arrays, fits the thresholds on their warm-up slice and
+decides every tick with ``decide``. The other entry points are views of
+that pass: ``calibrate_channels`` is its fit, ``evaluate_stream`` its
+decisions, ``PassiveVerdicts`` iterates its columns as rows, and ``decide``
+on one value is the same inclusive rule.
 """
 
 from __future__ import annotations
@@ -65,11 +68,14 @@ def calibrate_sigma(clean_metrics: Sequence[float]) -> float:
     return float(np.std(values, ddof=1))
 
 
-def decide(metric: float, th: Thresholds) -> bool:
-    """True iff the metric reaches k * sigma (inclusive)."""
-    if metric < 0:
+def decide(metric, th: Thresholds):
+    """True where the metric reaches k * sigma (inclusive): a bool for one
+    value, a boolean array for an array of them."""
+    metric = np.asarray(metric)
+    if (metric < 0).any():
         raise DataError("detection metrics are non-negative")
-    return metric >= th.limit
+    flags = metric >= th.limit
+    return bool(flags) if flags.ndim == 0 else flags
 
 
 def _channels(outputs, zs, obs_rows) -> tuple[FilterRun, np.ndarray, np.ndarray]:
@@ -101,34 +107,27 @@ def _channels(outputs, zs, obs_rows) -> tuple[FilterRun, np.ndarray, np.ndarray]
     return run, deviations, residuals
 
 
-def _signed(deviations, residuals) -> tuple[np.ndarray, np.ndarray]:
-    return deviations, np.where(deviations != 0.0, np.copysign(residuals, deviations), residuals)
+def _fit(deviations, residuals, k: float) -> tuple[Thresholds, Thresholds]:
+    """Both channel thresholds from signed, zero-mean samples: the Euclidean
+    deviation H x_pred - z, and the residual metric with that deviation's sign."""
+    signed = np.where(deviations != 0.0, np.copysign(residuals, deviations), residuals)
+    return (Thresholds(sigma=calibrate_sigma(deviations), k=k),
+            Thresholds(sigma=calibrate_sigma(signed), k=k))
 
 
-def channel_samples(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
-    """Signed per-tick calibration samples for both channels.
-
-    Euclidean channel: H x_pred - z (zero-mean under no attack).
-    Residual channel: the normalized residual with the sign of the
-    Euclidean deviation attached, likewise zero-mean by symmetry.
-    ``outputs`` is a FilterRun or a sequence of StepOutput.
-    """
-    return _signed(*_channels(outputs, zs, obs_rows)[1:])
-
-
-def _fit(devs, signed_res, k: float) -> tuple[Thresholds, Thresholds]:
-    return (Thresholds(sigma=calibrate_sigma(devs), k=k),
-            Thresholds(sigma=calibrate_sigma(signed_res), k=k))
+def _calibration_ticks(outputs, warmup: int) -> slice:
+    """The warm-up's ticks after the first ``SETTLE_TICKS``, which let the filter settle."""
+    if warmup > len(outputs):
+        raise DataError(f"warm-up window {warmup} exceeds run length {len(outputs)}")
+    return slice(SETTLE_TICKS, warmup)
 
 
 def calibrate_channels(outputs, zs, obs_rows, warmup: int,
                        k: float = 3.0) -> tuple[Thresholds, Thresholds]:
-    """Fit both channel thresholds on an attack-free warm-up window, leaving out
-    its first ``SETTLE_TICKS`` ticks to let the filter settle."""
-    if warmup > len(outputs):
-        raise DataError(f"warm-up window {warmup} exceeds run length {len(outputs)}")
-    ticks = slice(SETTLE_TICKS, warmup)
-    return _fit(*channel_samples(outputs[ticks], zs[ticks], obs_rows[ticks]), k)
+    """``detect_stream``'s thresholds, fitted on the channels of the warm-up
+    ticks alone. ``outputs`` is a FilterRun or a sequence of StepOutput."""
+    ticks = _calibration_ticks(outputs, warmup)
+    return _fit(*_channels(outputs[ticks], zs[ticks], obs_rows[ticks])[1:], k)
 
 
 @dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
@@ -154,8 +153,8 @@ def _verdicts(run: FilterRun, deviations, residuals, euclid_th: Thresholds,
               resid_th: Thresholds, armed_from: int) -> PassiveVerdicts:
     t, d = run.t, np.abs(deviations)
     armed = t >= armed_from
-    residual_flag = armed & (residuals >= resid_th.limit)
-    flag = residual_flag | (armed & (d >= euclid_th.limit))
+    residual_flag = armed & decide(residuals, resid_th)
+    flag = residual_flag | (armed & decide(d, euclid_th))
     return PassiveVerdicts(t=t, euclidean_d=d, residual_r=residuals,
                            residual_flag=residual_flag, flag=flag)
 
@@ -174,12 +173,10 @@ def evaluate_stream(outputs, zs, obs_rows, euclid_th: Thresholds,
 def detect_stream(outputs, zs, obs_rows, warmup: int, k: float = 3.0) -> PassiveVerdicts:
     """``calibrate_channels`` then ``evaluate_stream`` armed from the warm-up's end,
     on one channel pass: the thresholds are fitted on the warm-up slice of it."""
-    if warmup > len(outputs):
-        raise DataError(f"warm-up window {warmup} exceeds run length {len(outputs)}")
+    ticks = _calibration_ticks(outputs, warmup)
     run, deviations, residuals = _channels(outputs, zs, obs_rows)
-    ticks = slice(SETTLE_TICKS, warmup)
-    thresholds = _fit(*_signed(deviations[ticks], residuals[ticks]), k)
-    return _verdicts(run, deviations, residuals, *thresholds, warmup)
+    return _verdicts(run, deviations, residuals,
+                     *_fit(deviations[ticks], residuals[ticks], k), warmup)
 
 
 def write_verdicts_csv(t, euclidean_d, residual_r, flag, path) -> None:

@@ -97,9 +97,6 @@ def test_full_pipeline_and_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert set(report["table"]) == {"improved_akf", "classic_akf", "gru_cnn",
                                     "fused"}
-    series = (out / "plot_series.csv").read_text().splitlines()
-    assert series[0] == "t,euclidean_d,residual_r,flag_passive,p_attack,flag_active,flag_fused"
-    assert len(series) == 1601
 
 
 def test_detect_passive_only(tmp_path):
@@ -507,7 +504,7 @@ def test_train_reads_empty_feature_cell_as_missing(tmp_path):
     ("signal", "initial", [1.0, math.nan]),
     ("attack", "fraction", -math.inf),
     ("network", "dropout", math.nan),
-    # one training-data order, and no scalar stealthy kind (ac = H d is a vector)
+    # one training-data order, and two attack kinds: no stealthy ac = H d
     ("pipeline", "order", "split_first"),
     ("attack", "kind", "stealthy"),
     # integer keys are counts, sizes, ticks or seeds: never negative, and a
@@ -596,7 +593,7 @@ def test_out_of_range_signal_or_attack_value_names_its_key(tmp_path, capsys, nam
 # one value outside each SCHEMA rule
 OUT_OF_RULE = {
     "signal.omega": 0.0, "signal.sigma_process": -1e-3, "signal.sigma_meas": 1e300,
-    "signal.initial": [1.0, 0.0, 0.0], "signal.n": 0, "attack.kind": "stealthy",
+    "signal.initial": [1.0, 0.0, 0.0], "signal.n": 0,
     "attack.duration": 0, "attack.fraction": -0.05, "attack.sensors": [False, True],
     "filter.variant": "classic", "filter.forgetting": 1.0, "thresholds.k": 0.0,
     "thresholds.warmup": 109, "network.train.lr": 0.0, "network.train.beta1": 1.0,
@@ -737,9 +734,7 @@ def test_detect_removes_verdict_files_it_did_not_write(tmp_path, monkeypatch):
         return [name for name in artifacts["detect"] if name != "metrics.json"]
 
     verdicts = ["verdicts_active.csv", "verdicts_fused.csv", "verdicts_passive.csv"]
-    assert detect_lists_its_files() == ["plot_series.csv", *verdicts,
-                                        "verdicts_passive_classic.csv"]
-    # a passive-only rerun takes the full run's plot series with it
+    assert detect_lists_its_files() == [*verdicts, "verdicts_passive_classic.csv"]
     assert detect_lists_its_files("--passive-only") == [*verdicts,
                                                         "verdicts_passive_classic.csv"]
     # and a classic filter that diverges takes its file from an earlier run
@@ -839,17 +834,3 @@ def test_report_reads_only_metrics_json(tmp_path, capsys):
     assert capsys.readouterr().out == table
     assert (alone / "report.json").read_bytes() == (out / "report.json").read_bytes()
     assert sorted(path.name for path in alone.iterdir()) == ["metrics.json", "report.json"]
-
-
-def test_plot_series_joins_the_verdict_columns(tmp_path):
-    _, out = run_to_report(tmp_path, "plot")
-    sources = [("verdicts_passive.csv", "t"), ("verdicts_passive.csv", "euclidean_d"),
-               ("verdicts_passive.csv", "residual_r"), ("verdicts_passive.csv", "flag"),
-               ("verdicts_active.csv", "p_attack"), ("verdicts_active.csv", "flag"),
-               ("verdicts_fused.csv", "flag_fused")]
-    header, *columns = io_utils.read_csv(out / "plot_series.csv", cli.PLOT_HEADER,
-                                         empty_is_missing=True)
-    assert len(columns[0]) == BASE_CONFIG["signal"]["n"]
-    for name, (source, source_name) in zip(header, sources, strict=True):
-        assert (csv_column(out / "plot_series.csv", name)
-                == csv_column(out / source, source_name)), name

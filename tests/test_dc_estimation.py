@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from conftest import random_dc_system
-from fdia_lab.dc_estimation import (DcSystem, bad_data_check, chi_square_threshold,
-                                    objective, wls_estimate)
+from fdia_lab.dc_estimation import DcSystem, chi_square_threshold, objective, wls_estimate
 from fdia_lab.errors import ConfigError, SingularMatrixError
 
 
@@ -58,12 +57,6 @@ def test_objective_linear_in_weights(rng):
     doubled = DcSystem(jacobian=sys.jacobian, weights=2.0 * sys.weights,
                        threshold=sys.threshold)
     assert objective(doubled, z, x) == pytest.approx(2.0 * objective(sys, z, x))
-
-
-def test_bad_data_check_rules():
-    assert bad_data_check(0.0, 13.34) is False
-    assert bad_data_check(20.0, 13.34) is True       # reference threshold 13.34
-    assert bad_data_check(13.34, 13.34) is False     # boundary counts as clean
 
 
 def test_chi_square_anchor_dof4():
@@ -127,7 +120,7 @@ def test_estimate_and_check_flags_gross_error(rng):
     z = sys.jacobian @ x
 
     def flagged(z):
-        return bad_data_check(objective(sys, z, wls_estimate(sys, z)), sys.threshold)
+        return objective(sys, z, wls_estimate(sys, z)) > sys.threshold
 
     assert flagged(z) is False
     z_bad = z.copy()

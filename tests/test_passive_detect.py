@@ -5,8 +5,8 @@ import pytest
 
 from fdia_lab import akf, passive_detect
 from fdia_lab.errors import DataError
-from fdia_lab.passive_detect import (PassiveVerdict, Thresholds, calibrate_channels,
-                                     calibrate_sigma, channel_samples, decide,
+from fdia_lab.passive_detect import (SETTLE_TICKS, PassiveVerdict, Thresholds,
+                                     calibrate_channels, calibrate_sigma, decide,
                                      detect_stream, evaluate_stream, write_verdicts_csv)
 from fdia_lab.signal_model import (SignalParams, SignalState, observation_row,
                                    observation_rows, simulate)
@@ -91,6 +91,14 @@ def test_decide_boundary_is_inclusive():
     th = Thresholds(sigma=1.0, k=3.0)
     assert decide(3.0, th) is True
     assert decide(0.0, th) is False
+    with pytest.raises(DataError, match="non-negative"):
+        decide(-1e-300, th)
+    # an array is decided element by element with the same inclusive limit
+    flags = decide(np.array([0.0, np.nextafter(3.0, 0.0), 3.0, 7.5]), th)
+    assert flags.dtype == bool
+    np.testing.assert_array_equal(flags, [False, False, True, True])
+    with pytest.raises(DataError, match="non-negative"):
+        decide(np.array([4.0, -1e-300, 0.0]), th)
 
 
 def test_decide_monotone(rng):
@@ -145,17 +153,23 @@ def as_steps(run):
             for i in range(len(run))]
 
 
-def test_channel_samples_match_per_tick_detectors():
+def test_calibrate_channels_matches_per_tick_reference():
+    # each sigma is the n-1 std of the signed per-tick samples of the warm-up
+    # after its settle ticks: H x_pred - z, and the residual metric with that sign
     trace, outputs, obs = run_filtered_trace(3000, seed=8)
-    devs, signed = channel_samples(outputs, trace.z, obs)
+    warmup = 700
     ref_devs, ref_signed = [], []
-    for x_pred, x_hat, z, h in zip(outputs.x_pred, outputs.x_hat, trace.z, obs):
-        dev = float((h @ x_pred)[0]) - float(z)
-        r = residual_metric(x_pred, x_hat)
+    for i in range(SETTLE_TICKS, warmup):
+        dev = float((obs[i] @ outputs.x_pred[i])[0]) - float(trace.z[i])
+        r = residual_metric(outputs.x_pred[i], outputs.x_hat[i])
         ref_devs.append(dev)
         ref_signed.append(math.copysign(r, dev) if dev != 0.0 else r)
-    np.testing.assert_allclose(devs, ref_devs, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(signed, ref_signed, rtol=1e-12, atol=1e-15)
+    euclid_th, resid_th = calibrate_channels(outputs, trace.z, obs, warmup=warmup, k=2.0)
+    assert euclid_th.k == resid_th.k == 2.0
+    assert euclid_th.sigma == pytest.approx(np.std(ref_devs, ddof=1), rel=1e-12)
+    assert resid_th.sigma == pytest.approx(np.std(ref_signed, ddof=1), rel=1e-12)
+    # the unsigned metric would give a different sigma
+    assert resid_th.sigma != pytest.approx(np.std(np.abs(ref_signed), ddof=1), rel=1e-3)
 
 
 def test_evaluate_stream_matches_per_tick_decisions():
@@ -211,8 +225,6 @@ def test_bad_filter_state_names_the_tick(value, message):
     x_pred = outputs.x_pred.copy()
     x_pred[3] = value
     broken = akf.FilterRun(outputs.t, x_pred, outputs.x_hat, outputs.innovation)
-    with pytest.raises(DataError, match=message):
-        channel_samples(broken, trace.z, obs)
     with pytest.raises(DataError, match=message):
         evaluate_stream(broken, trace.z, obs, Thresholds(1.0), Thresholds(1.0))
     with pytest.raises(DataError, match=message):
