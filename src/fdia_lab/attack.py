@@ -38,9 +38,6 @@ class SensorSelection:
         if not all(type(d) is bool for d in self.deltas):
             raise TypeError("a sensor selection is a list of booleans")
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.deltas, dtype=float)
-
 
 @dataclass(frozen=True)
 class AttackScenario:
@@ -107,7 +104,7 @@ def inject_series(z: np.ndarray, scenario: AttackScenario,
     else:
         value = scenario.fraction * z[hit]
     attacked = z.copy()
-    attacked[hit] = z[hit] + scenario.selection.as_array() * value
+    attacked[hit] = z[hit] + float(scenario.selection.deltas[0]) * value
     return attacked, active & scenario.selection.deltas[0]
 
 

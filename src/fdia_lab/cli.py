@@ -20,6 +20,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split,
                             window, write_dataset_csv)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import (REQUIRED, Cells, _field_kinds, config_value, finite_number, fmt_column,
-                       read_json, reject_unknown_keys, write_columns, write_json)
+from .io_utils import (REQUIRED, Cells, finite_number, fmt_column, read_fields, read_json,
+                       write_columns, write_json)
 from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
                  save_checkpoint, train, write_history_csv)
 from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
@@ -64,7 +65,7 @@ class ExperimentConfig:
 def _dataclass_rows(section: str, cls, **rules) -> dict:
     """SCHEMA rows for the fields of ``cls`` that have a default: the field's
     type and default, and the rule given for it."""
-    kinds = _field_kinds(cls)
+    kinds = get_type_hints(cls)
     return {f"{section}.{f.name}": (kinds[f.name], f.default, rules.get(f.name))
             for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
 
@@ -76,12 +77,12 @@ _FRACTION = (lambda v: 0 < v < 1, "must lie strictly in (0, 1)")
 _SIGMA = (lambda v: v >= 0 and finite_number(v * v), "must be non-negative with a finite square")
 _MIN_WARMUP = passive_detect.SETTLE_TICKS + passive_detect.MIN_CALIBRATION_SAMPLES
 
-# section.key -> (type, default, rule): each key is read by config_value, a
-# default of None leaves a key that is absent or null to its dataclass's own
-# default (None), and a rule is a (predicate, "must ...") pair on the value
-# read. The network rows take each field's type and default from
-# NetworkConfig and TrainConfig; the dimension, dropout and feature-map rules
-# stay in NetworkConfig, which load_checkpoint applies too.
+# section.key -> (type, default, rule), each section read by
+# io_utils.read_fields; a default of None leaves a key that is absent or null
+# to its dataclass's own default (None). The network rows take each field's
+# type and default from NetworkConfig and TrainConfig; the dimension, dropout
+# and feature-map rules stay in NetworkConfig, which load_checkpoint applies
+# too, and the attack's pairing rules in AttackScenario.
 SCHEMA = {
     "outputs": (Path, REQUIRED, None),
     "signal.omega": (float, REQUIRED, _POSITIVE),
@@ -131,17 +132,8 @@ def _section(raw: dict, name: str) -> dict:
         if not isinstance(obj, dict):
             raise ConfigError(f"config section '{name}' must be a JSON object")
     prefix = f"{name}." if name else ""
-    rows = {key[len(prefix):]: row for key, row in SCHEMA.items() if key.startswith(prefix)}
-    reject_unknown_keys(obj, name, {key.partition(".")[0] for key in rows})
-    values = {}
-    for key, (kind, default, rule) in rows.items():
-        if "." in key or default is None and obj.get(key) is None:
-            continue
-        value = config_value(obj, name, key, kind, default)
-        if rule and not rule[0](value):
-            raise ConfigError(f"config key '{prefix}{key}' {rule[1]}")
-        values[key] = value
-    return values
+    return read_fields(obj, name, {key[len(prefix):]: row for key, row in SCHEMA.items()
+                                   if key.startswith(prefix)})
 
 
 def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentConfig:
@@ -240,15 +232,14 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
 
     # the last validation pass already scored the holdout with this network
     probs = history.val_probs if history.val_probs is not None else predict_proba(net, test_w)
-    preds = probs[:, 1] > probs[:, 0]
-    report = evaluation.metrics(evaluation.confusion(preds, test_y.astype(bool)))
+    holdout = _metrics_entry(probs[:, 1] > probs[:, 0], test_y.astype(bool), None)
 
     save_checkpoint(net, cfg.outputs / "checkpoint.json", std)
     write_history_csv(history, cfg.outputs / "history.csv")
-    _merge_metrics(cfg, metrics, {"gru_cnn_holdout": evaluation.report_dict(report)})
+    _merge_metrics(cfg, metrics, {"gru_cnn_holdout": holdout})
     _update_manifest(cfg, manifest, "train", ["checkpoint.json", "history.csv", "metrics.json"])
     print(f"train: {len(train_w)} train / {len(test_w)} test windows, "
-          f"holdout accuracy {report.accuracy:.4f}")
+          f"holdout accuracy {holdout['accuracy']:.4f}")
     return 0
 
 
@@ -453,12 +444,11 @@ def run_command(args) -> int:
     if args.command == "train":
         dataset = args.dataset or cfg.outputs / "dataset.csv"
         return cmd_train(cfg, dataset)
-    if args.command == "detect":
-        trace = args.trace or cfg.outputs / "trace.csv"
-        labels = args.labels or cfg.outputs / "labels.csv"
-        checkpoint = args.checkpoint or cfg.outputs / "checkpoint.json"
-        return cmd_detect(cfg, trace, labels, checkpoint, args.passive_only)
-    raise ConfigError(f"unknown command {args.command}")
+    # argparse admits only the four commands
+    trace = args.trace or cfg.outputs / "trace.csv"
+    labels = args.labels or cfg.outputs / "labels.csv"
+    checkpoint = args.checkpoint or cfg.outputs / "checkpoint.json"
+    return cmd_detect(cfg, trace, labels, checkpoint, args.passive_only)
 
 
 def main(argv=None) -> int:

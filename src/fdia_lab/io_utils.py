@@ -1,25 +1,27 @@
-"""CSV/JSON helpers shared by the module-level exporters, and the typed
-reading of config values.
+"""CSV/JSON helpers shared by the module-level exporters, and the one
+typed reader of config sections.
 
 Writers are byte-deterministic: floats are written with ``repr`` (shortest
 round-trip form), JSON keys are sorted, and no timestamps are emitted.
 ``read_csv``'s one ``np.loadtxt`` call converts every CSV cell to a value.
+``read_fields`` reads a config section by its rows, each a key's type,
+default and rule; it serves the run config's sections and the checkpoint's
+``config`` alike.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 
-REQUIRED = object()  # config_value's default for a key without one
+REQUIRED = object()  # the default of a config row whose key has none
 
 
 class Cells(list):
@@ -175,24 +177,41 @@ def finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-def reject_unknown_keys(section: dict, where: str, known) -> None:
-    """Raise ConfigError naming ``where.key`` for a key not in ``known``."""
-    unknown = sorted(set(section) - set(known))
+def read_fields(section: dict, where: str, rows: dict) -> dict:
+    """The values that ``rows`` reads from the config section ``section``,
+    named ``where`` ("" for the root). A row is ``key: (type, default,
+    rule)``: the key's value, or its default when absent, is converted by
+    ``config_value`` and must pass the rule, a (predicate, "must ...") pair,
+    if the row has one. A default of None leaves out a key that is absent or
+    null, and a dotted key names a nested section, which is read on its own.
+
+    A key no row names, a missing required key, or a value that its type or
+    rule refuses raises ConfigError naming ``where.key``.
+    """
+    prefix = f"{where}." if where else ""
+    unknown = sorted(set(section) - {key.partition(".")[0] for key in rows})
     if unknown:
-        name = f"{where}.{unknown[0]}" if where else unknown[0]
-        raise ConfigError(f"unknown config key '{name}'")
+        raise ConfigError(f"unknown config key '{prefix}{unknown[0]}'")
+    values = {}
+    for key, (kind, default, rule) in rows.items():
+        if "." in key or default is None and section.get(key) is None:
+            continue
+        values[key] = value = config_value(section, prefix, key, kind, default)
+        if rule and not rule[0](value):
+            raise ConfigError(f"config key '{prefix}{key}' {rule[1]}")
+    return values
 
 
-def config_value(section: dict, where: str, key: str, kind, default=REQUIRED):
+def config_value(section: dict, prefix: str, key: str, kind, default):
     """``section[key]``, or ``default`` when absent, converted by ``kind``;
     ``int`` takes integral numbers in [0, 2**63) only (never truncating: every
     integer key is a count, a size, a tick or a seed, and numpy holds it in an
     int64), ``float`` finite ones.
 
     A missing required key or a value ``kind`` rejects raises ConfigError
-    naming ``where.key``.
+    naming the key as ``prefix + key``.
     """
-    name = f"{where}.{key}" if where else key
+    name = prefix + key
     if key not in section and default is REQUIRED:
         raise ConfigError(f"missing config key '{name}'")
     value = section.get(key, default)
@@ -205,18 +224,3 @@ def config_value(section: dict, where: str, key: str, kind, default=REQUIRED):
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{name}' has an invalid value {value!r}: {exc}") from exc
-
-
-@functools.cache
-def _field_kinds(cls) -> dict:
-    """``cls``'s field types, resolved on the first call for each class."""
-    return get_type_hints(cls)
-
-
-def config_dataclass(section: dict, where: str, cls, **fixed):
-    """``cls(**fixed, **section)`` with every value converted to its field's
-    type (int or float) by ``config_value``; other keys are rejected."""
-    kinds = _field_kinds(cls)
-    reject_unknown_keys(section, where, [name for name in kinds if name not in fixed])
-    return cls(**fixed, **{key: config_value(section, where, key, kinds[key])
-                           for key in section})

@@ -11,12 +11,13 @@ loss to every parameter.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from ..data_pipeline import Standardizer
 from ..errors import ConfigError, DataError, DimensionError
-from ..io_utils import config_dataclass, read_json, write_json
+from ..io_utils import REQUIRED, read_fields, read_json, write_json
 from .layers import (ConvLayer, DenseLayer, GruParams, conv_backward, conv_forward,
                      dropout_forward, gru_backward, gru_forward, pool_backward,
                      pool_forward, softmax)
@@ -117,17 +118,11 @@ def init_network(cfg: NetworkConfig, seed: int = 0) -> Network:
 
 
 def parameters(net: Network) -> dict[str, np.ndarray]:
-    """Live references to every trainable array, in a stable order."""
-    p = net.gru
-    return {
-        "gru.w_xr": p.w_xr, "gru.w_hr": p.w_hr,
-        "gru.w_xz": p.w_xz, "gru.w_hz": p.w_hz,
-        "gru.w_xh": p.w_xh, "gru.w_hh": p.w_hh,
-        "gru.b_r": p.b_r, "gru.b_z": p.b_z, "gru.b_h": p.b_h,
-        "conv1.kernels": net.conv1.kernels, "conv1.bias": net.conv1.bias,
-        "conv2.kernels": net.conv2.kernels, "conv2.bias": net.conv2.bias,
-        "dense.weights": net.dense.weights, "dense.bias": net.dense.bias,
-    }
+    """Live references to every trainable array, named ``<layer>.<field>``,
+    with the layers and each layer dataclass's fields in declaration order."""
+    return {f"{name}.{f.name}": getattr(getattr(net, name), f.name)
+            for name in ("gru", "conv1", "conv2", "dense")
+            for f in fields(getattr(net, name))}
 
 
 def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None = None,
@@ -278,12 +273,10 @@ def load_checkpoint(path) -> tuple[Network, Standardizer]:
         raise DataError(f"not a checkpoint file: {path}")
     if obj.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {obj.get('version')}")
-    raw_cfg = _checkpoint_object(path, obj, "config")
-    absent = [f.name for f in fields(NetworkConfig) if f.name not in raw_cfg]
-    if absent:
-        raise DataError(f"{path}: checkpoint config lacks '{absent[0]}'")
+    # every NetworkConfig field, each one required
+    rows = {key: (kind, REQUIRED, None) for key, kind in get_type_hints(NetworkConfig).items()}
     try:
-        cfg = config_dataclass(raw_cfg, "config", NetworkConfig)
+        cfg = NetworkConfig(**read_fields(_checkpoint_object(path, obj, "config"), "config", rows))
     except ConfigError as exc:
         raise DataError(f"{path}: checkpoint {exc}") from exc
     net = init_network(cfg, seed=0)

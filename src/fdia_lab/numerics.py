@@ -22,15 +22,11 @@ Vector = np.ndarray
 PIVOT_RTOL = 1e-12
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> Matrix:
+def as_matrix(data) -> Matrix:
     """Validate and convert to a finite 2-D float array."""
     a = np.asarray(data, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if rows is not None and a.shape[0] != rows:
-        raise DimensionError(f"expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise DimensionError(f"expected {cols} cols, got {a.shape[1]}")
     if not np.all(np.isfinite(a)):
         raise DataError("matrix contains non-finite entries")
     return a

@@ -822,6 +822,23 @@ def test_failed_train_leaves_no_earlier_network(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_checkpoint_config_that_cannot_be_read_is_data_error(tmp_path, capsys):
+    cfg_path, out = run_to_report(tmp_path, "badcp")
+    path = out / "checkpoint.json"
+    saved = path.read_text()
+    for edit, key in [(lambda c: c.pop("hidden"), "hidden"),
+                      (lambda c: c.update(stride=1), "stride"),
+                      (lambda c: c.update(pool="2"), "pool")]:
+        obj = json.loads(saved)
+        edit(obj["config"])
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["detect", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and f"'config.{key}'" in err
+        assert "Traceback" not in err
+
+
 def test_report_reads_only_metrics_json(tmp_path, capsys):
     cfg_path, out = run_to_report(tmp_path, "full")
     capsys.readouterr()

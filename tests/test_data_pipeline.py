@@ -191,6 +191,19 @@ def test_split_80_20_balanced_ten_rows():
     assert len(train) == 8 and len(test) == 2
 
 
+# per class of m rows, n_train = min(max(round(f * m), 1), m - 1) with Python's
+# half-even round: 2.5 rounds down and 1.5 and 3.5 up, where int() or a
+# half-up rule differ, and 0.05 and 4.95 reach the two clamps
+@pytest.mark.parametrize("m,fraction,n_train", [
+    (5, 0.5, 2), (5, 0.7, 4), (3, 0.5, 2), (5, 0.01, 1), (5, 0.99, 4), (2, 0.5, 1)])
+def test_split_rounds_half_even_and_clamps_per_class(m, fraction, n_train):
+    d = small_dataset([[float(i)] for i in range(2 * m)], labels=[0, 1] * m)
+    train, test = split(d, fraction, seed=4)
+    for c in (0, 1):
+        assert np.sum(train.labels == c) == n_train
+        assert np.sum(test.labels == c) == m - n_train
+
+
 def test_split_union_is_disjoint_partition(rng):
     d = make_labeled_dataset(101, 0.3, seed=2)
     train, test = split(d, 0.8, seed=3)

@@ -568,17 +568,21 @@ def _without_w_xr(obj):
      "checkpoint standardizer stds has negative entries"),
     (lambda obj: obj["config"].update(hidden="x"),
      "checkpoint config key 'config.hidden' has an invalid value 'x'"),
-    (lambda obj: obj["config"].pop("hidden"), "checkpoint config lacks 'hidden'"),
+    (lambda obj: obj["config"].pop("hidden"), "missing config key 'config.hidden'"),
+    (lambda obj: obj["config"].update(stride=1), "unknown config key 'config.stride'"),
     (lambda obj: obj["config"].update(hidden=0), "network dimensions must be positive"),
     (_without_w_xr, "checkpoint lacks the parameter 'gru.w_xr'"),
+    (lambda obj: obj["params"].update({"gru.w_xq": [[0.0]]}),
+     "unknown parameter 'gru.w_xq' in checkpoint"),
     (lambda obj: obj["params"].update({"gru.b_r": "abc"}),
      "checkpoint parameter 'gru.b_r' is not an array of numbers"),
     (lambda obj: obj["params"]["dense.bias"].__setitem__(0, None),
      "checkpoint parameter 'dense.bias' has non-finite entries"),
     (lambda obj: obj.update(params=[]), "checkpoint entry 'params' must be a JSON object"),
 ], ids=["empty-standardizer", "short-means", "long-stds", "negative-std",
-        "non-numeric-hidden", "absent-hidden", "zero-hidden", "absent-parameter",
-        "non-numeric-parameter", "null-weight", "params-not-an-object"])
+        "non-numeric-hidden", "absent-hidden", "unknown-config-key", "zero-hidden",
+        "absent-parameter", "unknown-parameter", "non-numeric-parameter", "null-weight",
+        "params-not-an-object"])
 def test_malformed_checkpoint_entry_is_data_error(tmp_path, edit, problem):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(init_network(TINY, seed=10), path,
