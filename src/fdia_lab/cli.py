@@ -31,8 +31,8 @@ from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
 from .errors import ConfigError, DataError, NumericalError
 from .io_utils import (REQUIRED, Cells, finite_number, fmt_column, read_fields, read_json,
                        write_columns, write_json)
-from .nn import (NetworkConfig, TrainConfig, load_checkpoint, predict_proba,
-                 save_checkpoint, train, write_history_csv)
+from .nn import (NETWORK_RULES, NetworkConfig, TrainConfig, load_checkpoint,
+                 predict_proba, save_checkpoint, train, write_history_csv)
 from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
                            read_labels_csv, read_trace_csv, simulate,
                            write_labels_csv, write_trace_csv)
@@ -80,9 +80,10 @@ _MIN_WARMUP = passive_detect.SETTLE_TICKS + passive_detect.MIN_CALIBRATION_SAMPL
 # section.key -> (type, default, rule), each section read by
 # io_utils.read_fields; a default of None leaves a key that is absent or null
 # to its dataclass's own default (None). The network rows take each field's
-# type and default from NetworkConfig and TrainConfig; the dimension, dropout
-# and feature-map rules stay in NetworkConfig, which load_checkpoint applies
-# too, and the attack's pairing rules in AttackScenario.
+# type and default from NetworkConfig and TrainConfig, and the dimension and
+# dropout rules from NETWORK_RULES, which load_checkpoint applies too; the
+# feature-map rule stays in NetworkConfig, and the attack's pairing rules in
+# AttackScenario.
 SCHEMA = {
     "outputs": (Path, REQUIRED, None),
     "signal.omega": (float, REQUIRED, _POSITIVE),
@@ -112,7 +113,7 @@ SCHEMA = {
     "thresholds.warmup": (int, 500, (lambda v: v >= _MIN_WARMUP, (
         f"must be at least {_MIN_WARMUP}: {passive_detect.SETTLE_TICKS} settle ticks "
         f"and {passive_detect.MIN_CALIBRATION_SAMPLES} calibration samples"))),
-    **_dataclass_rows("network", NetworkConfig),
+    **_dataclass_rows("network", NetworkConfig, **NETWORK_RULES),
     **_dataclass_rows("network.train", TrainConfig, lr=_POSITIVE, epsilon=_POSITIVE,
                       beta1=_FRACTION, beta2=_FRACTION, batch=_AT_LEAST_1),
     "pipeline.k_clusters": (int, 3, _AT_LEAST_1),

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import cycle
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DimensionError
 
@@ -61,10 +62,14 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None,
     The recurrence runs feature-major, on (H, B) states, so that the gates
     [r | z] of a tick are two contiguous blocks. The input projections of
     every tick are one 2-D product before the loop; inside it the reset and
-    update gates share one recurrent matmul and one sigmoid. The cache holds
-    the inputs (D, L * B), columns in (tick, window) order, and tick-major,
-    feature-major stacks: the states h_0..h_L (L + 1, H, B), the gates
-    [r | z] (L, 2H, B), the candidates and r * h_prev (L, H, B). With
+    update gates share one recurrent matmul and one sigmoid. That product
+    covers the L * B (tick, window) pairs, or, when the windows overlap as
+    ``data_pipeline.window``'s sliding view does (``x.strides[0] ==
+    x.strides[1]``), each of the B + L - 1 distinct rows once; each tick then
+    reads a strided view of it, and the results are the same bit for bit.
+    The cache holds the inputs (D, L * B), columns in (tick, window) order,
+    and tick-major, feature-major stacks: the states h_0..h_L (L + 1, H, B),
+    the gates [r | z] (L, 2H, B), the candidates and r * h_prev (L, H, B). With
     ``cache=False`` it is ``None`` and every tick overwrites one tick's
     gates, candidate and r * h_prev. The returned map is a view of the
     states h_1..h_L with a leading channel axis: the batch-last input of
@@ -83,14 +88,22 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None,
         raise DimensionError(f"initial state {np.shape(h0)} != ({b}, {hd})")
     else:
         hs[0] = np.transpose(h0)
-    xs = x.transpose(2, 1, 0).reshape(d, length * b)
+    # in windows that overlap like data_pipeline.window's sliding view (equal
+    # window and tick strides), x[i, j] is row i + j of a (B + L - 1, D)
+    # array: the first tick of every window, then the last window's others
+    overlapping = b > 0 and x.strides[0] == x.strides[1]
+    xs = x.transpose(2, 1, 0).reshape(d, length * b) if cache or not overlapping else None
+    rows = np.concatenate([x[:, 0], x[-1, 1:]]).T if overlapping else xs
     # einsum's own loop beats BLAS at D = 1, where each entry is one exact product
-    proj = np.einsum("dk,dn->kn", np.hstack([p.w_xr, p.w_xz, p.w_xh]), xs)
+    proj = np.einsum("dk,dn->kn", np.hstack([p.w_xr, p.w_xz, p.w_xh]), rows)
     proj += np.concatenate([p.b_r, p.b_z, p.b_h])[:, None]
     # the logistic sigmoid is 0.5 * tanh(x / 2) + 0.5, which cannot
     # overflow; the gate pre-activations are formed already halved, from
     # halved weights and projections (exact: a power-of-two scale)
     proj[:2 * hd] *= 0.5
+    # (L, 3H, B): tick j reads rows j..j + B - 1, or columns j * B..(j + 1) * B - 1
+    proj_ticks = (sliding_window_view(proj, b, axis=1).transpose(1, 0, 2) if overlapping
+                  else proj.reshape(3 * hd, length, b).transpose(1, 0, 2))
     w_hrz_t = 0.5 * np.hstack([p.w_hr, p.w_hz]).T
     w_hh_t = p.w_hh.T
     ticks = length if cache else 1
@@ -99,8 +112,7 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None,
     rh = np.empty((ticks, hd, b))
     # cycle() repeats the single scratch tick when not caching
     for h, h_new, gates, c, rh_t, proj_t in zip(
-            hs[:-1], hs[1:], cycle(rz), cycle(cand), cycle(rh),
-            proj.reshape(3 * hd, length, b).transpose(1, 0, 2)):
+            hs[:-1], hs[1:], cycle(rz), cycle(cand), cycle(rh), proj_ticks):
         np.matmul(w_hrz_t, h, out=gates)
         gates += proj_t[:2 * hd]
         np.tanh(gates, out=gates)

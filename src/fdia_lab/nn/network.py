@@ -40,12 +40,9 @@ class NetworkConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ConfigError(f"network dimensions must be positive: config key "
-                                  f"'network.{f.name}' is {getattr(self, f.name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"config key 'network.dropout' must lie in [0, 1): {self.dropout}")
+        for key, (rule, must) in NETWORK_RULES.items():
+            if not rule(getattr(self, key)):
+                raise ConfigError(f"network {key} {must}: {getattr(self, key)}")
         self.feature_count()  # validates that the shape chain is feasible
 
     def feature_count(self) -> int:
@@ -58,6 +55,16 @@ class NetworkConfig:
                 raise ConfigError(f"feature map {(h, w)} is smaller than a {size}x{size} kernel")
             h, w = -(-(h - size + 1) // self.pool), -(-(w - size + 1) // self.pool)
         return h * w * self.conv2_kernels
+
+
+# key -> (predicate, "must ..."): the rule of each NetworkConfig field that
+# has one, as io_utils.read_fields applies it to the run config's network
+# section and to a checkpoint's config, naming the key where it is read
+NETWORK_RULES = {
+    **{f.name: (lambda v: v >= 1, "must be at least 1")
+       for f in fields(NetworkConfig) if f.type == "int"},
+    "dropout": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+}
 
 
 @dataclass
@@ -274,7 +281,8 @@ def load_checkpoint(path) -> tuple[Network, Standardizer]:
     if obj.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {obj.get('version')}")
     # every NetworkConfig field, each one required
-    rows = {key: (kind, REQUIRED, None) for key, kind in get_type_hints(NetworkConfig).items()}
+    rows = {key: (kind, REQUIRED, NETWORK_RULES.get(key))
+            for key, kind in get_type_hints(NetworkConfig).items()}
     try:
         cfg = NetworkConfig(**read_fields(_checkpoint_object(path, obj, "config"), "config", rows))
     except ConfigError as exc:

@@ -600,6 +600,9 @@ OUT_OF_RULE = {
     "network.train.beta2": 0.0, "network.train.epsilon": -1.0, "network.train.batch": 0,
     "pipeline.k_clusters": 0, "pipeline.train_fraction": 1.0,
     "pipeline.order": "split_first",
+    "network.window_len": 0, "network.hidden": 0, "network.conv1_kernels": 0,
+    "network.conv1_size": 0, "network.conv2_kernels": 0, "network.conv2_size": 0,
+    "network.pool": 0, "network.dropout": 1.0,
 }
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fdia_lab.data_pipeline import Standardizer
-from fdia_lab.errors import DataError, DimensionError
+from fdia_lab.data_pipeline import Standardizer, window
+from fdia_lab.errors import ConfigError, DataError, DimensionError
 from fdia_lab.nn import (AdamState, NetworkConfig, TrainConfig, adam_step,
                          conv_forward, forward, gradients, init_network,
                          load_checkpoint, parameters, pool_forward, predict_proba,
@@ -570,7 +570,9 @@ def _without_w_xr(obj):
      "checkpoint config key 'config.hidden' has an invalid value 'x'"),
     (lambda obj: obj["config"].pop("hidden"), "missing config key 'config.hidden'"),
     (lambda obj: obj["config"].update(stride=1), "unknown config key 'config.stride'"),
-    (lambda obj: obj["config"].update(hidden=0), "network dimensions must be positive"),
+    (lambda obj: obj["config"].update(hidden=0), "config key 'config.hidden' must be at least 1"),
+    (lambda obj: obj["config"].update(dropout=1.0),
+     "config key 'config.dropout' must lie in [0, 1)"),
     (_without_w_xr, "checkpoint lacks the parameter 'gru.w_xr'"),
     (lambda obj: obj["params"].update({"gru.w_xq": [[0.0]]}),
      "unknown parameter 'gru.w_xq' in checkpoint"),
@@ -581,6 +583,7 @@ def _without_w_xr(obj):
     (lambda obj: obj.update(params=[]), "checkpoint entry 'params' must be a JSON object"),
 ], ids=["empty-standardizer", "short-means", "long-stds", "negative-std",
         "non-numeric-hidden", "absent-hidden", "unknown-config-key", "zero-hidden",
+        "dropout-of-one",
         "absent-parameter", "unknown-parameter", "non-numeric-parameter", "null-weight",
         "params-not-an-object"])
 def test_malformed_checkpoint_entry_is_data_error(tmp_path, edit, problem):
@@ -856,6 +859,61 @@ def test_predict_proba_peak_memory_is_one_chunk(rng):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# --- overlapping windows: data_pipeline.window's sliding view -------------------
+#
+# gru_forward projects each distinct row of such a view once; a C-contiguous
+# copy of the same windows takes the per-(tick, window) product, so the two
+# must agree bit for bit
+
+ONE_TICK = NetworkConfig(input_dim=2, window_len=1, hidden=4, conv1_kernels=2,
+                         conv1_size=1, conv2_kernels=2, conv2_size=1, pool=2,
+                         dropout=0.0)
+
+
+def test_network_config_applies_its_rules():
+    with pytest.raises(ConfigError, match="network pool must be at least 1: 0"):
+        NetworkConfig(input_dim=1, pool=0)
+    with pytest.raises(ConfigError, match=r"network dropout must lie in \[0, 1\): 1.0"):
+        NetworkConfig(input_dim=1, dropout=1.0)
+
+
+def window_view(rng, rows, cfg_or_length, input_dim=None):
+    length = getattr(cfg_or_length, "window_len", cfg_or_length)
+    width = getattr(cfg_or_length, "input_dim", input_dim)
+    view, _ = window(rng.normal(size=(rows, width)), np.zeros(rows, dtype=int), length)
+    assert view.strides[0] == view.strides[1]
+    return view
+
+
+@pytest.mark.parametrize("cfg,rows", [
+    (DEMO_SHAPED, 2 * INFER_CHUNK + 40),
+    (DEMO_SHAPED, 16),
+    (TINY, INFER_CHUNK + 9),
+    (ONE_TICK, INFER_CHUNK + 5),
+], ids=["partial-last-chunk", "one-window", "three-features", "window-len-1"])
+def test_predict_proba_on_window_view_equals_copy(rng, cfg, rows):
+    view = window_view(rng, rows, cfg)
+    net = init_network(cfg, seed=rows)
+    assert np.array_equal(predict_proba(net, view),
+                          predict_proba(net, np.ascontiguousarray(view)))
+
+
+@pytest.mark.parametrize("input_dim,length,batch", [(1, 16, 20), (3, 4, 7), (2, 1, 5)])
+def test_gru_on_window_view_matches_copy_with_cache(rng, input_dim, length, batch):
+    p = random_gru(rng, input_dim=input_dim, hidden=5)
+    view = window_view(rng, batch + length - 1, length, input_dim)
+    states, caches = gru_forward(view, p)
+    want_states, want_caches = gru_forward(np.ascontiguousarray(view), p)
+    assert np.array_equal(states, want_states)
+    assert len(caches) == len(want_caches)
+    for got, want in zip(caches, want_caches):
+        assert np.array_equal(got, want)
+    dseq = rng.normal(size=states[0].shape)
+    grads, want_grads = gru_backward(dseq, caches, p), gru_backward(dseq, want_caches, p)
+    for name, want in want_grads.items():
+        assert np.array_equal(grads[name], want), name
 
 
 def test_forward_without_cache_returns_same_probabilities(rng):
