@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import cycle
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DimensionError
 
@@ -101,9 +100,8 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None,
     # overflow; the gate pre-activations are formed already halved, from
     # halved weights and projections (exact: a power-of-two scale)
     proj[:2 * hd] *= 0.5
-    # (L, 3H, B): tick j reads rows j..j + B - 1, or columns j * B..(j + 1) * B - 1
-    proj_ticks = (sliding_window_view(proj, b, axis=1).transpose(1, 0, 2) if overlapping
-                  else proj.reshape(3 * hd, length, b).transpose(1, 0, 2))
+    # tick j's (3H, B) block: rows j..j + B - 1, or the j-th run of B columns
+    step = 1 if overlapping else b
     w_hrz_t = 0.5 * np.hstack([p.w_hr, p.w_hz]).T
     w_hh_t = p.w_hh.T
     ticks = length if cache else 1
@@ -112,7 +110,8 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None,
     rh = np.empty((ticks, hd, b))
     # cycle() repeats the single scratch tick when not caching
     for h, h_new, gates, c, rh_t, proj_t in zip(
-            hs[:-1], hs[1:], cycle(rz), cycle(cand), cycle(rh), proj_ticks):
+            hs[:-1], hs[1:], cycle(rz), cycle(cand), cycle(rh),
+            (proj[:, j * step:j * step + b] for j in range(length))):
         np.matmul(w_hrz_t, h, out=gates)
         gates += proj_t[:2 * hd]
         np.tanh(gates, out=gates)
