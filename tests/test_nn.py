@@ -598,6 +598,13 @@ def test_malformed_checkpoint_entry_is_data_error(tmp_path, edit, problem):
     assert str(info.value).startswith(f"{path}: ") and problem in str(info.value)
 
 
+def test_network_config_applies_its_rules():
+    with pytest.raises(ConfigError, match="network pool must be at least 1: 0"):
+        NetworkConfig(input_dim=1, pool=0)
+    with pytest.raises(ConfigError, match=r"network dropout must lie in \[0, 1\): 1.0"):
+        NetworkConfig(input_dim=1, dropout=1.0)
+
+
 def test_checkpoint_that_is_not_json_is_data_error(tmp_path):
     path = tmp_path / "checkpoint.json"
     path.write_text('{"format": "gru-cnn-checkpoint", ')
@@ -864,24 +871,17 @@ def test_predict_proba_peak_memory_is_one_chunk(rng):
 # --- overlapping windows: data_pipeline.window's sliding view -------------------
 #
 # gru_forward projects each distinct row of such a view once; a C-contiguous
-# copy of the same windows takes the per-(tick, window) product, so the two
-# must agree bit for bit
+# copy of the same windows takes the per-(tick, window) product (unless each
+# window is one tick, when its strides are equal too), and the two must agree
+# bit for bit
 
 ONE_TICK = NetworkConfig(input_dim=2, window_len=1, hidden=4, conv1_kernels=2,
                          conv1_size=1, conv2_kernels=2, conv2_size=1, pool=2,
                          dropout=0.0)
 
 
-def test_network_config_applies_its_rules():
-    with pytest.raises(ConfigError, match="network pool must be at least 1: 0"):
-        NetworkConfig(input_dim=1, pool=0)
-    with pytest.raises(ConfigError, match=r"network dropout must lie in \[0, 1\): 1.0"):
-        NetworkConfig(input_dim=1, dropout=1.0)
-
-
-def window_view(rng, rows, cfg_or_length, input_dim=None):
-    length = getattr(cfg_or_length, "window_len", cfg_or_length)
-    width = getattr(cfg_or_length, "input_dim", input_dim)
+def window_view(rng, rows, length, width):
+    """data_pipeline.window's sliding view over ``rows`` random rows."""
     view, _ = window(rng.normal(size=(rows, width)), np.zeros(rows, dtype=int), length)
     assert view.strides[0] == view.strides[1]
     return view
@@ -894,7 +894,7 @@ def window_view(rng, rows, cfg_or_length, input_dim=None):
     (ONE_TICK, INFER_CHUNK + 5),
 ], ids=["partial-last-chunk", "one-window", "three-features", "window-len-1"])
 def test_predict_proba_on_window_view_equals_copy(rng, cfg, rows):
-    view = window_view(rng, rows, cfg)
+    view = window_view(rng, rows, cfg.window_len, cfg.input_dim)
     net = init_network(cfg, seed=rows)
     assert np.array_equal(predict_proba(net, view),
                           predict_proba(net, np.ascontiguousarray(view)))
