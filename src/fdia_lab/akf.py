@@ -22,9 +22,9 @@ Python floats for the model the pipeline drives (two states, identity
 transition and noise gain, the scalar sinusoidal measurement, symmetric
 initial covariances) and refuses any other config with a ConfigError;
 stack ``step`` for it. It carries only each covariance's distinct entries,
-and its ``FilterRun`` has no gain column. It performs the oracle's
-arithmetic in the oracle's order, with its ``if classic`` branches at
-the same places, so it is bit-identical to ``step``
+and its ``FilterRun`` has no tick or gain column: row i is tick i. It
+performs the oracle's arithmetic in the oracle's order, with its ``if
+classic`` branches at the same places, so it is bit-identical to ``step``
 wherever numpy's BLAS does not fuse multiply-adds (OpenBLAS's Sandybridge
 kernel, say) and within rounding elsewhere. Its pivot test is not the same
 operations but the oracle's test in closed form: it raises on exactly the
@@ -207,31 +207,22 @@ def update_improved(state: FilterState, z_t, cfg: FilterConfig) -> tuple[FilterS
 
 @dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
 class FilterRun:
-    """A whole run's step outputs as columns; row i belongs to step i."""
+    """A whole run's step outputs as columns; row i is tick i, since every
+    run starts at tick 0."""
 
-    t: np.ndarray            # (n,) step index
     x_pred: np.ndarray       # (n, states)
     x_hat: np.ndarray        # (n, states)
     innovation: np.ndarray   # (n, k)
 
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, rows: slice) -> FilterRun:
-        if not isinstance(rows, slice):
-            raise TypeError("a FilterRun is indexed by slices of rows")
-        return FilterRun(self.t[rows], self.x_pred[rows], self.x_hat[rows],
-                         self.innovation[rows])
-
     @classmethod
     def from_steps(cls, steps: FilterRun | Sequence[StepOutput]) -> FilterRun:
-        """Stack ``StepOutput``s but their gains into columns; a FilterRun passes through."""
+        """Stack ``StepOutput``s' states and innovations; a FilterRun passes through."""
         if isinstance(steps, FilterRun):
             return steps
         if len(steps) == 0:
-            return cls(np.empty(0, dtype=int), *[np.empty((0, 0))] * 3)
-        return cls(np.array([s.t for s in steps]), np.stack([s.x_pred for s in steps]),
-                   np.stack([s.x_hat for s in steps]), np.stack([s.innovation for s in steps]))
+            return cls(*[np.empty((0, 0))] * 3)
+        return cls(*(np.stack([getattr(s, name) for s in steps])
+                     for name in ("x_pred", "x_hat", "innovation")))
 
 
 def _is_scalar_two_state(cfg: FilterConfig) -> bool:
@@ -312,8 +303,7 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
         p00, p01, p11 = n00, n01, n11
         out.extend((xp0, xp1, xn0, xn1, e))
     cols = np.array(out).reshape(len(zs), 5)
-    return FilterRun(t=np.arange(len(zs)), x_pred=cols[:, 0:2], x_hat=cols[:, 2:4],
-                     innovation=cols[:, 4:5])
+    return FilterRun(x_pred=cols[:, 0:2], x_hat=cols[:, 2:4], innovation=cols[:, 4:5])
 
 
 def run(trace: Trace, cfg: FilterConfig, variant: Variant,

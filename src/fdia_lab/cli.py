@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,6 +138,13 @@ def _section(raw: dict, name: str) -> dict:
                                    if key.startswith(prefix)})
 
 
+def _check_phase(key: str, omega: float | None, n: int) -> None:
+    """Refuse an angular rate whose phase omega * t overflows on an n-tick trace."""
+    if omega is not None and not math.isfinite(omega * (n - 1)):
+        raise ConfigError(f"config key '{key}' is {omega!r}: its phase over {n} ticks "
+                          "is not finite")
+
+
 def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -148,6 +156,8 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     att = _section(raw, "attack")
     if att["kind"] is attack.AttackKind.RANDOM_SINUSOID:
         att.setdefault("sinusoid_omega", 0.7 * signal.omega)
+    _check_phase("signal.omega", signal.omega, n)
+    _check_phase("attack.sinusoid_omega", att.get("sinusoid_omega"), n)
     selection = attack.SensorSelection(tuple(att.pop("sensors")))
     filt, th = _section(raw, "filter"), _section(raw, "thresholds")
     pipe = _section(raw, "pipeline")
@@ -276,6 +286,7 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     # fail; the classic filter is run alongside for the comparison table and
     # is recorded as diverged if it does. The table rows hold exactly the
     # streams the fusion rule consumes: each filter's residual-channel decision.
+    _check_phase("signal.omega", cfg.signal.omega, len(trace))
     obs_rows = observation_rows(trace.ticks, cfg.signal.omega)
     verdicts = _passive_channel(trace, cfg, akf.Variant.IMPROVED, obs_rows)
     entries = {"improved_akf": _metrics_entry(verdicts.residual_flag, label_flags, onset)}

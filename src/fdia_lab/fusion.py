@@ -3,8 +3,8 @@
 Both detection paths run on every tick independently; the final boolean is
 the OR of the passive residual threshold decision and the classifier flag
 (1 = attack, 0 = clean). ``fuse`` is the rule; ``combine_streams`` applies
-it to a residual stream's array ``decide`` and returns the ticks as rows,
-and ``combine`` is its one-tick view.
+it to a residual stream's array ``decide`` and returns one verdict per row,
+whose ``t`` is its row index, and ``combine`` is its one-tick view (``t`` 0).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .passive_detect import Thresholds, decide
 
 @dataclass(frozen=True)
 class FusionVerdict:
-    t: int
+    t: int               # row of the streams
     residual: float      # passive residual metric value at tick t
     active_flag: bool    # classifier verdict
     fused: bool          # fuse(decide(residual), active_flag)
@@ -33,16 +33,13 @@ def fuse(residual_flags, active_flags) -> np.ndarray:
 
 
 def combine_streams(residuals: Sequence[float], th: Thresholds,
-                    active_flags: Sequence[bool],
-                    ticks: Sequence[int] | None = None) -> list[FusionVerdict]:
+                    active_flags: Sequence[bool]) -> list[FusionVerdict]:
     residuals = np.asarray(residuals, dtype=float)
     active = np.asarray(active_flags, dtype=bool)
     fused = fuse(decide(residuals, th), active)
-    if ticks is None:
-        ticks = range(len(residuals))
-    return [FusionVerdict(*row) for row in zip(ticks, residuals.tolist(), active.tolist(),
-                                               fused.tolist(), strict=True)]
+    return [FusionVerdict(*row) for row in zip(range(len(residuals)), residuals.tolist(),
+                                               active.tolist(), fused.tolist(), strict=True)]
 
 
-def combine(residual: float, th: Thresholds, active_flag: bool, t: int = 0) -> FusionVerdict:
-    return combine_streams([residual], th, [active_flag], [t])[0]
+def combine(residual: float, th: Thresholds, active_flag: bool) -> FusionVerdict:
+    return combine_streams([residual], th, [active_flag])[0]

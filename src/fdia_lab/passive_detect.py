@@ -7,12 +7,13 @@ reference x is the one-step prediction (the true state is unavailable in
 live detection). The sigma of each channel is calibrated from signed,
 zero-mean samples on an attack-free warm-up window so that the k-sigma
 rule attains the expected two-sided false-alarm rate (~0.27% at k = 3).
-``detect_stream``, the pipeline's call, computes both channels once per
-filter run as arrays, fits the thresholds on their warm-up slice and
-decides every tick with ``decide``. The other entry points are views of
-that pass: ``calibrate_channels`` is its fit, ``evaluate_stream`` its
-decisions, ``PassiveVerdicts`` iterates its columns as rows, and ``decide``
-on one value is the same inclusive rule.
+``detect_stream``, the pipeline's call, and ``calibrate_channels`` share
+one fit: both channels are computed once over the whole filter run as
+arrays, and the thresholds are fitted on their warm-up slice.
+``detect_stream`` then decides every tick of that pass with ``decide``;
+``evaluate_stream`` decides a run for given thresholds. Row i of a run is
+tick i. ``PassiveVerdicts`` iterates its columns as rows, and ``decide`` on
+one value is the same inclusive rule.
 """
 
 from __future__ import annotations
@@ -78,56 +79,55 @@ def decide(metric, th: Thresholds):
     return bool(flags) if flags.ndim == 0 else flags
 
 
-def _channels(outputs, zs, obs_rows) -> tuple[FilterRun, np.ndarray, np.ndarray]:
+def _channels(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     """Per-tick signed deviation H x_pred - z and residual metric
     ||x_pred - x_hat|| / (||x_pred|| * ||x_hat||), as arrays, with a
     DataError naming the first tick whose state is non-finite or of zero norm.
     """
     run = FilterRun.from_steps(outputs)
-    n = len(run)
+    x, x_hat = run.x_pred, run.x_hat
+    n = len(x)
     z = np.asarray(zs, dtype=float)
     if len(z) != n:
         raise DimensionError(f"{len(z)} measurements for {n} filter steps")
     if n == 0:
-        return run, np.empty(0), np.empty(0)
-    x, x_hat = run.x_pred, run.x_hat
+        return np.empty(0), np.empty(0)
     h = np.asarray(obs_rows, dtype=float).reshape(n, -1, x.shape[1])[:, 0, :]
     deviations = (h * x).sum(axis=1) - z
     finite = np.isfinite(x).all(axis=1) & np.isfinite(x_hat).all(axis=1)
     if not finite.all():
-        raise DataError(f"filter state is non-finite at tick {run.t[np.argmin(finite)]}")
+        raise DataError(f"filter state is non-finite at tick {np.argmin(finite)}")
     nx = np.sqrt((x * x).sum(axis=1))
     nh = np.sqrt((x_hat * x_hat).sum(axis=1))
     zero = (nx == 0.0) | (nh == 0.0)
     if zero.any():
         raise DataError("residual metric undefined for zero-norm state "
-                        f"at tick {run.t[np.argmax(zero)]}")
+                        f"at tick {np.argmax(zero)}")
     diff = x - x_hat
-    residuals = np.sqrt((diff * diff).sum(axis=1)) / (nx * nh)
-    return run, deviations, residuals
+    return deviations, np.sqrt((diff * diff).sum(axis=1)) / (nx * nh)
 
 
-def _fit(deviations, residuals, k: float) -> tuple[Thresholds, Thresholds]:
-    """Both channel thresholds from signed, zero-mean samples: the Euclidean
-    deviation H x_pred - z, and the residual metric with that deviation's sign."""
-    signed = np.where(deviations != 0.0, np.copysign(residuals, deviations), residuals)
-    return (Thresholds(sigma=calibrate_sigma(deviations), k=k),
+def _calibrated(outputs, zs, obs_rows, warmup: int,
+                k: float) -> tuple[np.ndarray, np.ndarray, Thresholds, Thresholds]:
+    """Both channels over the whole run, and both thresholds fitted on their
+    warm-up ticks after the first ``SETTLE_TICKS``, which let the filter settle:
+    the signed, zero-mean Euclidean deviation H x_pred - z, and the residual
+    metric with that deviation's sign."""
+    run = FilterRun.from_steps(outputs)
+    if warmup > len(run.x_pred):
+        raise DataError(f"warm-up window {warmup} exceeds run length {len(run.x_pred)}")
+    deviations, residuals = _channels(run, zs, obs_rows)
+    d, r = deviations[SETTLE_TICKS:warmup], residuals[SETTLE_TICKS:warmup]
+    signed = np.where(d != 0.0, np.copysign(r, d), r)
+    return (deviations, residuals, Thresholds(sigma=calibrate_sigma(d), k=k),
             Thresholds(sigma=calibrate_sigma(signed), k=k))
-
-
-def _calibration_ticks(outputs, warmup: int) -> slice:
-    """The warm-up's ticks after the first ``SETTLE_TICKS``, which let the filter settle."""
-    if warmup > len(outputs):
-        raise DataError(f"warm-up window {warmup} exceeds run length {len(outputs)}")
-    return slice(SETTLE_TICKS, warmup)
 
 
 def calibrate_channels(outputs, zs, obs_rows, warmup: int,
                        k: float = 3.0) -> tuple[Thresholds, Thresholds]:
-    """``detect_stream``'s thresholds, fitted on the channels of the warm-up
-    ticks alone. ``outputs`` is a FilterRun or a sequence of StepOutput."""
-    ticks = _calibration_ticks(outputs, warmup)
-    return _fit(*_channels(outputs[ticks], zs[ticks], obs_rows[ticks])[1:], k)
+    """``detect_stream``'s thresholds. ``outputs`` is a FilterRun or a
+    sequence of StepOutput."""
+    return _calibrated(outputs, zs, obs_rows, warmup, k)[2:]
 
 
 @dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
@@ -140,18 +140,15 @@ class PassiveVerdicts:
     residual_flag: np.ndarray   # armed residual-channel decision, the fusion input
     flag: np.ndarray            # armed union of both channel decisions
 
-    def __len__(self) -> int:
-        return len(self.t)
-
     def __iter__(self) -> Iterator[PassiveVerdict]:
         for row in zip(self.t.tolist(), self.euclidean_d.tolist(),
                        self.residual_r.tolist(), self.flag.tolist()):
             yield PassiveVerdict(*row)
 
 
-def _verdicts(run: FilterRun, deviations, residuals, euclid_th: Thresholds,
-              resid_th: Thresholds, armed_from: int) -> PassiveVerdicts:
-    t, d = run.t, np.abs(deviations)
+def _verdicts(deviations, residuals, euclid_th: Thresholds, resid_th: Thresholds,
+              armed_from: int) -> PassiveVerdicts:
+    t, d = np.arange(len(deviations)), np.abs(deviations)
     armed = t >= armed_from
     residual_flag = armed & decide(residuals, resid_th)
     flag = residual_flag | (armed & decide(d, euclid_th))
@@ -172,11 +169,8 @@ def evaluate_stream(outputs, zs, obs_rows, euclid_th: Thresholds,
 
 def detect_stream(outputs, zs, obs_rows, warmup: int, k: float = 3.0) -> PassiveVerdicts:
     """``calibrate_channels`` then ``evaluate_stream`` armed from the warm-up's end,
-    on one channel pass: the thresholds are fitted on the warm-up slice of it."""
-    ticks = _calibration_ticks(outputs, warmup)
-    run, deviations, residuals = _channels(outputs, zs, obs_rows)
-    return _verdicts(run, deviations, residuals,
-                     *_fit(deviations[ticks], residuals[ticks], k), warmup)
+    on the one channel pass the thresholds are fitted on."""
+    return _verdicts(*_calibrated(outputs, zs, obs_rows, warmup, k), warmup)
 
 
 def write_verdicts_csv(t, euclidean_d, residual_r, flag, path) -> None:

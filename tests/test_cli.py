@@ -623,6 +623,36 @@ def test_each_schema_rule_rejects_a_value_outside_it(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
+SINUSOID_ATTACK = {"kind": "random_sinusoid", "amplitude": 0.1, "onset": 1100,
+                   "duration": 400, "sensors": [True]}
+
+
+@pytest.mark.parametrize("name, overrides", [
+    # the phase omega * t overflows to inf within the trace's 1600 ticks
+    ("attack.sinusoid_omega", {"attack": dict(SINUSOID_ATTACK, sinusoid_omega=1e306)}),
+    ("signal.omega", {"signal": dict(BASE_CONFIG["signal"], omega=2e305)}),
+])
+def test_overflowing_phase_is_config_error(tmp_path, capsys, name, overrides):
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{name}' is " in err and "phase over 1600 ticks" in err
+    assert "Traceback" not in err
+
+
+def test_detect_refuses_a_phase_that_overflows_on_its_trace(tmp_path, capsys):
+    # one tick of phase is finite for the config, not over the longer trace
+    cfg_path, out = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    short_path, _ = write_config(tmp_path, out_name="short",
+                                 signal=dict(BASE_CONFIG["signal"], omega=1e306, n=1))
+    assert main(["detect", "--config", str(short_path), "--trace", str(out / "trace.csv"),
+                 "--labels", str(out / "labels.csv"), "--passive-only"]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'signal.omega' is 1e+306: its phase over 1600 ticks" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("initial", [[1.0], [1.0, 2.0, 3.0]])
 def test_initial_state_of_the_wrong_length_is_config_error(tmp_path, capsys, initial):
     signal = dict(BASE_CONFIG["signal"], initial=initial)

@@ -26,8 +26,8 @@ def test_threshold_boundary_counts_as_attack():
 
 
 def test_verdict_invariant_holds():
-    v = combine(2.0, TH, True, t=42)
-    assert v.t == 42
+    v = combine(2.0, TH, True)
+    assert v.t == 0
     assert v.fused == ((v.residual >= TH.limit) or v.active_flag)
 
 
@@ -67,9 +67,10 @@ def test_fused_false_positives_bounded_by_sum(rows):
 
 
 def test_combine_streams_assigns_ticks():
-    verdicts = combine_streams([0.0, 4.0], TH, [False, False], ticks=[10, 11])
-    assert [v.t for v in verdicts] == [10, 11]
-    assert [v.fused for v in verdicts] == [False, True]
+    # a verdict's tick is its row in the streams
+    verdicts = combine_streams([0.0, 4.0, 1.0], TH, [False, False, True])
+    assert [v.t for v in verdicts] == [0, 1, 2]
+    assert [v.fused for v in verdicts] == [False, True, True]
 
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fdia_lab import akf, passive_detect
+from fdia_lab import akf
 from fdia_lab.errors import DataError
 from fdia_lab.passive_detect import (SETTLE_TICKS, PassiveVerdict, Thresholds,
                                      calibrate_channels, calibrate_sigma, decide,
@@ -148,9 +148,9 @@ def test_verdicts_csv(tmp_path):
 
 def as_steps(run):
     # a FilterRun has no gain column, and no stage reads a step's gain
-    return [akf.StepOutput(t=int(run.t[i]), x_pred=run.x_pred[i], x_hat=run.x_hat[i],
+    return [akf.StepOutput(t=i, x_pred=run.x_pred[i], x_hat=run.x_hat[i],
                            innovation=run.innovation[i], gain=np.zeros((2, 1)))
-            for i in range(len(run))]
+            for i in range(len(run.x_pred))]
 
 
 def test_calibrate_channels_matches_per_tick_reference():
@@ -177,7 +177,7 @@ def test_evaluate_stream_matches_per_tick_decisions():
     euclid_th = Thresholds(sigma=0.002)
     resid_th = Thresholds(sigma=0.001)
     verdicts = evaluate_stream(outputs, trace.z, obs, euclid_th, resid_th, armed_from=700)
-    assert len(verdicts) == 3000
+    assert len(verdicts.t) == 3000
     for i, v in enumerate(verdicts):
         assert isinstance(v, PassiveVerdict) and v.t == i
         d = euclidean_deviation(float((obs[i] @ outputs.x_pred[i])[0]), trace.z[i])
@@ -224,35 +224,30 @@ def test_bad_filter_state_names_the_tick(value, message):
     trace, outputs, obs = run_filtered_trace(10, seed=1)
     x_pred = outputs.x_pred.copy()
     x_pred[3] = value
-    broken = akf.FilterRun(outputs.t, x_pred, outputs.x_hat, outputs.innovation)
+    broken = akf.FilterRun(x_pred, outputs.x_hat, outputs.innovation)
     with pytest.raises(DataError, match=message):
         evaluate_stream(broken, trace.z, obs, Thresholds(1.0), Thresholds(1.0))
     with pytest.raises(DataError, match=message):
         detect_stream(broken, trace.z, obs, warmup=5)
+    # the tick lies after the warm-up, and the fit still checks the whole run
+    with pytest.raises(DataError, match=message):
+        calibrate_channels(broken, trace.z, obs, warmup=3)
 
 
 @pytest.mark.parametrize("variant", list(akf.Variant))
-def test_one_pass_thresholds_equal_calibrate_channels(monkeypatch, variant):
-    # detect_stream fits on the warm-up slice of the whole run's channel
-    # arrays; calibrate_channels on the channels of the sliced run
+def test_one_pass_thresholds_equal_calibrate_channels(variant):
+    # detect_stream is calibrate_channels then evaluate_stream armed from the
+    # warm-up's end, column for column, on a FilterRun and on a StepOutput list
     trace, _, obs = run_filtered_trace(2000, seed=6)
     params = SignalParams(omega=2 * np.pi / 20, sigma_process=1e-3, sigma_meas=0.004, seed=6)
     run = akf.run(trace, akf.config_for_sinusoid(params, float(trace.z[0])), variant)
     rows = observation_rows(trace.ticks, params.omega)
-    fitted, fit = [], passive_detect._fit
-
-    def recording(*args):
-        fitted.append(fit(*args))
-        return fitted[-1]
-
-    monkeypatch.setattr(passive_detect, "_fit", recording)
-    one_pass = detect_stream(run, trace.z, rows, warmup=600, k=2.5)
-    two_pass = evaluate_stream(run, trace.z, rows,
-                               *calibrate_channels(run, trace.z, rows, warmup=600, k=2.5),
-                               armed_from=600)
-    (e1, r1), (e2, r2) = fitted
-    for a, b in ((e1, e2), (r1, r2)):
-        assert a.k == b.k == 2.5 and a.sigma.hex() == b.sigma.hex()
-    for name in ("t", "euclidean_d", "residual_r", "residual_flag", "flag"):
-        np.testing.assert_array_equal(getattr(one_pass, name), getattr(two_pass, name))
-    assert one_pass.flag.any() and not one_pass.flag[:600].any()
+    fitted = []
+    for outputs, obs_rows in ((run, rows), (as_steps(run), obs)):
+        one_pass = detect_stream(outputs, trace.z, obs_rows, warmup=600, k=2.5)
+        fitted.append(calibrate_channels(outputs, trace.z, obs_rows, warmup=600, k=2.5))
+        two_pass = evaluate_stream(outputs, trace.z, obs_rows, *fitted[-1], armed_from=600)
+        for name in ("t", "euclidean_d", "residual_r", "residual_flag", "flag"):
+            np.testing.assert_array_equal(getattr(one_pass, name), getattr(two_pass, name))
+        assert one_pass.flag.any() and not one_pass.flag[:600].any()
+    assert fitted[0] == fitted[1] and fitted[0][0].k == fitted[0][1].k == 2.5
