@@ -39,6 +39,11 @@ from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
                            write_labels_csv, write_trace_csv)
 
 VARIANT_KEYS = ("improved_akf", "classic_akf", "gru_cnn", "fused")
+# stage -> (its files, its metrics.json entries), which a new run of the stage replaces
+STAGE_OUTPUTS = {"simulate": (("trace.csv", "labels.csv", "dataset.csv"), ()),
+                 "train": (("checkpoint.json", "history.csv"), ("gru_cnn_holdout",)),
+                 "detect": (("verdicts_passive.csv", "verdicts_active.csv", "verdicts_fused.csv",
+                             "verdicts_passive_classic.csv"), VARIANT_KEYS)}
 ROW_KINDS = {"accuracy": (int, float), "precision": (int, float), "recall": (int, float),
              "f1": (int, float), "latency_ticks": (int, type(None))}
 ACTIVE_HEADER = ["t", "p_attack", "flag"]
@@ -173,13 +178,25 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     )
 
 
-def _run_files(out: Path) -> tuple[dict, dict]:
-    """``manifest.json`` and ``metrics.json`` ({} if absent), checked before a stage writes."""
+def _run_files(out: Path, stage: str) -> tuple[dict, dict]:
+    """``manifest.json`` and ``metrics.json`` ({} if absent), checked before ``stage``
+    writes. Then an earlier run's outputs of ``stage`` are removed (its files, its
+    ``metrics.json`` entries and its manifest listing) and the run directory made."""
     manifest, metrics = (read_json(path) if path.exists() else {}
                          for path in (out / "manifest.json", out / "metrics.json"))
     for key in ("seeds", "artifacts"):
         if not isinstance(manifest.get(key, {}), dict):
             raise DataError(f"{out / 'manifest.json'}: entry '{key}' must be a JSON object")
+    files, keys = STAGE_OUTPUTS[stage]
+    for name in files:
+        (out / name).unlink(missing_ok=True)
+    if stage in manifest.get("artifacts", {}):
+        del manifest["artifacts"][stage]
+        write_json(out / "manifest.json", manifest)
+    if not metrics.keys().isdisjoint(keys):
+        metrics = {key: value for key, value in metrics.items() if key not in keys}
+        write_json(out / "metrics.json", metrics)
+    out.mkdir(parents=True, exist_ok=True)
     return manifest, metrics
 
 
@@ -192,15 +209,8 @@ def _update_manifest(cfg: ExperimentConfig, manifest: dict, command: str,
     write_json(cfg.outputs / "manifest.json", manifest)
 
 
-def _merge_metrics(cfg: ExperimentConfig, metrics: dict, entries: dict, owned=()) -> None:
-    # an ``owned`` key this run did not produce is an earlier run's: drop it
-    kept = {key: value for key, value in metrics.items() if key not in owned}
-    write_json(cfg.outputs / "metrics.json", kept | entries)
-
-
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    manifest, _ = _run_files(cfg.outputs)
-    cfg.outputs.mkdir(parents=True, exist_ok=True)
+    manifest, _ = _run_files(cfg.outputs, "simulate")
     trace = simulate(cfg.signal, cfg.initial, cfg.n)
     z_attacked, active = attack.inject_series(trace.z, cfg.scenario, trace.ticks)
 
@@ -228,13 +238,7 @@ def _prepared_splits(cfg: ExperimentConfig, dataset: RawDataset):
 
 
 def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
-    manifest, metrics = _run_files(cfg.outputs)
-    cfg.outputs.mkdir(parents=True, exist_ok=True)
-    # an earlier train's network and score must not outlive a train that fails
-    for name in ("checkpoint.json", "history.csv"):
-        (cfg.outputs / name).unlink(missing_ok=True)
-    if "gru_cnn_holdout" in metrics:
-        _merge_metrics(cfg, metrics, {}, owned=("gru_cnn_holdout",))
+    manifest, metrics = _run_files(cfg.outputs, "train")
     dataset = read_dataset_csv(dataset_path)
     network = dataclasses.replace(cfg.network, input_dim=len(dataset.columns))
     std, train_w, train_y, test_w, test_y = _prepared_splits(cfg, dataset)
@@ -243,11 +247,11 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
 
     # the last validation pass already scored the holdout with this network
     probs = history.val_probs if history.val_probs is not None else predict_proba(net, test_w)
-    holdout = _metrics_entry(probs[:, 1] > probs[:, 0], test_y.astype(bool), None)
+    holdout = evaluation.score(probs[:, 1] > probs[:, 0], test_y.astype(bool))
 
     save_checkpoint(net, cfg.outputs / "checkpoint.json", std)
     write_history_csv(history, cfg.outputs / "history.csv")
-    _merge_metrics(cfg, metrics, {"gru_cnn_holdout": holdout})
+    write_json(cfg.outputs / "metrics.json", metrics | {"gru_cnn_holdout": holdout})
     _update_manifest(cfg, manifest, "train", ["checkpoint.json", "history.csv", "metrics.json"])
     print(f"train: {len(train_w)} train / {len(test_w)} test windows, "
           f"holdout accuracy {holdout['accuracy']:.4f}")
@@ -264,16 +268,9 @@ def _passive_channel(trace: Trace, cfg: ExperimentConfig, variant: akf.Variant,
     return passive_detect.detect_stream(run, trace.z, obs_rows, cfg.warmup, cfg.threshold_k)
 
 
-def _metrics_entry(flags, labels, onset):
-    report = evaluation.metrics(evaluation.confusion(flags, labels))
-    latency = None if onset is None else evaluation.detection_latency(flags, onset)
-    return evaluation.report_dict(report, latency)
-
-
 def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                passive_only: bool) -> int:
-    manifest, metrics = _run_files(cfg.outputs)
-    cfg.outputs.mkdir(parents=True, exist_ok=True)
+    manifest, metrics = _run_files(cfg.outputs, "detect")
     trace = read_trace_csv(trace_path)
     _, labels = read_labels_csv(labels_path)
     if len(labels) != len(trace):
@@ -289,14 +286,14 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     _check_phase("signal.omega", cfg.signal.omega, len(trace))
     obs_rows = observation_rows(trace.ticks, cfg.signal.omega)
     verdicts = _passive_channel(trace, cfg, akf.Variant.IMPROVED, obs_rows)
-    entries = {"improved_akf": _metrics_entry(verdicts.residual_flag, label_flags, onset)}
+    entries = {"improved_akf": evaluation.score(verdicts.residual_flag, label_flags, onset)}
     try:
         classic = _passive_channel(trace, cfg, akf.Variant.CLASSIC, obs_rows)
     except NumericalError as exc:
         classic = None
         entries["classic_akf"] = {"diverged": True, "error": str(exc)}
     else:
-        entries["classic_akf"] = _metrics_entry(classic.residual_flag, label_flags, onset)
+        entries["classic_akf"] = evaluation.score(classic.residual_flag, label_flags, onset)
 
     n = len(trace)
     active_flags = np.zeros(n, dtype=bool)
@@ -318,12 +315,12 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
         probs = predict_proba(net, windows_)
         p_attack = np.concatenate([np.full(length - 1, np.nan), probs[:, 1]])
         active_flags[length - 1:] = probs[:, 1] > probs[:, 0]
-        entries["gru_cnn"] = _metrics_entry(active_flags, label_flags, onset)
+        entries["gru_cnn"] = evaluation.score(active_flags, label_flags, onset)
 
     # the residual flags are already false before the warm-up ends (the
     # threshold does not exist yet), so there only the classifier contributes
     fused_flags = fusion.fuse(verdicts.residual_flag, active_flags)
-    entries["fused"] = _metrics_entry(fused_flags, label_flags, onset)
+    entries["fused"] = evaluation.score(fused_flags, label_flags, onset)
 
     # the files are written once the classifier is done, so the cells of the
     # columns several files share (each formatted once) never live through it
@@ -342,10 +339,8 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
         passive_detect.write_verdicts_csv(t, classic.euclidean_d, classic.residual_r,
                                           classic.flag, out / "verdicts_passive_classic.csv")
         artifacts.append("verdicts_passive_classic.csv")
-    else:
-        (out / "verdicts_passive_classic.csv").unlink(missing_ok=True)  # an earlier run's
 
-    _merge_metrics(cfg, metrics, entries, VARIANT_KEYS)
+    write_json(out / "metrics.json", metrics | entries)
     _update_manifest(cfg, manifest, "detect", artifacts)
     flag_rate = float(fused_flags.mean())
     print(f"detect: fused flag rate {flag_rate:.4f} over {n} ticks "
@@ -355,6 +350,7 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
 
 def cmd_report(run_dir) -> int:
     path = Path(run_dir) / "metrics.json"
+    path.with_name("report.json").unlink(missing_ok=True)  # an earlier run's
     metrics_obj = read_json(path)
     absent = [key for key in VARIANT_KEYS if key not in metrics_obj]
     if absent:

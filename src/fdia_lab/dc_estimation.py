@@ -18,11 +18,10 @@ from .numerics import Vector, as_matrix, as_vector, solve
 
 @dataclass(frozen=True)
 class DcSystem:
-    """A measurement model: m x n Jacobian, per-channel weights, threshold."""
+    """A measurement model: m x n Jacobian and per-channel weights."""
 
     jacobian: np.ndarray    # H, (m, n)
     weights: np.ndarray     # diagonal of W, (m,)
-    threshold: float        # bad-data limit for the objective value
 
     def __post_init__(self):
         h = as_matrix(self.jacobian)
@@ -31,8 +30,6 @@ class DcSystem:
             raise ConfigError("system must have at least as many measurements as states")
         if np.any(w <= 0):
             raise ConfigError("weights must be strictly positive")
-        if self.threshold <= 0:
-            raise ConfigError("threshold must be positive")
 
     @property
     def m(self) -> int:

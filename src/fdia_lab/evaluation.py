@@ -1,13 +1,14 @@
 """Classification metrics and detection-latency measurement.
 
-The positive class is an attack (label 1). Metrics with a zero
+``score`` gives a detector's metrics row, as ``metrics.json`` holds it. The
+positive class is an attack (label 1). Metrics with a zero
 denominator come back as 0 with the report's degenerate flag set rather
 than NaN, so downstream tables stay numeric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -78,14 +79,9 @@ def detection_latency(flags: Sequence[bool], onset: int) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
-def report_dict(report: MetricsReport, latency: int | None = None) -> dict:
-    out = {
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "degenerate": report.degenerate,
-        "latency_ticks": latency,
-    }
-    return out
-
+def score(flags: Sequence[bool], labels: Sequence[bool], onset: int | None = None) -> dict:
+    """A detector's metrics row: its metrics against ``labels`` and its
+    latency from ``onset`` (None without an onset)."""
+    row = asdict(metrics(confusion(flags, labels)))
+    row["latency_ticks"] = None if onset is None else detection_latency(flags, onset)
+    return row

@@ -7,7 +7,7 @@ from fdia_lab.data_pipeline import RawDataset
 from fdia_lab.dc_estimation import DcSystem
 
 
-def random_dc_system(rng, m=None, n=None, threshold=13.34):
+def random_dc_system(rng, m=None, n=None):
     """A well-conditioned random DC system with at most 12x6 shape."""
     if n is None:
         n = int(rng.integers(2, 7))
@@ -17,7 +17,7 @@ def random_dc_system(rng, m=None, n=None, threshold=13.34):
     # nudge toward full column rank
     h[:n, :n] += 3.0 * np.eye(n)
     weights = rng.uniform(0.5, 2.0, size=m)
-    return DcSystem(jacobian=h, weights=weights, threshold=threshold)
+    return DcSystem(jacobian=h, weights=weights)
 
 
 def make_labeled_dataset(n_rows, attack_fraction, seed, missing_fraction=0.0):

@@ -141,14 +141,15 @@ def test_stealthy_bias_preserves_objective(rng):
 
 
 def test_stealth_invisible_to_bad_data_check(rng):
+    threshold = 5.0
     for _ in range(100):
-        sys = random_dc_system(rng, m=8, n=4, threshold=5.0)
+        sys = random_dc_system(rng, m=8, n=4)
         z = sys.jacobian @ rng.normal(size=4) + rng.normal(0, 0.3, size=8)
         d = rng.normal(size=4)
         ac = sys.jacobian @ d
         x_hat = wls_estimate(sys, z)
-        clean_flag = objective(sys, z, x_hat) > sys.threshold
-        attacked_flag = objective(sys, z + ac, x_hat + d) > sys.threshold
+        clean_flag = objective(sys, z, x_hat) > threshold
+        attacked_flag = objective(sys, z + ac, x_hat + d) > threshold
         assert attacked_flag == clean_flag
 
 

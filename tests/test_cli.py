@@ -207,7 +207,6 @@ def test_report_on_malformed_metrics_entry_is_data_error(tmp_path, capsys, entry
     metrics["classic_akf"] = {"diverged": True, "error": "singular"}
     io_utils.write_json(run_dir / "metrics.json", metrics)
     assert main(["report", "--run-dir", str(run_dir)]) == 0
-    (run_dir / "report.json").unlink()
     capsys.readouterr()
     io_utils.write_json(run_dir / "metrics.json", dict(metrics, **{entry: row}))
     assert main(["report", "--run-dir", str(run_dir)]) == 3
@@ -229,16 +228,20 @@ def test_report_on_metrics_that_are_not_an_object_is_data_error(tmp_path, capsys
 @pytest.mark.parametrize("name", ["manifest.json", "metrics.json"])
 def test_stage_on_json_artifact_that_is_not_an_object_is_data_error(tmp_path, capsys, name):
     cfg_path, out = write_config(tmp_path, out_name="notobject")
-    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    stages = (["simulate"], ["train", "--epochs", "0"], ["detect", "--passive-only"])
+    for stage, *flags in stages:
+        assert main([stage, "--config", str(cfg_path), *flags]) == 0
     (out / name).write_text("[1, 2]\n")
-    for stage, *flags in (["simulate"], ["train", "--epochs", "0"], ["detect", "--passive-only"]):
+    # a refused stage removes none of an earlier run's results
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    for stage, *flags in stages:
         if stage == "simulate" and name == "metrics.json":
             continue  # simulate does not touch metrics.json
         capsys.readouterr()
         assert main([stage, "--config", str(cfg_path), *flags]) == 3, stage
         err = capsys.readouterr().err
         assert f"{out / name}: the root must be a JSON object" in err and "Traceback" not in err
-        assert (out / name).read_text() == "[1, 2]\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("entry", ["seeds", "artifacts"])
@@ -289,9 +292,7 @@ def test_train_reuses_last_validation_pass_for_holdout(tmp_path, monkeypatch):
     _, _, _, test_w, test_y = cli._prepared_splits(
         cfg, read_dataset_csv(out / "dataset.csv"))
     probs = nn.predict_proba(nn.load_checkpoint(out / "checkpoint.json")[0], test_w)
-    report = evaluation.metrics(evaluation.confusion(probs[:, 1] > probs[:, 0],
-                                                     test_y.astype(bool)))
-    assert holdout == evaluation.report_dict(report)
+    assert holdout == evaluation.score(probs[:, 1] > probs[:, 0], test_y.astype(bool))
     # without epochs there is no validation pass to reuse
     assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
     assert calls == [len(test_w)]
@@ -849,10 +850,24 @@ def test_failed_train_leaves_no_earlier_network(tmp_path, capsys):
     assert not (out / "checkpoint.json").exists() and not (out / "history.csv").exists()
     metrics = json.loads((out / "metrics.json").read_text())
     assert "gru_cnn_holdout" not in metrics and "improved_akf" in metrics
+    assert "train" not in json.loads((out / "manifest.json").read_text())["artifacts"]
     capsys.readouterr()
     assert main(["detect", "--config", str(diverge_path)]) == 3
     assert (f"missing network checkpoint {out / 'checkpoint.json'}; train first"
             in capsys.readouterr().err)
+
+
+def test_failed_detect_leaves_no_earlier_results(tmp_path):
+    cfg_path, out = run_to_report(tmp_path, "refused")
+    assert main(["report", "--config", str(cfg_path)]) == 0
+    assert main(["detect", "--config", str(cfg_path),
+                 "--checkpoint", str(tmp_path / "nowhere.json")]) == 3
+    assert list(out.glob("verdicts_*.csv")) == []
+    assert set(json.loads((out / "metrics.json").read_text())) == {"gru_cnn_holdout"}
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert set(listed) == {"simulate", "train"}
+    assert main(["report", "--config", str(cfg_path)]) == 3
+    assert not (out / "report.json").exists()
 
 
 def test_checkpoint_config_that_cannot_be_read_is_data_error(tmp_path, capsys):

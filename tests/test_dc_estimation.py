@@ -14,7 +14,7 @@ def test_wls_consistent_system_recovers_state(rng):
 
 
 def test_wls_identity_jacobian():
-    sys = DcSystem(jacobian=np.eye(3), weights=np.ones(3), threshold=1.0)
+    sys = DcSystem(jacobian=np.eye(3), weights=np.ones(3))
     z = np.array([4.0, -2.0, 0.5])
     np.testing.assert_allclose(wls_estimate(sys, z), z, atol=1e-12)
 
@@ -31,7 +31,7 @@ def test_wls_matches_pseudo_inverse_oracle(rng):
 
 def test_wls_rank_deficient_raises():
     h = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    sys = DcSystem(jacobian=h, weights=np.ones(3), threshold=1.0)
+    sys = DcSystem(jacobian=h, weights=np.ones(3))
     with pytest.raises(SingularMatrixError):
         wls_estimate(sys, np.array([1.0, 2.0, 3.0]))
 
@@ -44,8 +44,7 @@ def test_objective_zero_at_perfect_fit(rng):
 
 def test_objective_scalar_hand_case():
     # z=2, Hx=1, W=3 -> 3*(2-1)^2 = 3
-    sys = DcSystem(jacobian=np.array([[1.0], [1.0]]), weights=np.array([3.0, 1.0]),
-                   threshold=1.0)
+    sys = DcSystem(jacobian=np.array([[1.0], [1.0]]), weights=np.array([3.0, 1.0]))
     value = objective(sys, np.array([2.0, 1.0]), np.array([1.0]))
     assert value == pytest.approx(3.0)
 
@@ -54,8 +53,7 @@ def test_objective_linear_in_weights(rng):
     sys = random_dc_system(rng, m=6, n=3)
     z = rng.normal(size=6)
     x = rng.normal(size=3)
-    doubled = DcSystem(jacobian=sys.jacobian, weights=2.0 * sys.weights,
-                       threshold=sys.threshold)
+    doubled = DcSystem(jacobian=sys.jacobian, weights=2.0 * sys.weights)
     assert objective(doubled, z, x) == pytest.approx(2.0 * objective(sys, z, x))
 
 
@@ -115,12 +113,13 @@ def test_wls_optimality_under_perturbation(rng):
 
 
 def test_estimate_and_check_flags_gross_error(rng):
-    sys = random_dc_system(rng, m=8, n=3, threshold=chi_square_threshold(5, 0.01))
+    sys = random_dc_system(rng, m=8, n=3)
+    threshold = chi_square_threshold(5, 0.01)
     x = rng.normal(size=3)
     z = sys.jacobian @ x
 
     def flagged(z):
-        return objective(sys, z, wls_estimate(sys, z)) > sys.threshold
+        return objective(sys, z, wls_estimate(sys, z)) > threshold
 
     assert flagged(z) is False
     z_bad = z.copy()

@@ -1,11 +1,12 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from fdia_lab.errors import DataError
 from fdia_lab.evaluation import (ConfusionCounts, confusion, detection_latency,
-                                 metrics, report_dict)
+                                 metrics, score)
 
 
 def test_confusion_perfect_predictions():
@@ -83,9 +84,17 @@ def test_latency_onset_out_of_range():
 
 
 def test_report_json_schema():
-    report = metrics(ConfusionCounts(tp=8, fp=2, tn=9, fn=1))
-    obj = json.loads(json.dumps(report_dict(report, latency=3)))
+    # tp=8, fp=2, tn=9, fn=1: two false alarms and a miss at the onset tick
+    labels = np.array([False] * 11 + [True] * 9)
+    flags = labels.copy()
+    flags[[0, 1]] = True
+    flags[11] = False
+    obj = json.loads(json.dumps(score(flags, labels, onset=11)))
     assert set(obj) == {"accuracy", "precision", "recall", "f1", "degenerate",
                         "latency_ticks"}
-    assert obj["latency_ticks"] == 3
+    assert obj["latency_ticks"] == 1
     assert obj["accuracy"] == pytest.approx(17 / 20)
+    assert obj == dict(asdict(metrics(ConfusionCounts(tp=8, fp=2, tn=9, fn=1))),
+                       latency_ticks=1)
+    # without an onset there is no latency to measure
+    assert score(flags, labels)["latency_ticks"] is None
