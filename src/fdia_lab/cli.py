@@ -3,9 +3,9 @@
 Each subcommand takes a JSON experiment config (see README for the
 schema) and writes deterministic artifacts into the run directory:
 ``manifest.json``, ``trace.csv``, ``labels.csv``, ``dataset.csv``,
-``checkpoint.json``, ``history.csv``, ``verdicts_{passive,active,fused}.csv``,
-``metrics.json`` and ``report.json`` (built by ``report`` from
-``metrics.json`` alone).
+``checkpoint.json``, ``history.csv``, the verdict files of ``VERDICT_FILES``
+(``verdicts_{passive,passive_classic,active,fused}.csv``), ``metrics.json``
+and ``report.json`` (built by ``report`` from ``metrics.json`` alone).
 Identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
@@ -34,20 +34,33 @@ from .io_utils import (REQUIRED, Cells, finite_number, fmt_column, read_fields, 
                        write_columns, write_json)
 from .nn import (NETWORK_RULES, NetworkConfig, TrainConfig, load_checkpoint,
                  predict_proba, save_checkpoint, train, write_history_csv)
-from .signal_model import (SignalParams, SignalState, Trace, observation_rows,
+from .signal_model import (SignalParams, SignalState, observation_rows,
                            read_labels_csv, read_trace_csv, simulate,
                            write_labels_csv, write_trace_csv)
 
-VARIANT_KEYS = ("improved_akf", "classic_akf", "gru_cnn", "fused")
+# detect's named columns: t, the tick; per filter (N improved, C classic) d_
+# the Euclidean deviation, r_ the residual metric, flag_ the residual
+# channel's flags and union_ those of either channel; the classifier's
+# p_attack and flag_GC; and flag_fused.
+# metrics.json row -> the column of flags it scores
+DETECTORS = {"improved_akf": "flag_N", "classic_akf": "flag_C", "gru_cnn": "flag_GC",
+             "fused": "flag_fused"}
+# verdict file -> {header field: column}, written when all its columns exist
+VERDICT_FILES = {
+    "verdicts_passive.csv": {"t": "t", "euclidean_d": "d_N", "residual_r": "r_N",
+                             "flag": "union_N"},
+    "verdicts_active.csv": {"t": "t", "p_attack": "p_attack", "flag": "flag_GC"},
+    "verdicts_fused.csv": {"t": "t", "r_N": "r_N", "flag_N": "flag_N", "flag_GC": "flag_GC",
+                           "flag_fused": "flag_fused"},
+    "verdicts_passive_classic.csv": {"t": "t", "euclidean_d": "d_C", "residual_r": "r_C",
+                                     "flag": "union_C"},
+}
 # stage -> (its files, its metrics.json entries), which a new run of the stage replaces
 STAGE_OUTPUTS = {"simulate": (("trace.csv", "labels.csv", "dataset.csv"), ()),
                  "train": (("checkpoint.json", "history.csv"), ("gru_cnn_holdout",)),
-                 "detect": (("verdicts_passive.csv", "verdicts_active.csv", "verdicts_fused.csv",
-                             "verdicts_passive_classic.csv"), VARIANT_KEYS)}
+                 "detect": (VERDICT_FILES, DETECTORS)}
 ROW_KINDS = {"accuracy": (int, float), "precision": (int, float), "recall": (int, float),
              "f1": (int, float), "latency_ticks": (int, type(None))}
-ACTIVE_HEADER = ["t", "p_attack", "flag"]
-FUSED_HEADER = ["t", "r_N", "flag_N", "flag_GC", "flag_fused"]
 
 
 @dataclass(frozen=True)
@@ -258,46 +271,41 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
     return 0
 
 
-def _passive_channel(trace: Trace, cfg: ExperimentConfig, variant: akf.Variant,
-                     obs_rows: np.ndarray) -> passive_detect.PassiveVerdicts:
-    """One filter variant's calibrated passive verdicts (both channels, armed
-    after the warm-up; ``residual_flag`` feeds the fusion rule)."""
-    filter_cfg = akf.config_for_sinusoid(cfg.signal, float(trace.z[0]),
-                                         forgetting=cfg.forgetting)
-    run = akf.run(trace, filter_cfg, variant, obs_rows)
-    return passive_detect.detect_stream(run, trace.z, obs_rows, cfg.warmup, cfg.threshold_k)
-
-
 def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                passive_only: bool) -> int:
     manifest, metrics = _run_files(cfg.outputs, "detect")
     trace = read_trace_csv(trace_path)
     _, labels = read_labels_csv(labels_path)
-    if len(labels) != len(trace):
-        raise DataError(f"{labels_path} has {len(labels)} rows, {trace_path} {len(trace)}")
+    n = len(trace)
+    if len(labels) != n:
+        raise DataError(f"{labels_path} has {len(labels)} rows, {trace_path} {n}")
     label_flags = labels.astype(bool)
     onsets = np.flatnonzero(labels)
     onset = int(onsets[0]) if len(onsets) else None
 
     # the improved filter drives the passive and fused paths and must not
     # fail; the classic filter is run alongside for the comparison table and
-    # is recorded as diverged if it does. The table rows hold exactly the
-    # streams the fusion rule consumes: each filter's residual-channel decision.
-    _check_phase("signal.omega", cfg.signal.omega, len(trace))
+    # is recorded as diverged if it does. Each filter's row scores the stream
+    # the fusion rule consumes: its residual-channel decision.
+    _check_phase("signal.omega", cfg.signal.omega, n)
     obs_rows = observation_rows(trace.ticks, cfg.signal.omega)
-    verdicts = _passive_channel(trace, cfg, akf.Variant.IMPROVED, obs_rows)
-    entries = {"improved_akf": evaluation.score(verdicts.residual_flag, label_flags, onset)}
-    try:
-        classic = _passive_channel(trace, cfg, akf.Variant.CLASSIC, obs_rows)
-    except NumericalError as exc:
-        classic = None
-        entries["classic_akf"] = {"diverged": True, "error": str(exc)}
-    else:
-        entries["classic_akf"] = evaluation.score(classic.residual_flag, label_flags, onset)
+    filter_cfg = akf.config_for_sinusoid(cfg.signal, float(trace.z[0]),
+                                         forgetting=cfg.forgetting)
+    columns, entries = {"t": trace.ticks}, {}
+    for variant, tag in ((akf.Variant.IMPROVED, "N"), (akf.Variant.CLASSIC, "C")):
+        try:
+            run = akf.run(trace, filter_cfg, variant, obs_rows)
+        except NumericalError as exc:
+            if variant is akf.Variant.IMPROVED:
+                raise
+            entries["classic_akf"] = {"diverged": True, "error": str(exc)}
+        else:
+            v = passive_detect.detect_stream(run, trace.z, obs_rows, cfg.warmup, cfg.threshold_k)
+            columns |= {f"d_{tag}": v.euclidean_d, f"r_{tag}": v.residual_r,
+                        f"flag_{tag}": v.residual_flag, f"union_{tag}": v.flag}
 
-    n = len(trace)
-    active_flags = np.zeros(n, dtype=bool)
-    p_attack = Cells([""] * n)  # stays empty in a passive-only run: nothing to format
+    # a passive-only run writes no probabilities (nothing to format) and no flags
+    columns |= {"p_attack": Cells([""] * n), "flag_GC": np.zeros(n, dtype=bool)}
     if not passive_only:
         checkpoint_path = Path(checkpoint_path)
         if not checkpoint_path.exists():
@@ -313,36 +321,28 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
         values = apply_standardizer(std, trace.z[:, None])
         windows_, _ = window(values, np.zeros(n, dtype=int), length)
         probs = predict_proba(net, windows_)
-        p_attack = np.concatenate([np.full(length - 1, np.nan), probs[:, 1]])
-        active_flags[length - 1:] = probs[:, 1] > probs[:, 0]
-        entries["gru_cnn"] = evaluation.score(active_flags, label_flags, onset)
+        columns["p_attack"] = np.concatenate([np.full(length - 1, np.nan), probs[:, 1]])
+        columns["flag_GC"][length - 1:] = probs[:, 1] > probs[:, 0]
 
     # the residual flags are already false before the warm-up ends (the
     # threshold does not exist yet), so there only the classifier contributes
-    fused_flags = fusion.fuse(verdicts.residual_flag, active_flags)
-    entries["fused"] = evaluation.score(fused_flags, label_flags, onset)
+    columns["flag_fused"] = fusion.fuse(columns["flag_N"], columns["flag_GC"])
+    entries |= {key: evaluation.score(columns[name], label_flags, onset)
+                for key, name in DETECTORS.items()
+                if name in columns and not (passive_only and name == "flag_GC")}
 
     # the files are written once the classifier is done, so the cells of the
     # columns several files share (each formatted once) never live through it
-    t, euclidean_d, residual_r, flag_n, p_cells, flag_gc, flag_fused = map(fmt_column, (
-        verdicts.t, verdicts.euclidean_d, verdicts.residual_r, verdicts.flag, p_attack,
-        active_flags, fused_flags))
-    out = cfg.outputs
-    artifacts = ["verdicts_passive.csv", "verdicts_active.csv", "verdicts_fused.csv",
-                 "metrics.json"]
-    passive_detect.write_verdicts_csv(t, euclidean_d, residual_r, flag_n,
-                                      out / "verdicts_passive.csv")
-    write_columns(out / "verdicts_active.csv", ACTIVE_HEADER, [t, p_cells, flag_gc])
-    write_columns(out / "verdicts_fused.csv", FUSED_HEADER,
-                  [t, residual_r, verdicts.residual_flag, flag_gc, flag_fused])
-    if classic is not None:
-        passive_detect.write_verdicts_csv(t, classic.euclidean_d, classic.residual_r,
-                                          classic.flag, out / "verdicts_passive_classic.csv")
-        artifacts.append("verdicts_passive_classic.csv")
-
-    write_json(out / "metrics.json", metrics | entries)
-    _update_manifest(cfg, manifest, "detect", artifacts)
-    flag_rate = float(fused_flags.mean())
+    written = [file for file, fields in VERDICT_FILES.items()
+               if set(fields.values()) <= columns.keys()]
+    needed = dict.fromkeys(name for file in written for name in VERDICT_FILES[file].values())
+    cells = {name: fmt_column(columns[name]) for name in needed}
+    for file in written:
+        fields = VERDICT_FILES[file]
+        write_columns(cfg.outputs / file, list(fields), [cells[name] for name in fields.values()])
+    write_json(cfg.outputs / "metrics.json", metrics | entries)
+    _update_manifest(cfg, manifest, "detect", [*written, "metrics.json"])
+    flag_rate = float(columns["flag_fused"].mean())
     print(f"detect: fused flag rate {flag_rate:.4f} over {n} ticks "
           f"({'passive-only' if passive_only else 'passive+active'})")
     return 0
@@ -352,13 +352,12 @@ def cmd_report(run_dir) -> int:
     path = Path(run_dir) / "metrics.json"
     path.with_name("report.json").unlink(missing_ok=True)  # an earlier run's
     metrics_obj = read_json(path)
-    absent = [key for key in VARIANT_KEYS if key not in metrics_obj]
+    absent = [key for key in DETECTORS if key not in metrics_obj]
     if absent:
-        raise DataError(
-            f"metrics.json lacks entries for: {', '.join(absent)} "
-            f"(run detect without --passive-only)"
-        )
-    table = {key: metrics_obj[key] for key in VARIANT_KEYS}
+        hint = " without --passive-only" if absent == ["gru_cnn"] else ""
+        raise DataError(f"metrics.json lacks entries for: {', '.join(absent)} "
+                        f"(run detect{hint})")
+    table = {key: metrics_obj[key] for key in DETECTORS}
     for key, row in table.items():
         if not isinstance(row, dict):
             raise DataError(f"{path}: entry '{key}' must be a JSON object")
@@ -369,8 +368,7 @@ def cmd_report(run_dir) -> int:
 
     print(f"{'variant':<14} {'accuracy':>9} {'precision':>10} {'recall':>8} "
           f"{'f1':>8} {'latency':>8}")
-    for key in VARIANT_KEYS:
-        row = table[key]
+    for key, row in table.items():
         if row.get("diverged"):
             print(f"{key:<14} {'diverged':>9}")
             continue

@@ -25,11 +25,9 @@ import numpy as np
 
 from .akf import FilterRun
 from .errors import ConfigError, DataError, DimensionError
-from .io_utils import write_columns
 
 MIN_CALIBRATION_SAMPLES = 100
 SETTLE_TICKS = 10  # first ticks of the warm-up left out of calibration
-VERDICTS_HEADER = ["t", "euclidean_d", "residual_r", "flag"]
 
 
 @dataclass(frozen=True)
@@ -132,27 +130,27 @@ def calibrate_channels(outputs, zs, obs_rows, warmup: int,
 
 @dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
 class PassiveVerdicts:
-    """A stream's verdicts as columns; iterating yields PassiveVerdict rows."""
+    """A stream's verdicts as columns, row i being tick i; iterating yields
+    PassiveVerdict rows."""
 
-    t: np.ndarray
     euclidean_d: np.ndarray
     residual_r: np.ndarray
     residual_flag: np.ndarray   # armed residual-channel decision, the fusion input
     flag: np.ndarray            # armed union of both channel decisions
 
     def __iter__(self) -> Iterator[PassiveVerdict]:
-        for row in zip(self.t.tolist(), self.euclidean_d.tolist(),
+        for row in zip(range(len(self.flag)), self.euclidean_d.tolist(),
                        self.residual_r.tolist(), self.flag.tolist()):
             yield PassiveVerdict(*row)
 
 
 def _verdicts(deviations, residuals, euclid_th: Thresholds, resid_th: Thresholds,
               armed_from: int) -> PassiveVerdicts:
-    t, d = np.arange(len(deviations)), np.abs(deviations)
-    armed = t >= armed_from
+    d = np.abs(deviations)
+    armed = np.arange(len(d)) >= armed_from
     residual_flag = armed & decide(residuals, resid_th)
     flag = residual_flag | (armed & decide(d, euclid_th))
-    return PassiveVerdicts(t=t, euclidean_d=d, residual_r=residuals,
+    return PassiveVerdicts(euclidean_d=d, residual_r=residuals,
                            residual_flag=residual_flag, flag=flag)
 
 
@@ -172,9 +170,3 @@ def detect_stream(outputs, zs, obs_rows, warmup: int, k: float = 3.0) -> Passive
     on the one channel pass the thresholds are fitted on."""
     return _verdicts(*_calibrated(outputs, zs, obs_rows, warmup, k), warmup)
 
-
-def write_verdicts_csv(t, euclidean_d, residual_r, flag, path) -> None:
-    """Write a verdict stream's columns (``PassiveVerdicts`` fields of those
-    names); any column may be given as the cells ``io_utils.fmt_column`` made
-    of it, to share them with other files."""
-    write_columns(path, VERDICTS_HEADER, [t, euclidean_d, residual_r, flag])

@@ -117,15 +117,15 @@ def test_detect_passive_only(tmp_path):
 
 
 def failing_variant(monkeypatch, failing):
-    """Make ``cli._passive_channel`` raise SingularMatrixError for ``failing``."""
-    channel = cli._passive_channel
+    """Make ``akf.run`` raise SingularMatrixError for ``failing``."""
+    run = akf.run
 
-    def patched(trace, cfg, variant, obs_rows):
+    def patched(trace, cfg, variant, obs_rows=None):
         if variant is failing:
             raise SingularMatrixError(rcond=0.0)
-        return channel(trace, cfg, variant, obs_rows)
+        return run(trace, cfg, variant, obs_rows)
 
-    monkeypatch.setattr(cli, "_passive_channel", patched)
+    monkeypatch.setattr(akf, "run", patched)
 
 
 def test_detect_records_other_variant_divergence(tmp_path, monkeypatch):
@@ -186,6 +186,17 @@ def test_report_on_empty_dir_is_data_error(tmp_path):
     assert main(["report", "--run-dir", str(tmp_path / "empty")]) == 3
 
 
+def test_report_before_detect_asks_for_detect(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path, out_name="nodetect")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "lacks entries for: improved_akf, classic_akf, gru_cnn, fused (run detect)" in err
+    assert "--passive-only" not in err
+
+
 GOOD_ROW = {"accuracy": 0.5, "precision": 0.25, "recall": 1.0, "f1": 0.4,
             "degenerate": False, "latency_ticks": 3}
 
@@ -203,7 +214,7 @@ def test_report_on_malformed_metrics_entry_is_data_error(tmp_path, capsys, entry
                                                          problem):
     run_dir = tmp_path / "malformed"
     run_dir.mkdir()
-    metrics = {key: GOOD_ROW for key in cli.VARIANT_KEYS}
+    metrics = {key: GOOD_ROW for key in cli.DETECTORS}
     metrics["classic_akf"] = {"diverged": True, "error": "singular"}
     io_utils.write_json(run_dir / "metrics.json", metrics)
     assert main(["report", "--run-dir", str(run_dir)]) == 0
@@ -899,3 +910,20 @@ def test_report_reads_only_metrics_json(tmp_path, capsys):
     assert capsys.readouterr().out == table
     assert (alone / "report.json").read_bytes() == (out / "report.json").read_bytes()
     assert sorted(path.name for path in alone.iterdir()) == ["metrics.json", "report.json"]
+
+
+def test_a_detector_row_is_one_table_entry(tmp_path, monkeypatch, capsys):
+    names = dict(vars(cli))
+    monkeypatch.setitem(cli.DETECTORS, "dummy", "flag_N")
+    _, out = run_to_report(tmp_path, "dummy")
+    flags = np.array(csv_column(out / "verdicts_fused.csv", "flag_N")) == "1"
+    labels = np.array(csv_column(out / "labels.csv", "label")) == "1"
+    expected = evaluation.score(flags, labels, int(np.argmax(labels)))
+    assert json.loads((out / "metrics.json").read_text())["dummy"] == expected
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 0
+    assert re.search(r"^dummy +[0-9.]+ ", capsys.readouterr().out, re.MULTILINE)
+    # the one table entry is all that changed in cli
+    assert vars(cli).keys() == names.keys()
+    assert all(vars(cli)[name] is value for name, value in names.items())
+    assert "dummy" in cli.STAGE_OUTPUTS["detect"][1]

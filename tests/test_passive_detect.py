@@ -7,7 +7,7 @@ from fdia_lab import akf
 from fdia_lab.errors import DataError
 from fdia_lab.passive_detect import (SETTLE_TICKS, PassiveVerdict, Thresholds,
                                      calibrate_channels, calibrate_sigma, decide,
-                                     detect_stream, evaluate_stream, write_verdicts_csv)
+                                     detect_stream, evaluate_stream)
 from fdia_lab.signal_model import (SignalParams, SignalState, observation_row,
                                    observation_rows, simulate)
 
@@ -132,18 +132,6 @@ def test_calibration_window_must_fit():
         calibrate_channels(outputs, trace.z, obs, warmup=500)
 
 
-def test_verdicts_csv(tmp_path):
-    trace, outputs, obs = run_filtered_trace(700, seed=5)
-    euclid_th, resid_th = calibrate_channels(outputs, trace.z, obs, warmup=600)
-    verdicts = evaluate_stream(outputs, trace.z, obs, euclid_th, resid_th)
-    path = tmp_path / "verdicts.csv"
-    write_verdicts_csv(verdicts.t, verdicts.euclidean_d, verdicts.residual_r, verdicts.flag,
-                       path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,euclidean_d,residual_r,flag"
-    assert len(lines) == 701
-
-
 # --- columns against the per-tick detectors ------------------------------------
 
 def as_steps(run):
@@ -177,7 +165,7 @@ def test_evaluate_stream_matches_per_tick_decisions():
     euclid_th = Thresholds(sigma=0.002)
     resid_th = Thresholds(sigma=0.001)
     verdicts = evaluate_stream(outputs, trace.z, obs, euclid_th, resid_th, armed_from=700)
-    assert len(verdicts.t) == 3000
+    assert len(list(verdicts)) == len(verdicts.flag) == 3000
     for i, v in enumerate(verdicts):
         assert isinstance(v, PassiveVerdict) and v.t == i
         d = euclidean_deviation(float((obs[i] @ outputs.x_pred[i])[0]), trace.z[i])
@@ -214,7 +202,7 @@ def test_step_list_and_filter_run_give_equal_verdicts():
     assert th_a == th_b
     a = evaluate_stream(outputs, trace.z, rows, *th_a, armed_from=600)
     b = evaluate_stream(as_steps(outputs), trace.z, obs, *th_b, armed_from=600)
-    for name in ("t", "euclidean_d", "residual_r", "residual_flag", "flag"):
+    for name in ("euclidean_d", "residual_r", "residual_flag", "flag"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -247,7 +235,7 @@ def test_one_pass_thresholds_equal_calibrate_channels(variant):
         one_pass = detect_stream(outputs, trace.z, obs_rows, warmup=600, k=2.5)
         fitted.append(calibrate_channels(outputs, trace.z, obs_rows, warmup=600, k=2.5))
         two_pass = evaluate_stream(outputs, trace.z, obs_rows, *fitted[-1], armed_from=600)
-        for name in ("t", "euclidean_d", "residual_r", "residual_flag", "flag"):
+        for name in ("euclidean_d", "residual_r", "residual_flag", "flag"):
             np.testing.assert_array_equal(getattr(one_pass, name), getattr(two_pass, name))
         assert one_pass.flag.any() and not one_pass.flag[:600].any()
     assert fitted[0] == fitted[1] and fitted[0][0].k == fitted[0][1].k == 2.5
