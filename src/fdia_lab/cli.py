@@ -1,12 +1,10 @@
 """Batch experiment runner: simulate, train, detect, report.
 
 Each subcommand takes a JSON experiment config (see README for the
-schema) and writes deterministic artifacts into the run directory:
-``manifest.json``, ``trace.csv``, ``labels.csv``, ``dataset.csv``,
-``checkpoint.json``, ``history.csv``, the verdict files of ``VERDICT_FILES``
-(``verdicts_{passive,passive_classic,active,fused}.csv``), ``metrics.json``
-and ``report.json`` (built by ``report`` from ``metrics.json`` alone).
-Identical configs produce byte-identical artifacts.
+schema) and writes deterministic artifacts into the run directory: the
+files and ``metrics.json`` entries that ``STAGES`` lists for each stage,
+``manifest.json``, and ``report.json`` (built by ``report`` from
+``metrics.json`` alone). Identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -55,12 +53,16 @@ VERDICT_FILES = {
     "verdicts_passive_classic.csv": {"t": "t", "euclidean_d": "d_C", "residual_r": "r_C",
                                      "flag": "union_C"},
 }
-# stage -> (its files, its metrics.json entries), which a new run of the stage replaces
-STAGE_OUTPUTS = {"simulate": (("trace.csv", "labels.csv", "dataset.csv"), ()),
-                 "train": (("checkpoint.json", "history.csv"), ("gru_cnn_holdout",)),
-                 "detect": (VERDICT_FILES, DETECTORS)}
-ROW_KINDS = {"accuracy": (int, float), "precision": (int, float), "recall": (int, float),
-             "f1": (int, float), "latency_ticks": (int, type(None))}
+# stage -> (its input files, keyed by the option that overrides each; its own
+# files; its metrics.json entries), each stage after those whose files it reads
+STAGES = {"simulate": ({}, ("trace.csv", "labels.csv", "dataset.csv"), ()),
+          "train": ({"dataset": "dataset.csv"}, ("checkpoint.json", "history.csv"),
+                    ("gru_cnn_holdout",)),
+          "detect": ({"trace": "trace.csv", "labels": "labels.csv",
+                      "checkpoint": "checkpoint.json"}, VERDICT_FILES, DETECTORS)}
+# metrics.json row field -> whether report accepts its value
+ROW_KINDS = {**dict.fromkeys(("accuracy", "precision", "recall", "f1"), finite_number),
+             "latency_ticks": lambda v: v is None or (type(v) is int and v >= 0)}
 
 
 @dataclass(frozen=True)
@@ -193,19 +195,25 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
 
 def _run_files(out: Path, stage: str) -> tuple[dict, dict]:
     """``manifest.json`` and ``metrics.json`` ({} if absent), checked before ``stage``
-    writes. Then an earlier run's outputs of ``stage`` are removed (its files, its
-    ``metrics.json`` entries and its manifest listing) and the run directory made."""
+    writes. Then ``report.json`` and the outputs (files, ``metrics.json`` entries and
+    manifest listing) of ``stage`` and of each stage made from them are removed."""
     manifest, metrics = (read_json(path) if path.exists() else {}
                          for path in (out / "manifest.json", out / "metrics.json"))
     for key in ("seeds", "artifacts"):
         if not isinstance(manifest.get(key, {}), dict):
             raise DataError(f"{out / 'manifest.json'}: entry '{key}' must be a JSON object")
-    files, keys = STAGE_OUTPUTS[stage]
-    for name in files:
+    cleared, made = [], {"report.json"}
+    for name, (inputs, files, _) in STAGES.items():
+        if name == stage or not made.isdisjoint(inputs.values()):
+            cleared.append(name)
+            made.update(files)
+    for name in made:
         (out / name).unlink(missing_ok=True)
-    if stage in manifest.get("artifacts", {}):
-        del manifest["artifacts"][stage]
+    if not manifest.get("artifacts", {}).keys().isdisjoint(cleared):
+        manifest["artifacts"] = {key: value for key, value in manifest["artifacts"].items()
+                                 if key not in cleared}
         write_json(out / "manifest.json", manifest)
+    keys = {key for name in cleared for key in STAGES[name][2]}
     if not metrics.keys().isdisjoint(keys):
         metrics = {key: value for key, value in metrics.items() if key not in keys}
         write_json(out / "metrics.json", metrics)
@@ -213,12 +221,15 @@ def _run_files(out: Path, stage: str) -> tuple[dict, dict]:
     return manifest, metrics
 
 
-def _update_manifest(cfg: ExperimentConfig, manifest: dict, command: str,
-                     artifacts: list[str]) -> None:
+def _update_manifest(cfg: ExperimentConfig, manifest: dict, stage: str) -> None:
+    """Record the config, the seeds and the files ``stage`` wrote: those of its
+    STAGES files that exist, and ``metrics.json`` if it has entries there."""
+    _, files, keys = STAGES[stage]
     manifest["config"] = cfg.raw
     manifest.setdefault("seeds", {}).update(
         signal=cfg.signal.seed, train=cfg.train.seed, pipeline=cfg.pipeline_seed)
-    manifest.setdefault("artifacts", {})[command] = sorted(artifacts)
+    own = [name for name in files if (cfg.outputs / name).exists()]
+    manifest.setdefault("artifacts", {})[stage] = sorted(own + (["metrics.json"] if keys else []))
     write_json(cfg.outputs / "manifest.json", manifest)
 
 
@@ -232,7 +243,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     write_trace_csv(ticks, trace.states, z, cfg.outputs / "trace.csv")
     write_labels_csv(ticks, labels, cfg.outputs / "labels.csv")
     write_dataset_csv(ticks, {"z": z}, labels, cfg.outputs / "dataset.csv")
-    _update_manifest(cfg, manifest, "simulate", ["trace.csv", "labels.csv", "dataset.csv"])
+    _update_manifest(cfg, manifest, "simulate")
     print(f"simulate: wrote {cfg.n} samples to {cfg.outputs}")
     return 0
 
@@ -265,7 +276,7 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
     save_checkpoint(net, cfg.outputs / "checkpoint.json", std)
     write_history_csv(history, cfg.outputs / "history.csv")
     write_json(cfg.outputs / "metrics.json", metrics | {"gru_cnn_holdout": holdout})
-    _update_manifest(cfg, manifest, "train", ["checkpoint.json", "history.csv", "metrics.json"])
+    _update_manifest(cfg, manifest, "train")
     print(f"train: {len(train_w)} train / {len(test_w)} test windows, "
           f"holdout accuracy {holdout['accuracy']:.4f}")
     return 0
@@ -307,7 +318,6 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     # a passive-only run writes no probabilities (nothing to format) and no flags
     columns |= {"p_attack": Cells([""] * n), "flag_GC": np.zeros(n, dtype=bool)}
     if not passive_only:
-        checkpoint_path = Path(checkpoint_path)
         if not checkpoint_path.exists():
             raise DataError(f"missing network checkpoint {checkpoint_path}; train first or "
                             "pass --passive-only")
@@ -341,7 +351,7 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
         fields = VERDICT_FILES[file]
         write_columns(cfg.outputs / file, list(fields), [cells[name] for name in fields.values()])
     write_json(cfg.outputs / "metrics.json", metrics | entries)
-    _update_manifest(cfg, manifest, "detect", [*written, "metrics.json"])
+    _update_manifest(cfg, manifest, "detect")
     flag_rate = float(columns["flag_fused"].mean())
     print(f"detect: fused flag rate {flag_rate:.4f} over {n} ticks "
           f"({'passive-only' if passive_only else 'passive+active'})")
@@ -361,7 +371,7 @@ def cmd_report(run_dir) -> int:
     for key, row in table.items():
         if not isinstance(row, dict):
             raise DataError(f"{path}: entry '{key}' must be a JSON object")
-        bad = [name for name, kinds in ROW_KINDS.items() if type(row.get(name)) not in kinds]
+        bad = [name for name, valid in ROW_KINDS.items() if not valid(row.get(name))]
         if bad and not row.get("diverged"):
             raise DataError(f"{path}: entry '{key}' has no valid '{bad[0]}'")
     write_json(path.with_name("report.json"), {"table": table})
@@ -379,36 +389,30 @@ def cmd_report(run_dir) -> int:
     return 0
 
 
+def _stage_parser(sub, stage: str, help: str) -> argparse.ArgumentParser:
+    """``stage``'s subcommand with --config, an option for each input file and --out."""
+    parser = sub.add_parser(stage, help=help)
+    parser.add_argument("--config", required=True)
+    for option, name in STAGES[stage][0].items():
+        parser.add_argument(f"--{option}", help=f"input file (default: <outputs>/{name})")
+    parser.add_argument("--out", help="override the outputs directory")
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then shared."""
     parser = argparse.ArgumentParser(
-        prog="fdia-lab",
-        description="Simulate, attack, detect, and evaluate FDIA scenarios.",
-    )
+        prog="fdia-lab", description="Simulate, attack, detect, and evaluate FDIA scenarios.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate an attacked trace and labels")
-    sim.add_argument("--config", required=True)
+    sim = _stage_parser(sub, "simulate", "generate an attacked trace and labels")
     sim.add_argument("--seed", type=int, help="override the signal seed")
-    sim.add_argument("--out", help="override the outputs directory")
-
-    tr = sub.add_parser("train", help="train the classifier on a labeled dataset")
-    tr.add_argument("--config", required=True)
-    tr.add_argument("--dataset", help="dataset CSV (default: <outputs>/dataset.csv)")
+    tr = _stage_parser(sub, "train", "train the classifier on a labeled dataset")
     tr.add_argument("--epochs", type=int, help="override the configured epoch count")
     tr.add_argument("--seed", type=int, help="override the training seed")
-    tr.add_argument("--out", help="override the outputs directory")
-
-    det = sub.add_parser("detect", help="run passive + active detection on a trace")
-    det.add_argument("--config", required=True)
-    det.add_argument("--trace", help="trace CSV (default: <outputs>/trace.csv)")
-    det.add_argument("--labels", help="labels CSV (default: <outputs>/labels.csv)")
-    det.add_argument("--checkpoint", help="network checkpoint "
-                                          "(default: <outputs>/checkpoint.json)")
-    det.add_argument("--passive-only", action="store_true",
-                     help="skip the classifier path")
-    det.add_argument("--out", help="override the outputs directory")
+    det = _stage_parser(sub, "detect", "run passive + active detection on a trace")
+    det.add_argument("--passive-only", action="store_true", help="skip the classifier path")
 
     rep = sub.add_parser("report", help="consolidate a finished run")
     rep.add_argument("--config")
@@ -417,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(raw: dict, args) -> dict:
-    raw = json.loads(json.dumps(raw))  # deep copy
     if getattr(args, "seed", None) is not None:
         if args.command == "simulate":
             raw.setdefault("signal", {})["seed"] = args.seed
@@ -440,21 +443,17 @@ def run_command(args) -> int:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    raw = _apply_overrides(raw, args)
-    cfg = parse_config(raw, getattr(args, "out", None))
+    cfg = parse_config(_apply_overrides(raw, args), getattr(args, "out", None))
 
     if args.command == "report":
         return cmd_report(cfg.outputs)
-    if args.command == "simulate":
-        return cmd_simulate(cfg)
-    if args.command == "train":
-        dataset = args.dataset or cfg.outputs / "dataset.csv"
-        return cmd_train(cfg, dataset)
-    # argparse admits only the four commands
-    trace = args.trace or cfg.outputs / "trace.csv"
-    labels = args.labels or cfg.outputs / "labels.csv"
-    checkpoint = args.checkpoint or cfg.outputs / "checkpoint.json"
-    return cmd_detect(cfg, trace, labels, checkpoint, args.passive_only)
+    # argparse admits only the four commands; an input not given is read from
+    # the run directory
+    inputs = [Path(getattr(args, option) or cfg.outputs / name)
+              for option, name in STAGES[args.command][0].items()]
+    if args.command == "detect":
+        return cmd_detect(cfg, *inputs, args.passive_only)
+    return {"simulate": cmd_simulate, "train": cmd_train}[args.command](cfg, *inputs)
 
 
 def main(argv=None) -> int:

@@ -209,6 +209,10 @@ GOOD_ROW = {"accuracy": 0.5, "precision": 0.25, "recall": 1.0, "f1": 0.4,
     ("fused", dict(GOOD_ROW, recall=True), "'recall'"),
     ("gru_cnn", dict(GOOD_ROW, latency_ticks=[3]), "'latency_ticks'"),
     ("improved_akf", dict(GOOD_ROW, latency_ticks=2.5), "'latency_ticks'"),
+    ("improved_akf", dict(GOOD_ROW, latency_ticks=-1), "'latency_ticks'"),
+    ("fused", dict(GOOD_ROW, accuracy=math.nan), "'accuracy'"),
+    ("gru_cnn", dict(GOOD_ROW, precision=math.inf), "'precision'"),
+    ("classic_akf", dict(GOOD_ROW, f1=-math.inf), "'f1'"),
 ])
 def test_report_on_malformed_metrics_entry_is_data_error(tmp_path, capsys, entry, row,
                                                          problem):
@@ -332,7 +336,6 @@ def csv_column(path, name) -> list[str]:
 def test_stages_format_each_column_once(tmp_path, monkeypatch, passive_only):
     cfg_path, out = write_config(tmp_path, out_name="once")
     assert main(["simulate", "--config", str(cfg_path)]) == 0
-    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
     formatted, fmt_column = [], io_utils.fmt_column
 
     def counting(values):
@@ -346,6 +349,8 @@ def test_stages_format_each_column_once(tmp_path, monkeypatch, passive_only):
     assert main(["simulate", "--config", str(cfg_path)]) == 0
     # t, x1, x2, z and label, though t goes into three files and z and label two
     assert formatted == [1600] * 5
+    # the simulate rerun removed the network made from the earlier dataset
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
     formatted.clear()
     extra = ["--passive-only"] if passive_only else []
     assert main(["detect", "--config", str(cfg_path), *extra]) == 0
@@ -859,9 +864,10 @@ def test_failed_train_leaves_no_earlier_network(tmp_path, capsys):
     diverge_path, _ = write_config(tmp_path, out_name="retrain", network=network)
     assert main(["train", "--config", str(diverge_path), "--epochs", "1"]) == 4
     assert not (out / "checkpoint.json").exists() and not (out / "history.csv").exists()
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert "gru_cnn_holdout" not in metrics and "improved_akf" in metrics
-    assert "train" not in json.loads((out / "manifest.json").read_text())["artifacts"]
+    # and the verdicts made from the earlier network
+    assert json.loads((out / "metrics.json").read_text()) == {}
+    assert list(out.glob("verdicts_*.csv")) == []
+    assert list(json.loads((out / "manifest.json").read_text())["artifacts"]) == ["simulate"]
     capsys.readouterr()
     assert main(["detect", "--config", str(diverge_path)]) == 3
     assert (f"missing network checkpoint {out / 'checkpoint.json'}; train first"
@@ -879,6 +885,38 @@ def test_failed_detect_leaves_no_earlier_results(tmp_path):
     assert set(listed) == {"simulate", "train"}
     assert main(["report", "--config", str(cfg_path)]) == 3
     assert not (out / "report.json").exists()
+
+
+STAGE_FILES = {"simulate": ["dataset.csv", "labels.csv", "trace.csv"],
+               "train": ["checkpoint.json", "history.csv"],
+               "detect": sorted(cli.VERDICT_FILES)}
+STAGE_ENTRIES = {"simulate": [], "train": ["gru_cnn_holdout"], "detect": list(cli.DETECTORS)}
+
+
+# each edge of the stage graph: simulate feeds train and detect, train feeds
+# detect, and every stage feeds report through metrics.json
+@pytest.mark.parametrize("rerun,kept", [
+    (["simulate", "--seed", "99"], ["simulate"]),
+    (["train", "--epochs", "0"], ["simulate", "train"]),
+    (["detect"], ["simulate", "train", "detect"]),
+])
+def test_a_rerun_clears_what_was_made_from_the_files_it_replaces(tmp_path, capsys, rerun,
+                                                                  kept):
+    cfg_path, out = run_to_report(tmp_path, "graph")
+    assert main(["report", "--run-dir", str(out)]) == 0
+    assert main([rerun[0], "--config", str(cfg_path), *rerun[1:]]) == 0
+    files = [name for stage in kept for name in STAGE_FILES[stage]]
+    assert (sorted(path.name for path in out.iterdir())
+            == sorted([*files, "manifest.json", "metrics.json"]))
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert sorted(metrics) == sorted(key for stage in kept for key in STAGE_ENTRIES[stage])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == sorted(kept)
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == (0 if "detect" in kept else 3)
+    assert ("(run detect)" in capsys.readouterr().err) == ("detect" not in kept)
+    if rerun[0] == "simulate":
+        assert manifest["seeds"]["signal"] == 99
 
 
 def test_checkpoint_config_that_cannot_be_read_is_data_error(tmp_path, capsys):
@@ -926,4 +964,4 @@ def test_a_detector_row_is_one_table_entry(tmp_path, monkeypatch, capsys):
     # the one table entry is all that changed in cli
     assert vars(cli).keys() == names.keys()
     assert all(vars(cli)[name] is value for name, value in names.items())
-    assert "dummy" in cli.STAGE_OUTPUTS["detect"][1]
+    assert "dummy" in cli.STAGES["detect"][2]
