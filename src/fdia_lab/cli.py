@@ -2,9 +2,10 @@
 
 Each subcommand takes a JSON experiment config (see README for the
 schema) and writes deterministic artifacts into the run directory: the
-files and ``metrics.json`` entries that ``STAGES`` lists for each stage,
-``manifest.json``, and ``report.json`` (built by ``report`` from
-``metrics.json`` alone). Identical configs produce byte-identical artifacts.
+files (with each CSV file's header) and ``metrics.json`` entries that
+``STAGES`` lists for each stage, ``manifest.json``, and ``report.json``
+(built by ``report`` from ``metrics.json`` alone). Identical configs
+produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -25,16 +25,13 @@ import numpy as np
 
 from . import akf, attack, evaluation, fusion, passive_detect
 from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
-                            fit_standardizer, impute_mean, read_dataset_csv, split,
-                            window, write_dataset_csv)
+                            fit_standardizer, impute_mean, read_dataset_csv, split, window)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import (REQUIRED, Cells, finite_number, fmt_column, read_fields, read_json,
-                       write_columns, write_json)
+from .io_utils import (REQUIRED, Cells, finite_number, fmt_column, read_csv, read_fields,
+                       read_json, write_columns, write_json)
 from .nn import (NETWORK_RULES, NetworkConfig, TrainConfig, load_checkpoint,
-                 predict_proba, save_checkpoint, train, write_history_csv)
-from .signal_model import (SignalParams, SignalState, observation_rows,
-                           read_labels_csv, read_trace_csv, simulate,
-                           write_labels_csv, write_trace_csv)
+                 predict_proba, save_checkpoint, train)
+from .signal_model import SignalParams, SignalState, Trace, observation_rows, simulate
 
 # detect's named columns: t, the tick; per filter (N improved, C classic) d_
 # the Euclidean deviation, r_ the residual metric, flag_ the residual
@@ -43,23 +40,27 @@ from .signal_model import (SignalParams, SignalState, observation_rows,
 # metrics.json row -> the column of flags it scores
 DETECTORS = {"improved_akf": "flag_N", "classic_akf": "flag_C", "gru_cnn": "flag_GC",
              "fused": "flag_fused"}
-# verdict file -> {header field: column}, written when all its columns exist
-VERDICT_FILES = {
-    "verdicts_passive.csv": {"t": "t", "euclidean_d": "d_N", "residual_r": "r_N",
-                             "flag": "union_N"},
-    "verdicts_active.csv": {"t": "t", "p_attack": "p_attack", "flag": "flag_GC"},
-    "verdicts_fused.csv": {"t": "t", "r_N": "r_N", "flag_N": "flag_N", "flag_GC": "flag_GC",
-                           "flag_fused": "flag_fused"},
-    "verdicts_passive_classic.csv": {"t": "t", "euclidean_d": "d_C", "residual_r": "r_C",
-                                     "flag": "union_C"},
-}
 # stage -> (its input files, keyed by the option that overrides each; its own
-# files; its metrics.json entries), each stage after those whose files it reads
-STAGES = {"simulate": ({}, ("trace.csv", "labels.csv", "dataset.csv"), ()),
-          "train": ({"dataset": "dataset.csv"}, ("checkpoint.json", "history.csv"),
-                    ("gru_cnn_holdout",)),
-          "detect": ({"trace": "trace.csv", "labels": "labels.csv",
-                      "checkpoint": "checkpoint.json"}, VERDICT_FILES, DETECTORS)}
+# files, each CSV file as {header field: named column} and each JSON file as
+# {}; its metrics.json entries), each stage after those whose files it reads.
+# A stage writes each of its CSV files whose columns it has.
+STAGES = {
+    "simulate": ({}, {"trace.csv": {"t": "t", "x1": "x1", "x2": "x2", "z": "z"},
+                      "labels.csv": {"t": "t", "label": "label"},
+                      "dataset.csv": {"t": "t", "z": "z", "label": "label"}}, ()),
+    "train": ({"dataset": "dataset.csv"},
+              {"checkpoint.json": {}, "history.csv": {"epoch": "epoch", "train_loss": "train_loss",
+                                                      "val_loss": "val_loss"}},
+              ("gru_cnn_holdout",)),
+    "detect": ({"trace": "trace.csv", "labels": "labels.csv", "checkpoint": "checkpoint.json"},
+               {"verdicts_passive.csv": {"t": "t", "euclidean_d": "d_N", "residual_r": "r_N",
+                                         "flag": "union_N"},
+                "verdicts_active.csv": {"t": "t", "p_attack": "p_attack", "flag": "flag_GC"},
+                "verdicts_fused.csv": {"t": "t", "r_N": "r_N", "flag_N": "flag_N",
+                                       "flag_GC": "flag_GC", "flag_fused": "flag_fused"},
+                "verdicts_passive_classic.csv": {"t": "t", "euclidean_d": "d_C",
+                                                 "residual_r": "r_C", "flag": "union_C"}},
+               DETECTORS)}
 # metrics.json row field -> whether report accepts its value
 ROW_KINDS = {**dict.fromkeys(("accuracy", "precision", "recall", "f1"), finite_number),
              "latency_ticks": lambda v: v is None or (type(v) is int and v >= 0)}
@@ -195,8 +196,11 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
 
 def _run_files(out: Path, stage: str) -> tuple[dict, dict]:
     """``manifest.json`` and ``metrics.json`` ({} if absent), checked before ``stage``
-    writes. Then ``report.json`` and the outputs (files, ``metrics.json`` entries and
+    writes, as is that ``out`` is no path through a file. Then ``report.json`` and the outputs (files, ``metrics.json`` entries and
     manifest listing) of ``stage`` and of each stage made from them are removed."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"outputs {out}: {existing} is not a directory")
     manifest, metrics = (read_json(path) if path.exists() else {}
                          for path in (out / "manifest.json", out / "metrics.json"))
     for key in ("seeds", "artifacts"):
@@ -221,10 +225,18 @@ def _run_files(out: Path, stage: str) -> tuple[dict, dict]:
     return manifest, metrics
 
 
-def _update_manifest(cfg: ExperimentConfig, manifest: dict, stage: str) -> None:
-    """Record the config, the seeds and the files ``stage`` wrote: those of its
+def _finish(cfg: ExperimentConfig, manifest: dict, stage: str, columns: dict) -> None:
+    """Write each CSV file of ``stage`` whose named columns are all in
+    ``columns``, formatting each column once however many files hold it. Then
+    record the config, the seeds and the files ``stage`` wrote: those of its
     STAGES files that exist, and ``metrics.json`` if it has entries there."""
     _, files, keys = STAGES[stage]
+    written = {name: fields for name, fields in files.items()
+               if fields and set(fields.values()) <= columns.keys()}
+    needed = dict.fromkeys(name for fields in written.values() for name in fields.values())
+    cells = {name: fmt_column(columns[name]) for name in needed}
+    for file, fields in written.items():
+        write_columns(cfg.outputs / file, list(fields), [cells[name] for name in fields.values()])
     manifest["config"] = cfg.raw
     manifest.setdefault("seeds", {}).update(
         signal=cfg.signal.seed, train=cfg.train.seed, pipeline=cfg.pipeline_seed)
@@ -237,13 +249,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     manifest, _ = _run_files(cfg.outputs, "simulate")
     trace = simulate(cfg.signal, cfg.initial, cfg.n)
     z_attacked, active = attack.inject_series(trace.z, cfg.scenario, trace.ticks)
-
-    # the ticks, z and label columns go into several files: format each once
-    ticks, z, labels = map(fmt_column, (trace.ticks, z_attacked, active))
-    write_trace_csv(ticks, trace.states, z, cfg.outputs / "trace.csv")
-    write_labels_csv(ticks, labels, cfg.outputs / "labels.csv")
-    write_dataset_csv(ticks, {"z": z}, labels, cfg.outputs / "dataset.csv")
-    _update_manifest(cfg, manifest, "simulate")
+    _finish(cfg, manifest, "simulate", {"t": trace.ticks, "x1": trace.states[:, 0],
+                                        "x2": trace.states[:, 1], "z": z_attacked,
+                                        "label": active})
     print(f"simulate: wrote {cfg.n} samples to {cfg.outputs}")
     return 0
 
@@ -274,9 +282,10 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
     holdout = evaluation.score(probs[:, 1] > probs[:, 0], test_y.astype(bool))
 
     save_checkpoint(net, cfg.outputs / "checkpoint.json", std)
-    write_history_csv(history, cfg.outputs / "history.csv")
     write_json(cfg.outputs / "metrics.json", metrics | {"gru_cnn_holdout": holdout})
-    _update_manifest(cfg, manifest, "train")
+    # History rows are (epoch, train_loss, val_loss); zero epochs make none
+    _finish(cfg, manifest, "train", dict(zip(("epoch", "train_loss", "val_loss"),
+                                             list(zip(*history)) or [()] * 3)))
     print(f"train: {len(train_w)} train / {len(test_w)} test windows, "
           f"holdout accuracy {holdout['accuracy']:.4f}")
     return 0
@@ -285,8 +294,10 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
 def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                passive_only: bool) -> int:
     manifest, metrics = _run_files(cfg.outputs, "detect")
-    trace = read_trace_csv(trace_path)
-    _, labels = read_labels_csv(labels_path)
+    simulated = STAGES["simulate"][1]
+    _, ticks, x1, x2, z = read_csv(trace_path, list(simulated["trace.csv"]))
+    trace = Trace(ticks=ticks, states=np.column_stack([x1, x2]), z=z)
+    *_, labels = read_csv(labels_path, list(simulated["labels.csv"]))
     n = len(trace)
     if len(labels) != n:
         raise DataError(f"{labels_path} has {len(labels)} rows, {trace_path} {n}")
@@ -341,17 +352,10 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                 for key, name in DETECTORS.items()
                 if name in columns and not (passive_only and name == "flag_GC")}
 
-    # the files are written once the classifier is done, so the cells of the
-    # columns several files share (each formatted once) never live through it
-    written = [file for file, fields in VERDICT_FILES.items()
-               if set(fields.values()) <= columns.keys()]
-    needed = dict.fromkeys(name for file in written for name in VERDICT_FILES[file].values())
-    cells = {name: fmt_column(columns[name]) for name in needed}
-    for file in written:
-        fields = VERDICT_FILES[file]
-        write_columns(cfg.outputs / file, list(fields), [cells[name] for name in fields.values()])
     write_json(cfg.outputs / "metrics.json", metrics | entries)
-    _update_manifest(cfg, manifest, "detect")
+    # the files are written once the classifier is done, so the cells of the
+    # columns several files share never live through it
+    _finish(cfg, manifest, "detect", columns)
     flag_rate = float(columns["flag_fused"].mean())
     print(f"detect: fused flag rate {flag_rate:.4f} over {n} ticks "
           f"({'passive-only' if passive_only else 'passive+active'})")
@@ -436,13 +440,7 @@ def run_command(args) -> int:
         return cmd_report(args.run_dir)
     if not args.config:
         raise ConfigError("report needs --config or --run-dir")
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    raw = read_json(args.config, ConfigError)
     cfg = parse_config(_apply_overrides(raw, args), getattr(args, "out", None))
 
     if args.command == "report":

@@ -4,11 +4,13 @@ Mean imputation, clustered SMOTE-style oversampling of the minority
 (attack) class, Z-score standardization fitted on the training split,
 stratified splitting, and sliding-window extraction.
 
-Dataset CSV schema: header ``t,<feature...>,label`` with an empty feature
-cell meaning a missing value; the label column is required, and the tick
-column is checked but not kept. Any other cell that numpy's reader refuses
-(``1_0`` and ``\uff12`` among them) or whose value is not finite is a
-DataError naming its file, row and column.
+Dataset CSV schema, read by ``read_dataset_csv``: header
+``t,<feature...>,label`` with an empty feature cell meaning a missing
+value; the label column is required, and the tick column is checked but
+not kept. ``simulate`` writes the ``t,z,label`` case (``cli.STAGES``).
+Any other cell that numpy's reader refuses (``1_0`` and ``\uff12`` among
+them) or whose value is not finite is a DataError naming its file, row
+and column.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .io_utils import read_csv, write_columns
+from .io_utils import read_csv
 
 
 @dataclass
@@ -201,13 +203,6 @@ def window(values: np.ndarray, labels: np.ndarray, length: int) -> tuple[np.ndar
     # a read-only view, (windows, length, features)
     windows = np.lib.stride_tricks.sliding_window_view(values, length, axis=0)
     return windows.transpose(0, 2, 1), labels[length - 1:]
-
-
-def write_dataset_csv(ticks, features: dict, labels, path) -> None:
-    """Write the ``t`` column, one column per ``features`` entry (name ->
-    column) and the 0/1 (or boolean) labels; any column may be given as the
-    cells ``io_utils.fmt_column`` made of it, to share them with other files."""
-    write_columns(path, ["t", *features, "label"], [ticks, *features.values(), labels])
 
 
 def read_dataset_csv(path) -> RawDataset:

@@ -1,12 +1,13 @@
-"""CSV/JSON helpers shared by the module-level exporters, and the one
-typed reader of config sections.
+"""CSV/JSON readers and writers, through which every stage file of
+``cli.STAGES`` goes, and the one typed reader of config sections.
 
 Writers are byte-deterministic: floats are written with ``repr`` (shortest
 round-trip form), JSON keys are sorted, and no timestamps are emitted.
 ``read_csv``'s one ``np.loadtxt`` call converts every CSV cell to a value.
 ``read_fields`` reads a config section by its rows, each a key's type,
 default and rule; it serves the run config's sections and the checkpoint's
-``config`` alike.
+``config`` alike. Every file is read through ``read_text``, so a file that
+cannot be read is an error naming it, as a malformed one is.
 """
 
 from __future__ import annotations
@@ -79,9 +80,7 @@ def read_csv(path, header: Sequence[str] | None = None,
     file (and the row and column).
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"empty CSV file: {path}")
     names = lines[0].split(",")
@@ -158,17 +157,30 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path) -> dict:
-    """The JSON object in ``path``: every JSON file here has an object root."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
+def read_text(path: Path, error=DataError) -> str:
+    """The text of the file at ``path``. A missing file, one that cannot be
+    read (a directory, say) or one that is not text in the locale's encoding
+    raises ``error`` naming it."""
     try:
-        obj = json.loads(path.read_text())
+        return path.read_text()
+    except FileNotFoundError:
+        raise error(f"missing file: {path}") from None
+    except OSError as exc:
+        raise error(f"{path} cannot be read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} cannot be read: {exc}") from exc
+
+
+def read_json(path, error=DataError) -> dict:
+    """The JSON object in ``path``: every JSON file here has an object root.
+    A file that cannot be read or holds no JSON object raises ``error``."""
+    path = Path(path)
+    try:
+        obj = json.loads(read_text(path, error))
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+        raise error(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise DataError(f"{path}: the root must be a JSON object")
+        raise error(f"{path}: the root must be a JSON object")
     return obj
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, DimensionError, NumericalError
-from ..io_utils import write_columns
 from .network import Network, NetworkConfig, cross_entropy, gradients, \
     init_network, parameters, predict_proba
 
@@ -117,7 +116,3 @@ def train(windows: np.ndarray, labels: np.ndarray, net_cfg: NetworkConfig,
         history.append((epoch, train_loss, val_loss))
     return net, history
 
-
-def write_history_csv(history, path) -> None:
-    columns = list(zip(*history)) or [(), (), ()]
-    write_columns(path, ["epoch", "train_loss", "val_loss"], columns)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .io_utils import read_csv, write_columns
 from .numerics import Matrix
 
 
@@ -96,27 +95,3 @@ def simulate(params: SignalParams, initial: SignalState, n: int) -> Trace:
     z = np.cos(angles) * states[:, 0] - np.sin(angles) * states[:, 1] + zetas
     return Trace(ticks=ticks, states=states, z=z)
 
-
-TRACE_HEADER = ["t", "x1", "x2", "z"]
-LABELS_HEADER = ["t", "label"]
-
-
-def write_trace_csv(ticks, states: np.ndarray, z, path) -> None:
-    """Write a trace's columns; ``ticks`` and ``z`` may be given as the cells
-    ``io_utils.fmt_column`` made of them, to share them with other files."""
-    write_columns(path, TRACE_HEADER, [ticks, states[:, 0], states[:, 1], z])
-
-
-def read_trace_csv(path) -> Trace:
-    _, ticks, x1, x2, z = read_csv(path, TRACE_HEADER)
-    return Trace(ticks=ticks, states=np.column_stack([x1, x2]), z=z)
-
-
-def write_labels_csv(ticks, labels, path) -> None:
-    """Write 0/1 (or boolean) labels; either column may be given as cells."""
-    write_columns(path, LABELS_HEADER, [ticks, labels])
-
-
-def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    _, ticks, labels = read_csv(path, LABELS_HEADER)
-    return ticks, labels

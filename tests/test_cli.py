@@ -278,6 +278,47 @@ def test_stage_checks_manifest_entries_before_writing(tmp_path, capsys, stage, e
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("bad", ["non-UTF-8 byte", "directory"])
+@pytest.mark.parametrize("target", ["dataset", "trace", "labels", "checkpoint",
+                                    "metrics.json", "manifest.json", "config"])
+def test_an_unreadable_file_is_a_named_error(tmp_path, capsys, bad, target):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
+    stage = next((name for name, (inputs, _, _) in cli.STAGES.items() if target in inputs), None)
+    if stage:  # the option names a spoiled copy of the input
+        path, original = tmp_path / target, (out / cli.STAGES[stage][0][target]).read_bytes()
+        argv = [stage, "--config", str(cfg_path), f"--{target}", str(path)]
+    elif target == "config":
+        path, original = tmp_path / target, cfg_path.read_bytes()
+        argv = ["simulate", "--config", str(path)]
+    else:  # spoiled where the run directory holds it
+        path, original = out / target, (out / target).read_bytes()
+        path.unlink()
+        argv = (["report", "--run-dir", str(out)] if target == "metrics.json"
+                else ["simulate", "--config", str(cfg_path)])
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(original + b"\xff")
+    capsys.readouterr()
+    assert main(argv) == (2 if target == "config" else 3)
+    err = capsys.readouterr().err
+    assert f"{path} cannot be read: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_an_outputs_path_through_a_file_is_config_error(tmp_path, capsys, below):
+    cfg_path, _ = write_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if below else blocker
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"config error: outputs {out}: {blocker} is not a directory" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == [cfg_path.name, "file"]
+    assert blocker.read_text() == "kept\n"
+
+
 def test_train_epochs_override_and_determinism(tmp_path):
     cfg_path, out = write_config(tmp_path, out_name="t1")
     assert main(["simulate", "--config", str(cfg_path)]) == 0
@@ -694,6 +735,18 @@ def test_readme_config_schema_names_every_key():
     cli.parse_config(example)
 
 
+def test_readme_run_directory_lists_every_stage_file_and_csv_header():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Run directory layout", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, re.MULTILINE)
+    files = {name: fields for _, own, _ in cli.STAGES.values() for name, fields in own.items()}
+    assert sorted(name for name, _ in rows) == sorted(
+        [*files, "manifest.json", "metrics.json", "report.json"])
+    for name, contents in rows:
+        headers = [code for code in re.findall(r"`([^`]*)`", contents) if "," in code]
+        assert headers == ([",".join(files[name])] if files.get(name) else []), name
+
+
 @pytest.mark.parametrize("key,value", [("seed", -1), ("epochs", -1)])
 def test_negative_training_value_is_config_error(tmp_path, capsys, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -889,7 +942,7 @@ def test_failed_detect_leaves_no_earlier_results(tmp_path):
 
 STAGE_FILES = {"simulate": ["dataset.csv", "labels.csv", "trace.csv"],
                "train": ["checkpoint.json", "history.csv"],
-               "detect": sorted(cli.VERDICT_FILES)}
+               "detect": sorted(cli.STAGES["detect"][1])}
 STAGE_ENTRIES = {"simulate": [], "train": ["gru_cnn_holdout"], "detect": list(cli.DETECTORS)}
 
 

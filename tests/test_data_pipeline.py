@@ -4,8 +4,9 @@ import pytest
 from conftest import make_labeled_dataset
 from fdia_lab.data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                                     fit_standardizer, impute_mean, read_dataset_csv,
-                                    split, window, write_dataset_csv)
+                                    split, window)
 from fdia_lab.errors import DataError
+from fdia_lab.io_utils import write_columns
 
 
 def small_dataset(values, labels=None):
@@ -262,7 +263,7 @@ def test_dataset_csv_roundtrip_with_missing(tmp_path):
     d = RawDataset(columns=["a", "b"], values=values,
                    labels=np.array([0, 1, 0]))
     path = tmp_path / "data.csv"
-    write_dataset_csv(np.arange(len(d)), dict(zip(d.columns, d.values.T)), d.labels, path)
+    write_columns(path, ["t", *d.columns, "label"], [np.arange(len(d)), *d.values.T, d.labels])
     assert path.read_text().splitlines()[0] == "t,a,b,label"
     back = read_dataset_csv(path)
     assert back.columns == ["a", "b"]

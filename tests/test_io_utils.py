@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdia_lab.cli import STAGES
 from fdia_lab.errors import DataError
 from fdia_lab.io_utils import fmt_column, read_csv, write_columns
-from fdia_lab.signal_model import LABELS_HEADER, TRACE_HEADER
 
 HEADER = ["t", "value", "flag", "count"]
 
@@ -197,7 +197,8 @@ def csv_files(draw, plain=False):
     in a dataset's feature cells. Unless ``plain``, cells come space-padded
     and ``+``-signed at random."""
     kind = draw(st.sampled_from(["trace", "labels", "dataset"]))
-    header = {"trace": TRACE_HEADER, "labels": LABELS_HEADER,
+    header = {"trace": list(STAGES["simulate"][1]["trace.csv"]),
+              "labels": list(STAGES["simulate"][1]["labels.csv"]),
               "dataset": ["t", *(f"f{i}" for i in range(draw(st.integers(1, 3)))),
                           "label"]}[kind]
     rows = []

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from fdia_lab.cli import STAGES
 from fdia_lab.errors import ConfigError, DataError
+from fdia_lab.io_utils import read_csv, write_columns
 from fdia_lab.signal_model import (SignalParams, SignalState, observation_row,
-                                   observation_rows, read_labels_csv, read_trace_csv,
-                                   simulate, write_labels_csv, write_trace_csv)
+                                   observation_rows, simulate)
+
+# the headers simulate writes and detect reads
+TRACE_HEADER = list(STAGES["simulate"][1]["trace.csv"])
+LABELS_HEADER = list(STAGES["simulate"][1]["labels.csv"])
 
 
 def test_observation_row_t0():
@@ -69,11 +74,12 @@ def test_trace_csv_roundtrip(tmp_path):
     params = SignalParams(omega=0.2, sigma_process=0.01, sigma_meas=0.02, seed=5)
     trace = simulate(params, SignalState(0.9, 0.1), 37)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace.ticks, trace.states, trace.z, path)
-    back = read_trace_csv(path)
-    np.testing.assert_array_equal(back.ticks, trace.ticks)
-    np.testing.assert_array_equal(back.states, trace.states)
-    np.testing.assert_array_equal(back.z, trace.z)
+    write_columns(path, TRACE_HEADER,
+                  [trace.ticks, trace.states[:, 0], trace.states[:, 1], trace.z])
+    _, ticks, x1, x2, z = read_csv(path, TRACE_HEADER)
+    np.testing.assert_array_equal(ticks, trace.ticks)
+    np.testing.assert_array_equal(np.column_stack([x1, x2]), trace.states)
+    np.testing.assert_array_equal(z, trace.z)
 
 
 def test_observation_rows_bit_equal_stacked_rows():
@@ -87,9 +93,9 @@ def test_observation_rows_bit_equal_stacked_rows():
 
 def test_labels_csv_roundtrip(tmp_path):
     path = tmp_path / "labels.csv"
-    write_labels_csv(np.arange(5), np.array([0, 0, 1, 1, 0]), path)
+    write_columns(path, LABELS_HEADER, [np.arange(5), np.array([0, 0, 1, 1, 0])])
     assert path.read_text() == "t,label\n0,0\n1,0\n2,1\n3,1\n4,0\n"
-    ticks, labels = read_labels_csv(path)
+    _, ticks, labels = read_csv(path, LABELS_HEADER)
     np.testing.assert_array_equal(ticks, np.arange(5))
     np.testing.assert_array_equal(labels, [0, 0, 1, 1, 0])
 
@@ -103,7 +109,7 @@ def test_trace_reader_names_the_bad_cell(tmp_path, cell, problem):
     path.write_text("t,x1,x2,z\n0,1.0,0.0,1.0\n1,1.0,0.0,0.9\n"
                     f"2,1.0,0.0,{cell}\n3,1.0,0.0,0.7\n")
     with pytest.raises(DataError) as err:
-        read_trace_csv(path)
+        read_csv(path, TRACE_HEADER)
     assert str(err.value) == f"{path}: row 3, column 'z' {problem}"
 
 
@@ -115,4 +121,4 @@ def test_labels_reader_names_the_bad_cell(tmp_path, text, where):
     path = tmp_path / "labels.csv"
     path.write_text(text)
     with pytest.raises(DataError, match=f"labels.csv: {where}"):
-        read_labels_csv(path)
+        read_csv(path, LABELS_HEADER)
