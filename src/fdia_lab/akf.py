@@ -278,7 +278,7 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
         hph = hc0 * h0 + hc1 * h1
         s = hph + nc
         if s <= b and s >= -b or s == inf or s == ninf:
-            raise SingularMatrixError(rcond=abs(s) / max(abs(s), 1e-300))
+            raise SingularMatrixError(rcond=abs(s) / max(abs(s), 1e-300), tick=len(out) // 5)
         k0, k1 = hc0 / s, hc1 / s
         g0, g1 = k0 * e, k1 * e
         xn0, xn1 = xp0 + g0, xp1 + g1

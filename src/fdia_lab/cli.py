@@ -4,8 +4,9 @@ Each subcommand takes a JSON experiment config (see README for the
 schema) and writes deterministic artifacts into the run directory: the
 files (with each CSV file's header) and ``metrics.json`` entries that
 ``STAGES`` lists for each stage, ``manifest.json``, and ``report.json``
-(built by ``report`` from ``metrics.json`` alone). Identical configs
-produce byte-identical artifacts.
+(built by ``report`` from ``metrics.json`` alone). A stage's ``cmd_*``
+function only computes; ``run_stage`` clears, writes and records it.
+Identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -194,10 +195,18 @@ def parse_config(raw: dict, outputs_override: str | None = None) -> ExperimentCo
     )
 
 
-def _run_files(out: Path, stage: str) -> tuple[dict, dict]:
-    """``manifest.json`` and ``metrics.json`` ({} if absent), checked before ``stage``
-    writes, as is that ``out`` is no path through a file. Then ``report.json`` and the outputs (files, ``metrics.json`` entries and
-    manifest listing) of ``stage`` and of each stage made from them are removed."""
+def run_stage(cfg: ExperimentConfig, stage: str, compute) -> int:
+    """Run ``stage`` in the outputs ``out``:
+    1. check ``manifest.json``, ``metrics.json`` ({} if absent) and that ``out``
+       is no path through a file, then remove ``report.json`` and the outputs
+       (files, ``metrics.json`` entries, manifest listing) of ``stage`` and of
+       each stage made from them;
+    2. ``compute()`` gives its named columns, ``metrics.json`` entries and message;
+    3. write the entries, each STAGES CSV file of ``stage`` whose columns it has
+       (formatting each column once however many files hold it) and the
+       manifest: the config, the seeds and the files ``stage`` wrote;
+    4. print the message."""
+    out = cfg.outputs
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
         raise ConfigError(f"outputs {out}: {existing} is not a directory")
@@ -217,43 +226,38 @@ def _run_files(out: Path, stage: str) -> tuple[dict, dict]:
         manifest["artifacts"] = {key: value for key, value in manifest["artifacts"].items()
                                  if key not in cleared}
         write_json(out / "manifest.json", manifest)
-    keys = {key for name in cleared for key in STAGES[name][2]}
-    if not metrics.keys().isdisjoint(keys):
-        metrics = {key: value for key, value in metrics.items() if key not in keys}
+    stale = {key for name in cleared for key in STAGES[name][2]}
+    if not metrics.keys().isdisjoint(stale):
+        metrics = {key: value for key, value in metrics.items() if key not in stale}
         write_json(out / "metrics.json", metrics)
     out.mkdir(parents=True, exist_ok=True)
-    return manifest, metrics
 
-
-def _finish(cfg: ExperimentConfig, manifest: dict, stage: str, columns: dict) -> None:
-    """Write each CSV file of ``stage`` whose named columns are all in
-    ``columns``, formatting each column once however many files hold it. Then
-    record the config, the seeds and the files ``stage`` wrote: those of its
-    STAGES files that exist, and ``metrics.json`` if it has entries there."""
+    columns, entries, message = compute()
     _, files, keys = STAGES[stage]
+    if keys:
+        write_json(out / "metrics.json", metrics | entries)
     written = {name: fields for name, fields in files.items()
                if fields and set(fields.values()) <= columns.keys()}
     needed = dict.fromkeys(name for fields in written.values() for name in fields.values())
     cells = {name: fmt_column(columns[name]) for name in needed}
     for file, fields in written.items():
-        write_columns(cfg.outputs / file, list(fields), [cells[name] for name in fields.values()])
+        write_columns(out / file, list(fields), [cells[name] for name in fields.values()])
     manifest["config"] = cfg.raw
     manifest.setdefault("seeds", {}).update(
         signal=cfg.signal.seed, train=cfg.train.seed, pipeline=cfg.pipeline_seed)
-    own = [name for name in files if (cfg.outputs / name).exists()]
+    own = [name for name in files if (out / name).exists()]
     manifest.setdefault("artifacts", {})[stage] = sorted(own + (["metrics.json"] if keys else []))
-    write_json(cfg.outputs / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
+    print(message)
+    return 0
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
-    manifest, _ = _run_files(cfg.outputs, "simulate")
+def cmd_simulate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     trace = simulate(cfg.signal, cfg.initial, cfg.n)
     z_attacked, active = attack.inject_series(trace.z, cfg.scenario, trace.ticks)
-    _finish(cfg, manifest, "simulate", {"t": trace.ticks, "x1": trace.states[:, 0],
-                                        "x2": trace.states[:, 1], "z": z_attacked,
-                                        "label": active})
-    print(f"simulate: wrote {cfg.n} samples to {cfg.outputs}")
-    return 0
+    return ({"t": trace.ticks, "x1": trace.states[:, 0], "x2": trace.states[:, 1],
+             "z": z_attacked, "label": active}, {},
+            f"simulate: wrote {cfg.n} samples to {cfg.outputs}")
 
 
 def _prepared_splits(cfg: ExperimentConfig, dataset: RawDataset):
@@ -269,8 +273,7 @@ def _prepared_splits(cfg: ExperimentConfig, dataset: RawDataset):
     return std, train_w, train_y, test_w, test_y
 
 
-def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
-    manifest, metrics = _run_files(cfg.outputs, "train")
+def cmd_train(cfg: ExperimentConfig, dataset_path) -> tuple[dict, dict, str]:
     dataset = read_dataset_csv(dataset_path)
     network = dataclasses.replace(cfg.network, input_dim=len(dataset.columns))
     std, train_w, train_y, test_w, test_y = _prepared_splits(cfg, dataset)
@@ -282,18 +285,15 @@ def cmd_train(cfg: ExperimentConfig, dataset_path) -> int:
     holdout = evaluation.score(probs[:, 1] > probs[:, 0], test_y.astype(bool))
 
     save_checkpoint(net, cfg.outputs / "checkpoint.json", std)
-    write_json(cfg.outputs / "metrics.json", metrics | {"gru_cnn_holdout": holdout})
     # History rows are (epoch, train_loss, val_loss); zero epochs make none
-    _finish(cfg, manifest, "train", dict(zip(("epoch", "train_loss", "val_loss"),
-                                             list(zip(*history)) or [()] * 3)))
-    print(f"train: {len(train_w)} train / {len(test_w)} test windows, "
-          f"holdout accuracy {holdout['accuracy']:.4f}")
-    return 0
+    return (dict(zip(("epoch", "train_loss", "val_loss"), list(zip(*history)) or [()] * 3)),
+            {"gru_cnn_holdout": holdout},
+            f"train: {len(train_w)} train / {len(test_w)} test windows, "
+            f"holdout accuracy {holdout['accuracy']:.4f}")
 
 
 def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
-               passive_only: bool) -> int:
-    manifest, metrics = _run_files(cfg.outputs, "detect")
+               passive_only: bool) -> tuple[dict, dict, str]:
     simulated = STAGES["simulate"][1]
     _, ticks, x1, x2, z = read_csv(trace_path, list(simulated["trace.csv"]))
     trace = Trace(ticks=ticks, states=np.column_stack([x1, x2]), z=z)
@@ -319,7 +319,7 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
             run = akf.run(trace, filter_cfg, variant, obs_rows)
         except NumericalError as exc:
             if variant is akf.Variant.IMPROVED:
-                raise
+                raise NumericalError(f"{exc} ({variant.value} filter)") from exc
             entries["classic_akf"] = {"diverged": True, "error": str(exc)}
         else:
             v = passive_detect.detect_stream(run, trace.z, obs_rows, cfg.warmup, cfg.threshold_k)
@@ -352,14 +352,11 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                 for key, name in DETECTORS.items()
                 if name in columns and not (passive_only and name == "flag_GC")}
 
-    write_json(cfg.outputs / "metrics.json", metrics | entries)
-    # the files are written once the classifier is done, so the cells of the
-    # columns several files share never live through it
-    _finish(cfg, manifest, "detect", columns)
-    flag_rate = float(columns["flag_fused"].mean())
-    print(f"detect: fused flag rate {flag_rate:.4f} over {n} ticks "
-          f"({'passive-only' if passive_only else 'passive+active'})")
-    return 0
+    # the runner writes the files once the classifier is done, so the cells of
+    # the columns several files share never live through it
+    return (columns, entries,
+            f"detect: fused flag rate {float(columns['flag_fused'].mean()):.4f} over {n} ticks "
+            f"({'passive-only' if passive_only else 'passive+active'})")
 
 
 def cmd_report(run_dir) -> int:
@@ -450,8 +447,9 @@ def run_command(args) -> int:
     inputs = [Path(getattr(args, option) or cfg.outputs / name)
               for option, name in STAGES[args.command][0].items()]
     if args.command == "detect":
-        return cmd_detect(cfg, *inputs, args.passive_only)
-    return {"simulate": cmd_simulate, "train": cmd_train}[args.command](cfg, *inputs)
+        inputs.append(args.passive_only)
+    compute = {"simulate": cmd_simulate, "train": cmd_train, "detect": cmd_detect}[args.command]
+    return run_stage(cfg, args.command, functools.partial(compute, cfg, *inputs))
 
 
 def main(argv=None) -> int:

@@ -27,9 +27,9 @@ class NumericalError(FdiaLabError):
 class SingularMatrixError(NumericalError):
     """Linear solve refused: the reciprocal condition number is below tolerance."""
 
-    def __init__(self, rcond: float):
+    def __init__(self, rcond: float, tick: int | None = None):
         self.rcond = rcond
         super().__init__(
             f"matrix is singular to working tolerance: reciprocal condition "
-            f"number {rcond:.3e}"
+            f"number {rcond:.3e}" + (f" at tick {tick}" if tick is not None else "")
         )

@@ -9,7 +9,7 @@ import pytest
 from fdia_lab import akf, cli, evaluation, fusion, io_utils, nn, passive_detect
 from fdia_lab.cli import main
 from fdia_lab.data_pipeline import apply_standardizer, read_dataset_csv, window
-from fdia_lab.errors import SingularMatrixError
+from fdia_lab.errors import DataError, SingularMatrixError
 
 BASE_CONFIG = {
     "signal": {"omega": 2 * math.pi / 20, "sigma_process": 1e-3,
@@ -152,6 +152,20 @@ def test_detect_configured_variant_failure_is_numerical_error(tmp_path, monkeypa
     assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 4
     assert "numerical failure: matrix is singular" in capsys.readouterr().err
     assert list(out.glob("verdicts_*.csv")) == []
+
+
+def test_a_singular_filter_step_names_the_filter_and_the_tick(tmp_path, capsys):
+    # with no process or measurement noise the improved filter's innovation
+    # variance vanishes, as does that of akf.step, the oracle
+    signal = {key: value for key, value in BASE_CONFIG["signal"].items()
+              if key not in ("sigma_process", "sigma_meas")}
+    cfg_path, out = write_config(tmp_path, out_name="noiseless", signal=signal)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: matrix is singular to working tolerance: reciprocal condition "
+        "number 0.000e+00 at tick 3 (improved filter)\n")
 
 
 def test_detect_clean_trace_low_false_alarm(tmp_path):
@@ -925,6 +939,21 @@ def test_failed_train_leaves_no_earlier_network(tmp_path, capsys):
     assert main(["detect", "--config", str(diverge_path)]) == 3
     assert (f"missing network checkpoint {out / 'checkpoint.json'}; train first"
             in capsys.readouterr().err)
+
+
+def test_failed_simulate_leaves_no_earlier_results(tmp_path, monkeypatch):
+    cfg_path, out = run_to_report(tmp_path, "resimulated")
+    assert main(["report", "--config", str(cfg_path)]) == 0
+
+    def refuse(*args):
+        raise DataError("refused")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    assert main(["simulate", "--config", str(cfg_path)]) == 3
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "metrics.json"]
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == {}
+    assert json.loads((out / "metrics.json").read_text()) == {}
+    assert main(["report", "--config", str(cfg_path)]) == 3
 
 
 def test_failed_detect_leaves_no_earlier_results(tmp_path):
