@@ -28,8 +28,8 @@ from . import akf, attack, evaluation, fusion, passive_detect
 from .data_pipeline import (RawDataset, apply_standardizer, cks_oversample,
                             fit_standardizer, impute_mean, read_dataset_csv, split, window)
 from .errors import ConfigError, DataError, NumericalError
-from .io_utils import (REQUIRED, Cells, finite_number, fmt_column, read_csv, read_fields,
-                       read_json, write_columns, write_json)
+from .io_utils import (REQUIRED, finite_number, fmt_column, read_csv, read_fields, read_json,
+                       write_columns, write_json)
 from .nn import (NETWORK_RULES, NetworkConfig, TrainConfig, load_checkpoint,
                  predict_proba, save_checkpoint, train)
 from .signal_model import SignalParams, SignalState, Trace, observation_rows, simulate
@@ -322,12 +322,16 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                 raise NumericalError(f"{exc} ({variant.value} filter)") from exc
             entries["classic_akf"] = {"diverged": True, "error": str(exc)}
         else:
-            v = passive_detect.detect_stream(run, trace.z, obs_rows, cfg.warmup, cfg.threshold_k)
+            try:
+                v = passive_detect.detect_stream(run, trace.z, obs_rows, cfg.warmup,
+                                                 cfg.threshold_k)
+            except DataError as exc:
+                raise DataError(f"{trace_path}: {exc}") from exc
             columns |= {f"d_{tag}": v.euclidean_d, f"r_{tag}": v.residual_r,
                         f"flag_{tag}": v.residual_flag, f"union_{tag}": v.flag}
 
-    # a passive-only run writes no probabilities (nothing to format) and no flags
-    columns |= {"p_attack": Cells([""] * n), "flag_GC": np.zeros(n, dtype=bool)}
+    # the classifier scores and flags only the ticks that end one of its windows
+    columns |= {"p_attack": np.full(n, np.nan), "flag_GC": np.zeros(n, dtype=bool)}
     if not passive_only:
         if not checkpoint_path.exists():
             raise DataError(f"missing network checkpoint {checkpoint_path}; train first or "
@@ -338,12 +342,11 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
                               "detection provides 1")
         length = net.config.window_len
         if n < length:
-            raise DataError(f"trace of {n} ticks is shorter than window {length}")
-        values = apply_standardizer(std, trace.z[:, None])
-        windows_, _ = window(values, np.zeros(n, dtype=int), length)
+            raise DataError(f"{trace_path}: trace of {n} ticks is shorter than window {length}")
+        windows_, ends = window(apply_standardizer(std, trace.z[:, None]), trace.ticks, length)
         probs = predict_proba(net, windows_)
-        columns["p_attack"] = np.concatenate([np.full(length - 1, np.nan), probs[:, 1]])
-        columns["flag_GC"][length - 1:] = probs[:, 1] > probs[:, 0]
+        columns["p_attack"][ends] = probs[:, 1]
+        columns["flag_GC"][ends] = probs[:, 1] > probs[:, 0]
 
     # the residual flags are already false before the warm-up ends (the
     # threshold does not exist yet), so there only the classifier contributes

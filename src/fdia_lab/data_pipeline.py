@@ -191,7 +191,7 @@ def split(d: RawDataset, train_fraction: float = 0.8,
 
 
 def window(values: np.ndarray, labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Windows starting at every row; each takes its last row's label."""
+    """Windows starting at every row, each with its last row's label (its end tick, given ticks)."""
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
     if length < 1:

@@ -3,6 +3,8 @@
 
 Writers are byte-deterministic: floats are written with ``repr`` (shortest
 round-trip form), JSON keys are sorted, and no timestamps are emitted.
+``fmt_column`` turns an array into CSV cells and ``write_columns`` writes
+cells alone, so each column is formatted once however many files hold it.
 ``read_csv``'s one ``np.loadtxt`` call converts every CSV cell to a value.
 ``read_fields`` reads a config section by its rows, each a key's type,
 default and rule; it serves the run config's sections and the checkpoint's
@@ -25,42 +27,35 @@ from .errors import ConfigError, DataError
 REQUIRED = object()  # the default of a config row whose key has none
 
 
-class Cells(list):
-    """A column's CSV cells as ``fmt_column`` made them."""
-
-
-def fmt_column(values) -> Cells:
-    """Format a 1-D column as CSV cells: bools as 1/0, integers with ``str``,
-    floats with ``repr``, NaN as the empty cell (= missing) and strings as
-    they are; the ``Cells`` it made are returned as is.
+def fmt_column(values: np.ndarray) -> list[str]:
+    """Format a 1-D bool, integer or float array as CSV cells: bools as 1/0,
+    integers with ``str``, floats with ``repr`` and NaN as the empty cell
+    (= missing); an all-NaN column is empty cells, with no ``repr`` called.
 
     Float ``repr`` is the cost floor of every writer, so a stage that writes
     one column into several files formats it once and hands the cells on.
     """
-    if type(values) is Cells:
-        return values
     a = np.asarray(values)
-    if a.ndim != 1:
-        raise DataError(f"a CSV column must be 1-D, got shape {a.shape}")
-    if a.dtype.kind == "U":
-        return Cells(a.tolist())
+    if a.ndim != 1 or a.dtype.kind not in "biuf":
+        raise DataError(f"a CSV column must be a 1-D bool, integer or float array, "
+                        f"got {a.dtype} of shape {a.shape}")
     if a.dtype == bool:
-        return Cells(["1" if v else "0" for v in a.tolist()])
-    if np.issubdtype(a.dtype, np.integer):
-        return Cells(map(str, a.tolist()))
-    a = a.astype(float, copy=False)
-    cells = Cells(map(repr, a.tolist()))
-    for i in np.flatnonzero(np.isnan(a)).tolist():
+        return ["1" if v else "0" for v in a.tolist()]
+    if a.dtype.kind in "iu":
+        return list(map(str, a.tolist()))
+    missing = np.isnan(a)
+    if missing.all():
+        return [""] * len(a)
+    cells = list(map(repr, a.astype(float, copy=False).tolist()))
+    for i in np.flatnonzero(missing).tolist():
         cells[i] = ""
     return cells
 
 
-def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length 1-D columns as CSV, each cell formatted by
-    ``fmt_column``; a column may be given as the cells it already made."""
-    if len(columns) != len(header):
-        raise DataError(f"{len(header)} header names for {len(columns)} columns")
-    cells = [fmt_column(c) for c in columns]
+def write_columns(path, header: Sequence[str], cells: Sequence[list[str]]) -> None:
+    """Write equal-length columns of CSV cells, each made by ``fmt_column``."""
+    if len(cells) != len(header):
+        raise DataError(f"{len(header)} header names for {len(cells)} columns")
     if len({len(c) for c in cells}) > 1:
         raise DataError("CSV columns have different lengths")
     lines = [",".join(header), *map(",".join, zip(*cells))]

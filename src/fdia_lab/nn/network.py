@@ -278,8 +278,8 @@ def load_checkpoint(path) -> tuple[Network, Standardizer]:
     obj = read_json(path)
     if obj.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a checkpoint file: {path}")
-    if obj.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {obj.get('version')}")
+    if type(version := obj.get("version")) is not int or version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version!r}")
     # every NetworkConfig field, each one required
     rows = {key: (kind, REQUIRED, NETWORK_RULES.get(key))
             for key, kind in get_type_hints(NetworkConfig).items()}

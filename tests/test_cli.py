@@ -186,6 +186,35 @@ def test_detect_missing_checkpoint_is_data_error(tmp_path):
     assert main(["detect", "--config", str(cfg_path)]) == 3
 
 
+SHORT_RUN = {"signal": dict(BASE_CONFIG["signal"], n=120),
+             "attack": dict(BASE_CONFIG["attack"], onset=60, duration=60)}
+
+
+def test_a_trace_shorter_than_the_warm_up_is_named(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path, out_name="shortwarm", **SHORT_RUN,
+                                 thresholds={"k": 3.0, "warmup": 130})
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
+    assert capsys.readouterr().err == (f"data error: {out / 'trace.csv'}: warm-up window 130 "
+                                       "exceeds run length 120\n")
+
+
+def test_a_trace_shorter_than_the_window_is_named(tmp_path, capsys):
+    network = dict(BASE_CONFIG["network"], window_len=128)
+    long_path, long_out = write_config(tmp_path, out_name="longwin", network=network)
+    assert main(["simulate", "--config", str(long_path)]) == 0
+    assert main(["train", "--config", str(long_path), "--epochs", "0"]) == 0
+    cfg_path, out = write_config(tmp_path, out_name="shortwin", **SHORT_RUN, network=network,
+                                 thresholds={"k": 3.0, "warmup": 110})
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path),
+                 "--checkpoint", str(long_out / "checkpoint.json")]) == 3
+    assert capsys.readouterr().err == (f"data error: {out / 'trace.csv'}: trace of 120 ticks "
+                                       "is shorter than window 128\n")
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -395,8 +424,7 @@ def test_stages_format_each_column_once(tmp_path, monkeypatch, passive_only):
 
     def counting(values):
         cells = fmt_column(values)
-        if cells is not values:  # a list of cells passes through unformatted
-            formatted.append(len(cells))
+        formatted.append(len(cells))
         return cells
 
     for module in (io_utils, cli):
@@ -409,11 +437,10 @@ def test_stages_format_each_column_once(tmp_path, monkeypatch, passive_only):
     formatted.clear()
     extra = ["--passive-only"] if passive_only else []
     assert main(["detect", "--config", str(cfg_path), *extra]) == 0
-    # t; euclidean_d, residual_r and flag of both filters; p_attack (a
-    # passive-only run has no probabilities and writes its cells empty, with
-    # no formatting), the classifier flag, the improved filter's residual flag
-    # and the fused flag
-    assert formatted == [1600] * (10 if passive_only else 11)
+    # t; euclidean_d, residual_r and flag of both filters; p_attack (all NaN
+    # in a passive-only run, so its cells are empty), the classifier flag, the
+    # improved filter's residual flag and the fused flag
+    assert formatted == [1600] * 11
     p_attack = csv_column(out / "verdicts_active.csv", "p_attack")
     assert (p_attack == [""] * 1600) == passive_only
     assert csv_column(out / "dataset.csv", "z") == csv_column(out / "trace.csv", "z")

@@ -6,7 +6,7 @@ from fdia_lab.data_pipeline import (RawDataset, apply_standardizer, cks_oversamp
                                     fit_standardizer, impute_mean, read_dataset_csv,
                                     split, window)
 from fdia_lab.errors import DataError
-from fdia_lab.io_utils import write_columns
+from fdia_lab.io_utils import fmt_column, write_columns
 
 
 def small_dataset(values, labels=None):
@@ -263,7 +263,8 @@ def test_dataset_csv_roundtrip_with_missing(tmp_path):
     d = RawDataset(columns=["a", "b"], values=values,
                    labels=np.array([0, 1, 0]))
     path = tmp_path / "data.csv"
-    write_columns(path, ["t", *d.columns, "label"], [np.arange(len(d)), *d.values.T, d.labels])
+    write_columns(path, ["t", *d.columns, "label"],
+                  [fmt_column(c) for c in (np.arange(len(d)), *d.values.T, d.labels)])
     assert path.read_text().splitlines()[0] == "t,a,b,label"
     back = read_dataset_csv(path)
     assert back.columns == ["a", "b"]

@@ -581,11 +581,14 @@ def _without_w_xr(obj):
     (lambda obj: obj["params"]["dense.bias"].__setitem__(0, None),
      "checkpoint parameter 'dense.bias' has non-finite entries"),
     (lambda obj: obj.update(params=[]), "checkpoint entry 'params' must be a JSON object"),
+    (lambda obj: obj.update(version=True), "unsupported checkpoint version True"),
+    (lambda obj: obj.update(version=1.0), "unsupported checkpoint version 1.0"),
+    (lambda obj: obj.update(version=2), "unsupported checkpoint version 2"),
 ], ids=["empty-standardizer", "short-means", "long-stds", "negative-std",
         "non-numeric-hidden", "absent-hidden", "unknown-config-key", "zero-hidden",
         "dropout-of-one",
         "absent-parameter", "unknown-parameter", "non-numeric-parameter", "null-weight",
-        "params-not-an-object"])
+        "params-not-an-object", "version-true", "version-float-one", "version-two"])
 def test_malformed_checkpoint_entry_is_data_error(tmp_path, edit, problem):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(init_network(TINY, seed=10), path,

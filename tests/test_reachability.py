@@ -10,6 +10,8 @@ an acceptance criterion.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,3 +78,21 @@ def test_only_the_listed_definitions_are_reached_from_the_criteria_alone():
         "inject", "initial_state", "update_classic", "update_improved",
         "calibrate_channels", "evaluate_stream", "combine", "combine_streams",
         "FusionVerdict"])
+
+
+def test_the_benchmark_traces_only_these_layers_that_main_misses(monkeypatch):
+    # benchmarks/tracing.py wraps each LAYERS function that exists and records
+    # no span for one that does not; the benchmark's every-layer test fails on
+    # these (ROADMAP item 1), and a refactor that moves a traced function out
+    # of main's reach must change this list
+    spec = importlib.util.spec_from_file_location("benchmark_tracing",
+                                                  ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    seen = reached(definitions(), ["main"])
+    assert sorted(layer.name for layer in tracing.LAYERS if layer.attr not in seen) == [
+        "attack.inject", "attack.labels_for", "data_pipeline.write_dataset_csv",
+        "fusion.combine_streams", "io_utils.write_csv", "passive_detect.calibrate_channels",
+        "passive_detect.evaluate_stream", "passive_detect.write_verdicts_csv",
+        "signal_model.read_trace_csv", "signal_model.write_trace_csv"]

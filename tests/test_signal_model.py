@@ -5,7 +5,7 @@ import pytest
 
 from fdia_lab.cli import STAGES
 from fdia_lab.errors import ConfigError, DataError
-from fdia_lab.io_utils import read_csv, write_columns
+from fdia_lab.io_utils import fmt_column, read_csv, write_columns
 from fdia_lab.signal_model import (SignalParams, SignalState, observation_row,
                                    observation_rows, simulate)
 
@@ -74,8 +74,8 @@ def test_trace_csv_roundtrip(tmp_path):
     params = SignalParams(omega=0.2, sigma_process=0.01, sigma_meas=0.02, seed=5)
     trace = simulate(params, SignalState(0.9, 0.1), 37)
     path = tmp_path / "trace.csv"
-    write_columns(path, TRACE_HEADER,
-                  [trace.ticks, trace.states[:, 0], trace.states[:, 1], trace.z])
+    columns = [trace.ticks, trace.states[:, 0], trace.states[:, 1], trace.z]
+    write_columns(path, TRACE_HEADER, [fmt_column(c) for c in columns])
     _, ticks, x1, x2, z = read_csv(path, TRACE_HEADER)
     np.testing.assert_array_equal(ticks, trace.ticks)
     np.testing.assert_array_equal(np.column_stack([x1, x2]), trace.states)
@@ -93,7 +93,8 @@ def test_observation_rows_bit_equal_stacked_rows():
 
 def test_labels_csv_roundtrip(tmp_path):
     path = tmp_path / "labels.csv"
-    write_columns(path, LABELS_HEADER, [np.arange(5), np.array([0, 0, 1, 1, 0])])
+    write_columns(path, LABELS_HEADER, [fmt_column(np.arange(5)),
+                                        fmt_column(np.array([0, 0, 1, 1, 0]))])
     assert path.read_text() == "t,label\n0,0\n1,0\n2,1\n3,1\n4,0\n"
     _, ticks, labels = read_csv(path, LABELS_HEADER)
     np.testing.assert_array_equal(ticks, np.arange(5))
