@@ -5,7 +5,8 @@ places, where it tests ``classic``:
 
 * the innovation: ``Classic`` uses the estimated measurement-noise mean and
   covariance; ``Improved`` treats the noise as known (mean zero,
-  covariance ``meas_cov_fixed``);
+  covariance ``meas_cov_fixed``, a field every ``FilterConfig`` requires
+  and ``Classic`` ignores);
 * the process-noise covariance: ``Classic`` subtracts mean-square-error
   terms from the gained-residual outer product, so on higher-order systems
   its diagonals can be driven negative and the filter diverges (the
@@ -71,8 +72,8 @@ class FilterConfig:
     noise_gain: np.ndarray                     # (n, n) noise driving matrix
     obs_at: Callable[[int], np.ndarray]        # tick -> (k, n) measurement matrix
     init: FilterInit
+    meas_cov_fixed: np.ndarray                 # (k, k) the improved variant's noise
     forgetting: float = 0.98
-    meas_cov_fixed: np.ndarray | None = None   # (k, k); required by Improved
 
     def __post_init__(self):
         if not 0.0 < self.forgetting < 1.0:
@@ -143,8 +144,6 @@ def step(state: FilterState, z_t, cfg: FilterConfig,
     noise statistics with the forgetting-factor weight. The variants differ
     where ``classic`` is tested, as in the float kernel (see the module doc)."""
     classic = variant is Variant.CLASSIC
-    if not classic and cfg.meas_cov_fixed is None:
-        raise ConfigError("improved variant requires meas_cov_fixed")
     c = weighting_coefficient(state.t, cfg.forgetting)
     if classic:
         meas_mean, meas_cov = state.meas_mean, state.meas_cov
@@ -219,8 +218,6 @@ class FilterRun:
         """Stack ``StepOutput``s' states and innovations; a FilterRun passes through."""
         if isinstance(steps, FilterRun):
             return steps
-        if len(steps) == 0:
-            return cls(*[np.empty((0, 0))] * 3)
         return cls(*(np.stack([getattr(s, name) for s in steps])
                      for name in ("x_pred", "x_hat", "innovation")))
 
@@ -236,7 +233,7 @@ def _is_scalar_two_state(cfg: FilterConfig) -> bool:
             and shapes == [(2,), (2,), (2, 2), (2, 2), (1, 1), (1,)]
             and all(np.array_equal(a, np.transpose(a), equal_nan=True)
                     for a in (init.err_cov0, init.proc_cov0))
-            and (cfg.meas_cov_fixed is None or np.shape(cfg.meas_cov_fixed) == (1, 1)))
+            and np.shape(cfg.meas_cov_fixed) == (1, 1))
 
 
 def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
@@ -250,8 +247,6 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
     entries are carried, and the gain numerators C h' are the products h C.
     """
     classic = variant is Variant.CLASSIC
-    if not classic and cfg.meas_cov_fixed is None:
-        raise ConfigError("improved variant requires meas_cov_fixed")
     init, g, og = cfg.init, cfg.forgetting, 1.0 - cfg.forgetting
     weights = [og / (1.0 - g ** t) for t in range(1, len(zs) + 1)]
     # the oracle's pivot test in closed form: |s| <= PIVOT_RTOL * max(|s|, 1e-300)

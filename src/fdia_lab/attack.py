@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .numerics import Vector, as_vector
+from .numerics import as_vector
 
 
 class AttackKind(enum.Enum):
@@ -108,6 +108,6 @@ def inject_series(z: np.ndarray, scenario: AttackScenario,
     return attacked, active & scenario.selection.deltas[0]
 
 
-def inject(z_t: Vector, scenario: AttackScenario, t: int) -> Vector:
+def inject(z_t: np.ndarray, scenario: AttackScenario, t: int) -> np.ndarray:
     """``inject_series`` at the single tick t, on a 1-vector measurement."""
     return inject_series(z_t, scenario, np.array([t]))[0]

@@ -62,6 +62,10 @@ STAGES = {
                 "verdicts_passive_classic.csv": {"t": "t", "euclidean_d": "d_C",
                                                  "residual_r": "r_C", "flag": "union_C"}},
                DETECTORS)}
+# stage -> {its option that sets a config key: (the key, the option's help)}
+OVERRIDES = {"simulate": {"seed": ("signal.seed", "override the signal seed")},
+             "train": {"epochs": ("network.train.epochs", "override the configured epoch count"),
+                       "seed": ("network.train.seed", "override the training seed")}}
 # metrics.json row field -> whether report accepts its value
 ROW_KINDS = {**dict.fromkeys(("accuracy", "precision", "recall", "f1"), finite_number),
              "latency_ticks": lambda v: v is None or (type(v) is int and v >= 0)}
@@ -276,7 +280,10 @@ def _prepared_splits(cfg: ExperimentConfig, dataset: RawDataset):
 def cmd_train(cfg: ExperimentConfig, dataset_path) -> tuple[dict, dict, str]:
     dataset = read_dataset_csv(dataset_path)
     network = dataclasses.replace(cfg.network, input_dim=len(dataset.columns))
-    std, train_w, train_y, test_w, test_y = _prepared_splits(cfg, dataset)
+    try:
+        std, train_w, train_y, test_w, test_y = _prepared_splits(cfg, dataset)
+    except DataError as exc:
+        raise DataError(f"{dataset_path}: {exc}") from exc
     net, history = train(train_w, train_y, network, cfg.train,
                          val_windows=test_w, val_labels=test_y)
 
@@ -351,6 +358,9 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     # the residual flags are already false before the warm-up ends (the
     # threshold does not exist yet), so there only the classifier contributes
     columns["flag_fused"] = fusion.fuse(columns["flag_N"], columns["flag_GC"])
+    if onset is not None and onset < cfg.warmup:
+        raise DataError(f"{labels_path}: tick {onset} is labelled attacked, inside the "
+                        f"{cfg.warmup}-tick warm-up the thresholds are fitted on")
     entries |= {key: evaluation.score(columns[name], label_flags, onset)
                 for key, name in DETECTORS.items()
                 if name in columns and not (passive_only and name == "flag_GC")}
@@ -394,12 +404,14 @@ def cmd_report(run_dir) -> int:
 
 
 def _stage_parser(sub, stage: str, help: str) -> argparse.ArgumentParser:
-    """``stage``'s subcommand with --config, an option for each input file and --out."""
+    """``stage``'s subcommand: --config, an option per input file, --out, its OVERRIDES."""
     parser = sub.add_parser(stage, help=help)
     parser.add_argument("--config", required=True)
     for option, name in STAGES[stage][0].items():
         parser.add_argument(f"--{option}", help=f"input file (default: <outputs>/{name})")
     parser.add_argument("--out", help="override the outputs directory")
+    for option, (_, text) in OVERRIDES.get(stage, {}).items():
+        parser.add_argument(f"--{option}", type=int, help=text)
     return parser
 
 
@@ -410,11 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fdia-lab", description="Simulate, attack, detect, and evaluate FDIA scenarios.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = _stage_parser(sub, "simulate", "generate an attacked trace and labels")
-    sim.add_argument("--seed", type=int, help="override the signal seed")
-    tr = _stage_parser(sub, "train", "train the classifier on a labeled dataset")
-    tr.add_argument("--epochs", type=int, help="override the configured epoch count")
-    tr.add_argument("--seed", type=int, help="override the training seed")
+    _stage_parser(sub, "simulate", "generate an attacked trace and labels")
+    _stage_parser(sub, "train", "train the classifier on a labeled dataset")
     det = _stage_parser(sub, "detect", "run passive + active detection on a trace")
     det.add_argument("--passive-only", action="store_true", help="skip the classifier path")
 
@@ -425,13 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(raw: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        if args.command == "simulate":
-            raw.setdefault("signal", {})["seed"] = args.seed
-        elif args.command == "train":
-            raw.setdefault("network", {}).setdefault("train", {})["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        raw.setdefault("network", {}).setdefault("train", {})["epochs"] = args.epochs
+    """``raw`` with the key of each OVERRIDES option given set. A key whose
+    section is not a JSON object is left for parse_config to refuse the section."""
+    for option, (key, _) in OVERRIDES.get(args.command, {}).items():
+        if getattr(args, option) is None:
+            continue
+        *sections, field = key.split(".")
+        obj = raw
+        for part in sections:
+            obj = obj.setdefault(part, {}) if isinstance(obj, dict) else None
+        if isinstance(obj, dict):
+            obj[field] = getattr(args, option)
     return raw
 
 

@@ -64,12 +64,11 @@ def impute_mean(d: RawDataset) -> RawDataset:
     return RawDataset(columns=list(d.columns), values=values, labels=d.labels.copy())
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-            max_iter: int = 100) -> np.ndarray:
-    """Seeded Lloyd iterations; returns the cluster index of every point."""
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """At most 100 seeded Lloyd iterations; returns the cluster index of every point."""
     centers = points[rng.choice(len(points), size=k, replace=False)].copy()
     assign = None
-    for _ in range(max_iter):
+    for _ in range(100):
         dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
         new_assign = np.argmin(dists, axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -124,8 +123,6 @@ def cks_oversample(d: RawDataset, k_clusters: int = 3, seed: int = 0) -> RawData
     synthetic = []
     for c in range(k_clusters):
         members = minority_rows[assign == c]
-        if quotas[c] == 0:
-            continue
         if len(members) == 1:
             for _ in range(quotas[c]):
                 jitter = rng.normal(0.0, 1.0, size=members.shape[1]) * 1e-6 * col_sigma

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import Vector, as_matrix, as_vector, solve
+from .numerics import as_matrix, as_vector, solve
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class DcSystem:
         return self.jacobian.shape[1]
 
 
-def wls_estimate(sys: DcSystem, z: Vector) -> Vector:
+def wls_estimate(sys: DcSystem, z: np.ndarray) -> np.ndarray:
     """argmin over x of (z - Hx)' W (z - Hx), via the normal equations."""
     z = as_vector(z, length=sys.m)
     h = sys.jacobian
@@ -48,7 +48,7 @@ def wls_estimate(sys: DcSystem, z: Vector) -> Vector:
     return solve(h.T @ wh, h.T @ (sys.weights * z))
 
 
-def objective(sys: DcSystem, z: Vector, x_hat: Vector) -> float:
+def objective(sys: DcSystem, z: np.ndarray, x_hat: np.ndarray) -> float:
     """Weighted squared residual (z - H x_hat)' W (z - H x_hat)."""
     z = as_vector(z, length=sys.m)
     x_hat = as_vector(x_hat, length=sys.n)

@@ -12,17 +12,13 @@ import numpy as np
 
 from .errors import DataError, DimensionError, NumericalError, SingularMatrixError
 
-# Type aliases used in signatures throughout the package.
-Matrix = np.ndarray
-Vector = np.ndarray
-
 # A matrix whose reciprocal condition number 1 / cond(a) is at most this is
 # treated as singular; the scalar-measurement filter paths apply the same
 # bound to their 1 x 1 innovation covariance.
 PIVOT_RTOL = 1e-12
 
 
-def as_matrix(data) -> Matrix:
+def as_matrix(data) -> np.ndarray:
     """Validate and convert to a finite 2-D float array."""
     a = np.asarray(data, dtype=float)
     if a.ndim != 2:
@@ -32,7 +28,7 @@ def as_matrix(data) -> Matrix:
     return a
 
 
-def as_vector(data, length: int | None = None) -> Vector:
+def as_vector(data, length: int | None = None) -> np.ndarray:
     """Validate and convert to a finite 1-D float array."""
     v = np.asarray(data, dtype=float)
     if v.ndim != 1:
@@ -44,7 +40,7 @@ def as_vector(data, length: int | None = None) -> Vector:
     return v
 
 
-def solve(a: Matrix, b) -> np.ndarray:
+def solve(a: np.ndarray, b) -> np.ndarray:
     """Solve the square system a @ x = b for a vector or matrix b.
 
     A matrix whose reciprocal condition number 1 / cond(a) is at most

@@ -88,8 +88,6 @@ def _channels(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(zs, dtype=float)
     if len(z) != n:
         raise DimensionError(f"{len(z)} measurements for {n} filter steps")
-    if n == 0:
-        return np.empty(0), np.empty(0)
     h = np.asarray(obs_rows, dtype=float).reshape(n, -1, x.shape[1])[:, 0, :]
     deviations = (h * x).sum(axis=1) - z
     finite = np.isfinite(x).all(axis=1) & np.isfinite(x_hat).all(axis=1)

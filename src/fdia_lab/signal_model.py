@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import Matrix
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class Trace:
         return len(self.ticks)
 
 
-def observation_row(t: int, omega: float) -> Matrix:
+def observation_row(t: int, omega: float) -> np.ndarray:
     """The 1x2 measurement row [cos(omega*t), -sin(omega*t)] at tick t."""
     angle = omega * t
     return np.array([[math.cos(angle), -math.sin(angle)]])

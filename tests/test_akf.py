@@ -82,7 +82,8 @@ def test_predict_scalar_hand_case():
                           proc_cov0=np.array([[1.0]]), meas_cov0=np.array([[1.0]]),
                           proc_mean0=np.zeros(1), meas_mean0=np.zeros(1))
     cfg = akf.FilterConfig(transition=np.eye(1), noise_gain=np.eye(1),
-                           obs_at=lambda t: np.eye(1), init=init, forgetting=0.95)
+                           obs_at=lambda t: np.eye(1), init=init,
+                           meas_cov_fixed=init.meas_cov0, forgetting=0.95)
     x_pred, cov_pred = akf.predict(akf.initial_state(cfg), cfg)
     assert cov_pred[0, 0] == pytest.approx(3.0)
     assert x_pred[0] == pytest.approx(0.5)
@@ -115,7 +116,8 @@ def test_update_scalar_gain_half():
                           proc_cov0=np.zeros((1, 1)), meas_cov0=np.array([[1.0]]),
                           proc_mean0=np.zeros(1), meas_mean0=np.zeros(1))
     cfg = akf.FilterConfig(transition=np.eye(1), noise_gain=np.eye(1),
-                           obs_at=lambda t: np.eye(1), init=init, forgetting=0.95)
+                           obs_at=lambda t: np.eye(1), init=init,
+                           meas_cov_fixed=init.meas_cov0, forgetting=0.95)
     _, out = akf.update_classic(akf.initial_state(cfg), 2.0, cfg)
     assert out.gain[0, 0] == pytest.approx(0.5)
     assert out.x_hat[0] == pytest.approx(1.0)
@@ -131,7 +133,8 @@ def test_gain_limits_with_measurement_noise():
                           proc_cov0=np.zeros((1, 1)), meas_cov0=np.array([[1e-15]]),
                           proc_mean0=np.zeros(1), meas_mean0=np.zeros(1))
     cfg = akf.FilterConfig(transition=np.eye(1), noise_gain=np.eye(1),
-                           obs_at=lambda t: np.eye(1), init=init, forgetting=0.95)
+                           obs_at=lambda t: np.eye(1), init=init,
+                           meas_cov_fixed=init.meas_cov0, forgetting=0.95)
     _, out = akf.update_classic(akf.initial_state(cfg), 5.0, cfg)
     assert out.x_hat[0] == pytest.approx(5.0, rel=1e-9)
 
@@ -146,13 +149,6 @@ def test_improved_proc_cov_shrinks_on_zero_residual():
     c0 = akf.weighting_coefficient(0, cfg.forgetting)
     np.testing.assert_allclose(new_state.proc_cov, (1 - c0) * state.proc_cov,
                                atol=1e-15)
-
-
-def test_improved_requires_fixed_measurement_cov():
-    cfg = scalar_config([1.0, 0.0])
-    object.__setattr__(cfg, "meas_cov_fixed", None)
-    with pytest.raises(ConfigError):
-        akf.update_improved(akf.initial_state(cfg), 1.0, cfg)
 
 
 # --- transcription oracles ----------------------------------------------------
@@ -221,7 +217,7 @@ def test_classic_matches_transcription_oracle():
                                x0=np.array(x0), err_cov0=np.array(q0),
                                proc_cov0=np.array(m0), meas_cov0=np.array(n0),
                                proc_mean0=np.array(p0), meas_mean0=np.array(s0)),
-                           forgetting=g)
+                           meas_cov_fixed=np.array(n0), forgetting=g)
     oracle = classic_oracle_steps(zs, omega, g, (x0, q0, p0, m0, s0, n0))
 
     state = akf.initial_state(cfg)
@@ -349,7 +345,7 @@ def test_classic_divergence_witness_high_order():
     )
     cfg = akf.FilterConfig(transition=np.eye(n_states), noise_gain=np.eye(n_states),
                            obs_at=lambda t: np.eye(n_states), init=init,
-                           forgetting=0.95)
+                           meas_cov_fixed=np.eye(n_states), forgetting=0.95)
     state = akf.initial_state(cfg)
     negative_seen = False
     for t in range(100_000):

@@ -215,6 +215,38 @@ def test_a_trace_shorter_than_the_window_is_named(tmp_path, capsys):
                                        "is shorter than window 128\n")
 
 
+@pytest.mark.parametrize("onset", [499, 500])
+def test_a_label_inside_the_warm_up_is_data_error(tmp_path, capsys, onset):
+    # the thresholds are fitted on the ticks before thresholds.warmup (500)
+    cfg_path, out = write_config(tmp_path, attack=dict(BASE_CONFIG["attack"], onset=onset))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    status = main(["detect", "--config", str(cfg_path), "--passive-only"])
+    assert (status, capsys.readouterr().err) == (
+        (3, f"data error: {out / 'labels.csv'}: tick 499 is labelled attacked, inside the "
+            "500-tick warm-up the thresholds are fitted on\n") if onset == 499 else (0, ""))
+
+
+def test_labels_of_another_length_than_the_trace_is_data_error(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    labels = out / "labels.csv"
+    labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
+    assert capsys.readouterr().err == (f"data error: {labels} has 1599 rows, "
+                                       f"{out / 'trace.csv'} 1600\n")
+
+
+def test_detect_on_a_json_file_that_is_not_a_checkpoint_is_data_error(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    path = out / "manifest.json"
+    assert main(["detect", "--config", str(cfg_path), "--checkpoint", str(path)]) == 3
+    assert capsys.readouterr().err == f"data error: not a checkpoint file: {path}\n"
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -223,6 +255,19 @@ def test_invalid_config_is_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["simulate", "--config", str(path)]) == 2
+
+
+def test_report_without_config_or_run_dir_is_config_error(capsys):
+    assert main(["report"]) == 2
+    assert capsys.readouterr().err == "config error: report needs --config or --run-dir\n"
+
+
+def test_a_conv_kernel_larger_than_its_feature_map_is_config_error(tmp_path, capsys):
+    # window 8 by hidden 8: conv1 (3x3) and pool 2 leave a 3x3 map for conv2
+    cfg_path, _ = write_config(tmp_path, network=dict(BASE_CONFIG["network"], conv2_size=4))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == ("config error: feature map (3, 3) is smaller than a "
+                                       "4x4 kernel\n")
 
 
 def test_report_on_empty_dir_is_data_error(tmp_path):
@@ -373,6 +418,22 @@ def test_train_epochs_override_and_determinism(tmp_path):
     assert (out / "checkpoint.json").read_bytes() == first
 
 
+@pytest.mark.parametrize("section,changes,argv", [
+    ("signal", {"signal": [1, 2]}, ["simulate", "--seed", "3"]),
+    ("network", {"network": 5}, ["train", "--epochs", "1"]),
+    ("network.train", {"network": dict(BASE_CONFIG["network"], train="x")},
+     ["train", "--seed", "1"]),
+])
+def test_an_override_into_a_section_that_is_not_an_object_is_config_error(
+        tmp_path, capsys, section, changes, argv):
+    # the option changes nothing: parse_config refuses the section as without it
+    path, _ = write_config(tmp_path, **changes)
+    for options in ([], argv[1:]):
+        assert main([argv[0], "--config", str(path), *options]) == 2
+        assert capsys.readouterr().err == (f"config error: config section '{section}' must be "
+                                           "a JSON object\n")
+
+
 def test_train_reuses_last_validation_pass_for_holdout(tmp_path, monkeypatch):
     cfg_path, out = write_config(tmp_path, out_name="holdout")
     assert main(["simulate", "--config", str(cfg_path)]) == 0
@@ -469,8 +530,11 @@ def test_detect_empty_trace_is_data_error(tmp_path, capsys):
     cfg_path, out = write_config(tmp_path, out_name="empty")
     out.mkdir()
     (out / "labels.csv").write_text("t,label\n")
-    (out / "trace.csv").write_text("t,x1,x2,z\n")
+    (out / "trace.csv").write_text("")
     capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
+    assert capsys.readouterr().err == f"data error: empty CSV file: {out / 'trace.csv'}\n"
+    (out / "trace.csv").write_text("t,x1,x2,z\n")
     assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 3
     err = capsys.readouterr().err
     assert f"{out / 'trace.csv'} has a header but no data rows" in err
@@ -563,6 +627,18 @@ def test_train_header_only_dataset_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{out / 'dataset.csv'} has a header but no data rows" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("attack,problem", [
+    ({"onset": 10_000}, "oversampling needs both classes present"),
+    ({"duration": 2}, "minority class has 2 rows, fewer than 3 clusters"),
+])
+def test_a_pipeline_data_error_names_the_dataset(tmp_path, capsys, attack, problem):
+    cfg_path, out = write_config(tmp_path, attack=dict(BASE_CONFIG["attack"], **attack))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 3
+    assert capsys.readouterr().err == f"data error: {out / 'dataset.csv'}: {problem}\n"
 
 
 def test_train_reads_empty_feature_cell_as_missing(tmp_path):
@@ -676,6 +752,7 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, section, k
     ("attack.duty", {"period": 10}),
     ("attack.duty", {"period": 10, "duty": 0}),
     ("attack.amplitude", {"kind": "random_sinusoid", "fraction": None}),
+    ("attack.fraction", {"fraction": None}),
 ])
 def test_out_of_range_signal_or_attack_value_names_its_key(tmp_path, capsys, name, changes):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -1006,7 +1083,7 @@ STAGE_ENTRIES = {"simulate": [], "train": ["gru_cnn_holdout"], "detect": list(cl
 # detect, and every stage feeds report through metrics.json
 @pytest.mark.parametrize("rerun,kept", [
     (["simulate", "--seed", "99"], ["simulate"]),
-    (["train", "--epochs", "0"], ["simulate", "train"]),
+    (["train", "--epochs", "0", "--seed", "99"], ["simulate", "train"]),
     (["detect"], ["simulate", "train", "detect"]),
 ])
 def test_a_rerun_clears_what_was_made_from_the_files_it_replaces(tmp_path, capsys, rerun,
@@ -1026,6 +1103,8 @@ def test_a_rerun_clears_what_was_made_from_the_files_it_replaces(tmp_path, capsy
     assert ("(run detect)" in capsys.readouterr().err) == ("detect" not in kept)
     if rerun[0] == "simulate":
         assert manifest["seeds"]["signal"] == 99
+    if rerun[0] == "train":
+        assert manifest["seeds"]["train"] == manifest["config"]["network"]["train"]["seed"] == 99
 
 
 def test_checkpoint_config_that_cannot_be_read_is_data_error(tmp_path, capsys):
@@ -1074,3 +1153,53 @@ def test_a_detector_row_is_one_table_entry(tmp_path, monkeypatch, capsys):
     assert vars(cli).keys() == names.keys()
     assert all(vars(cli)[name] is value for name, value in names.items())
     assert "dummy" in cli.STAGES["detect"][2]
+
+
+# metamorphic relations of detect, on a run of criterion 11's length
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    """A 1200-tick run through detect, and its verdict files."""
+    tmp_path = tmp_path_factory.mktemp("metamorphic")
+    cfg_path, out = write_config(tmp_path, signal=dict(BASE_CONFIG["signal"], n=1200),
+                                 attack=dict(BASE_CONFIG["attack"], onset=800, duration=300))
+    for stage in (["simulate"], ["train", "--epochs", "0"], ["detect"]):
+        assert main([stage[0], "--config", str(cfg_path), *stage[1:]]) == 0
+    return cfg_path, out, verdict_files(out)
+
+
+def verdict_files(out) -> dict:
+    return {path.name: path.read_bytes() for path in out.glob("verdicts_*.csv")}
+
+
+def detect_into(cfg_path, run, out, **inputs):
+    """``detect`` of ``run``'s checkpoint into ``out``, reading the given inputs."""
+    options = [f"--{name}={path}" for name, path in inputs.items()]
+    assert main(["detect", "--config", str(cfg_path), "--out", str(out),
+                 "--checkpoint", str(run / "checkpoint.json"), *options]) == 0
+    return verdict_files(out)
+
+
+def test_detect_is_causal(tmp_path, short_run):
+    # detect on the first 1000 ticks writes the whole trace's rows for them
+    cfg_path, out, whole = short_run
+    cut = {}
+    for name in ("trace", "labels"):
+        lines = (out / f"{name}.csv").read_text().splitlines(keepends=True)
+        cut[name] = tmp_path / f"{name}.csv"
+        cut[name].write_text("".join(lines[:1001]))
+    prefix = detect_into(cfg_path, out, tmp_path / "cut", **cut)
+    assert sorted(prefix) == sorted(whole) and len(whole) == 4
+    for name, data in whole.items():
+        assert prefix[name].splitlines() == data.splitlines()[:1001], name
+
+
+def test_detect_verdicts_are_blind_to_the_labels(tmp_path, short_run):
+    # labels only score: none, all or random ones after the warm-up
+    cfg_path, out, whole = short_run
+    after = np.random.default_rng(0).integers(0, 2, size=700)
+    for i, flags in enumerate([np.zeros(700, dtype=int), np.ones(700, dtype=int), after]):
+        labels = tmp_path / f"labels{i}.csv"
+        labels.write_text("t,label\n" + "".join(
+            f"{t},{flag}\n" for t, flag in enumerate([0] * 500 + flags.tolist())))
+        assert detect_into(cfg_path, out, tmp_path / f"run{i}", trace=out / "trace.csv",
+                           labels=labels) == whole
