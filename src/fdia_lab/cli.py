@@ -66,9 +66,9 @@ STAGES = {
 OVERRIDES = {"simulate": {"seed": ("signal.seed", "override the signal seed")},
              "train": {"epochs": ("network.train.epochs", "override the configured epoch count"),
                        "seed": ("network.train.seed", "override the training seed")}}
-# metrics.json row field -> whether report accepts its value
-ROW_KINDS = {**dict.fromkeys(("accuracy", "precision", "recall", "f1"), finite_number),
-             "latency_ticks": lambda v: v is None or (type(v) is int and v >= 0)}
+# metrics.json row field -> whether report accepts its value; MetricsReport's floats are finite
+ROW_KINDS = {name: finite_number for name, t in get_type_hints(evaluation.MetricsReport).items()
+             if t is float} | {"latency_ticks": lambda v: v is None or (type(v) is int and v >= 0)}
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,15 @@ _MIN_WARMUP = passive_detect.SETTLE_TICKS + passive_detect.MIN_CALIBRATION_SAMPL
 
 # section.key -> (type, default, rule), each section read by
 # io_utils.read_fields; a default of None leaves a key that is absent or null
-# to its dataclass's own default (None). The network rows take each field's
-# type and default from NetworkConfig and TrainConfig, and the dimension and
-# dropout rules from NETWORK_RULES, which load_checkpoint applies too; the
-# feature-map rule stays in NetworkConfig, and the attack's pairing rules in
-# AttackScenario.
+# to its dataclass's own default (None). _dataclass_rows takes the signal
+# noise and seed rows and the network rows from SignalParams, NetworkConfig
+# and TrainConfig, and the dimension and dropout rules from NETWORK_RULES,
+# which load_checkpoint applies too; the feature-map rule stays in
+# NetworkConfig, and the attack's pairing rules in AttackScenario.
 SCHEMA = {
     "outputs": (Path, REQUIRED, None),
     "signal.omega": (float, REQUIRED, _POSITIVE),
-    "signal.sigma_process": (float, 0.0, _SIGMA),
-    "signal.sigma_meas": (float, 0.0, _SIGMA),
-    "signal.seed": (int, 0, None),
+    **_dataclass_rows("signal", SignalParams, sigma_process=_SIGMA, sigma_meas=_SIGMA),
     "signal.initial": (list, [1.0, 0.0], (lambda v: len(v) == 2 and all(map(finite_number, v)),
                                           "must list two finite numbers")),
     "signal.n": (int, REQUIRED, _AT_LEAST_1),

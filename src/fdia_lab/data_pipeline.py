@@ -40,9 +40,6 @@ class RawDataset:
         if bad:
             raise DataError(f"labels must be 0/1, found {sorted(bad)}")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class Standardizer:

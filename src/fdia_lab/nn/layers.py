@@ -53,11 +53,9 @@ class DenseLayer:
     bias: np.ndarray     # (classes,)
 
 
-def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None,
-                cache: bool = True):
-    """Run the cell over a batch of windows; x (B, L, D) -> (1, L, H, B).
+def gru_forward(x: np.ndarray, p: GruParams, cache: bool = True):
+    """Run the cell over a batch of windows from the zero state; x (B, L, D) -> (1, L, H, B).
 
-    ``h0`` (B, H) is the state before the first tick (zeros when omitted).
     The recurrence runs feature-major, on (H, B) states, so that the gates
     [r | z] of a tick are two contiguous blocks. The input projections of
     every tick are one 2-D product before the loop; inside it the reset and
@@ -81,12 +79,7 @@ def gru_forward(x: np.ndarray, p: GruParams, h0: np.ndarray | None = None,
     # the states outlive the call, so they are allocated first: the
     # projections and scratch it frees form one block for the next layer
     hs = np.empty((length + 1, hd, b))
-    if h0 is None:
-        hs[0] = 0.0
-    elif np.shape(h0) != (b, hd):
-        raise DimensionError(f"initial state {np.shape(h0)} != ({b}, {hd})")
-    else:
-        hs[0] = np.transpose(h0)
+    hs[0] = 0.0
     # in windows that overlap like data_pipeline.window's sliding view (equal
     # window and tick strides), x[i, j] is row i + j of a (B + L - 1, D)
     # array: the first tick of every window, then the last window's others

@@ -1043,6 +1043,9 @@ def test_failed_train_leaves_no_earlier_network(tmp_path, capsys):
     assert main(["detect", "--config", str(diverge_path)]) == 3
     assert (f"missing network checkpoint {out / 'checkpoint.json'}; train first"
             in capsys.readouterr().err)
+    assert main(["report", "--run-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "(run detect)" in err and "--passive-only" not in err
 
 
 def test_failed_simulate_leaves_no_earlier_results(tmp_path, monkeypatch):
@@ -1097,7 +1100,9 @@ def test_a_rerun_clears_what_was_made_from_the_files_it_replaces(tmp_path, capsy
     metrics = json.loads((out / "metrics.json").read_text())
     assert sorted(metrics) == sorted(key for stage in kept for key in STAGE_ENTRIES[stage])
     manifest = json.loads((out / "manifest.json").read_text())
-    assert sorted(manifest["artifacts"]) == sorted(kept)
+    assert manifest["artifacts"] == {
+        stage: sorted(STAGE_FILES[stage] + (["metrics.json"] if STAGE_ENTRIES[stage] else []))
+        for stage in kept}
     capsys.readouterr()
     assert main(["report", "--run-dir", str(out)]) == (0 if "detect" in kept else 3)
     assert ("(run detect)" in capsys.readouterr().err) == ("detect" not in kept)
@@ -1171,11 +1176,12 @@ def verdict_files(out) -> dict:
     return {path.name: path.read_bytes() for path in out.glob("verdicts_*.csv")}
 
 
-def detect_into(cfg_path, run, out, **inputs):
-    """``detect`` of ``run``'s checkpoint into ``out``, reading the given inputs."""
+def detect_into(cfg_path, run, out, *flags, **inputs):
+    """``detect`` of ``run``'s checkpoint into ``out``, reading the given inputs,
+    with the given flags."""
     options = [f"--{name}={path}" for name, path in inputs.items()]
     assert main(["detect", "--config", str(cfg_path), "--out", str(out),
-                 "--checkpoint", str(run / "checkpoint.json"), *options]) == 0
+                 "--checkpoint", str(run / "checkpoint.json"), *options, *flags]) == 0
     return verdict_files(out)
 
 
@@ -1203,3 +1209,12 @@ def test_detect_verdicts_are_blind_to_the_labels(tmp_path, short_run):
             f"{t},{flag}\n" for t, flag in enumerate([0] * 500 + flags.tolist())))
         assert detect_into(cfg_path, out, tmp_path / f"run{i}", trace=out / "trace.csv",
                            labels=labels) == whole
+
+
+def test_detect_passive_verdicts_are_blind_to_the_classifier(tmp_path, short_run):
+    # a passive-only detect writes the whole run's passive verdicts
+    cfg_path, out, whole = short_run
+    passive = detect_into(cfg_path, out, tmp_path / "passive", "--passive-only",
+                          trace=out / "trace.csv", labels=out / "labels.csv")
+    for name in ("verdicts_passive.csv", "verdicts_passive_classic.csv"):
+        assert passive[name] == whole[name], name

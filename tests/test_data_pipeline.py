@@ -189,7 +189,7 @@ def test_split_80_20_balanced_ten_rows():
     d = small_dataset([[float(i)] for i in range(10)],
                       labels=[0, 1] * 5)
     train, test = split(d, 0.8, seed=1)
-    assert len(train) == 8 and len(test) == 2
+    assert len(train.values) == 8 and len(test.values) == 2
 
 
 # per class of m rows, n_train = min(max(round(f * m), 1), m - 1) with Python's
@@ -208,10 +208,10 @@ def test_split_rounds_half_even_and_clamps_per_class(m, fraction, n_train):
 def test_split_union_is_disjoint_partition(rng):
     d = make_labeled_dataset(101, 0.3, seed=2)
     train, test = split(d, 0.8, seed=3)
-    assert len(train) + len(test) == len(d)
+    assert len(train.values) + len(test.values) == len(d.values)
     all_rows = np.concatenate([train.values, test.values])
     np.testing.assert_array_equal(np.unique(all_rows, axis=0), np.unique(d.values, axis=0))
-    assert len(np.unique(d.values, axis=0)) == len(d)  # rows identify themselves
+    assert len(np.unique(d.values, axis=0)) == len(d.values)  # rows identify themselves
 
 
 def test_split_stratified_keeps_both_classes():
@@ -264,7 +264,7 @@ def test_dataset_csv_roundtrip_with_missing(tmp_path):
                    labels=np.array([0, 1, 0]))
     path = tmp_path / "data.csv"
     write_columns(path, ["t", *d.columns, "label"],
-                  [fmt_column(c) for c in (np.arange(len(d)), *d.values.T, d.labels)])
+                  [fmt_column(c) for c in (np.arange(len(d.values)), *d.values.T, d.labels)])
     assert path.read_text().splitlines()[0] == "t,a,b,label"
     back = read_dataset_csv(path)
     assert back.columns == ["a", "b"]

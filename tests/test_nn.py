@@ -52,59 +52,69 @@ def sequences(states):
 
 # --- GRU cell -----------------------------------------------------------------
 
-def gru_tick(x_t, h_prev, p):
-    """One tick of ``gru_forward`` on a (1, 1, D) batch from state h_prev."""
-    states, _ = gru_forward(np.asarray(x_t, dtype=float)[None, None, :], p,
-                            h0=np.asarray(h_prev, dtype=float)[None, :])
-    return sequences(states)[0, 0]
+def gru_sequences(x, p):
+    """``gru_forward``'s states on (B, L, D) windows from the zero state, as
+    (B, L, H) sequences, checked against ``ref_gru_forward``'s."""
+    seq = sequences(gru_forward(x, p)[0])
+    np.testing.assert_allclose(seq, ref_gru_forward(x, p, np.zeros((len(x), p.hidden)))[0],
+                               atol=1e-12)
+    return seq
 
 
-def test_gru_cell_zero_parameters_halve_state():
+def test_gru_cell_zero_parameters_halve_state(rng):
+    # zero weights make r = z = 1/2 and the candidate tanh(b_h) whatever the
+    # input, so each tick halves the state's distance to tanh(b_h)
     p = zero_gru()
-    h_prev = np.array([0.4, -0.8, 1.0])
-    h = gru_tick(np.array([1.0, 2.0]), h_prev, p)
-    np.testing.assert_allclose(h, 0.5 * h_prev, atol=1e-15)
+    p.b_h[:] = [0.4, -0.8, 1.0]
+    want = (1.0 - 0.5 ** np.arange(1, 6))[:, None] * np.tanh(p.b_h)
+    for seq in gru_sequences(rng.normal(size=(2, 5, 2)), p):
+        np.testing.assert_allclose(seq, want, atol=1e-15)
 
 
-def test_gru_cell_saturated_update_gate_copies_state():
+def test_gru_cell_saturated_update_gate_copies_state(rng):
+    # feature 0 drives the update gate: at -50 (z ~ 0) tick 0 takes the
+    # candidate, at +50 (z ~ 1) every later tick copies the state before it
     p = zero_gru()
-    p.b_z[:] = 50.0  # update gate ~ 1 -> new state == previous state
-    h_prev = np.array([0.3, -0.2, 0.9])
-    h = gru_tick(np.array([1.0, -1.0]), h_prev, p)
-    np.testing.assert_allclose(h, h_prev, atol=1e-12)
+    p.w_xz[0] = 1.0
+    p.w_xh[1] = [0.5, -1.0, 2.0]
+    x = rng.normal(size=(3, 6, 2))
+    x[:, 0, 0], x[:, 1:, 0] = -50.0, 50.0
+    seq = gru_sequences(x, p)
+    np.testing.assert_allclose(seq[:, 0], np.tanh(x[:, 0, 1:] * p.w_xh[1]), atol=1e-12)
+    for t in range(1, 6):
+        np.testing.assert_allclose(seq[:, t], seq[:, 0], atol=1e-12)
 
 
 def test_gru_cell_matches_transcription_oracle(rng):
+    # each tick is one transcribed cell step from the state before it
     p = random_gru(rng)
-    x = rng.normal(size=2)
-    h_prev = rng.normal(size=2)
+    x = rng.normal(size=(4, 3, 2))
+    seq = gru_sequences(x, p)
 
     def sigmoid(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    r = sigmoid(x @ p.w_xr + h_prev @ p.w_hr + p.b_r)
-    z = sigmoid(x @ p.w_xz + h_prev @ p.w_hz + p.b_z)
-    cand = np.tanh(x @ p.w_xh + (r * h_prev) @ p.w_hh + p.b_h)
-    expected = z * h_prev + (1.0 - z) * cand
-    np.testing.assert_allclose(gru_tick(x, h_prev, p), expected, atol=1e-12)
+    for t in range(3):
+        x_t, h_prev = x[:, t], seq[:, t - 1] if t else np.zeros((4, 2))
+        r = sigmoid(x_t @ p.w_xr + h_prev @ p.w_hr + p.b_r)
+        z = sigmoid(x_t @ p.w_xz + h_prev @ p.w_hz + p.b_z)
+        cand = np.tanh(x_t @ p.w_xh + (r * h_prev) @ p.w_hh + p.b_h)
+        np.testing.assert_allclose(seq[:, t], z * h_prev + (1.0 - z) * cand, atol=1e-12)
 
 
 def test_gru_gate_ranges(rng):
-    # R, Z in (0,1); |H| bounded by max(|h_prev|, 1) elementwise
+    # R, Z in (0,1) make each state a convex combination of the one before
+    # and a tanh candidate, so from the zero state every state lies in [-1, 1]
     p = random_gru(rng, input_dim=3, hidden=4)
-    for _ in range(50):
-        x = rng.normal(size=3)
-        h_prev = rng.normal(size=4)
-        h = gru_tick(x, h_prev, p)
-        bound = np.maximum(np.abs(h_prev), 1.0)
-        assert np.all(np.abs(h) <= bound + 1e-12)
+    seq = gru_sequences(rng.normal(0.0, 3.0, size=(50, 6, 3)), p)
+    assert np.all(np.abs(seq) <= 1.0)
 
 
 def test_gru_sequence_single_step_equals_cell(rng):
     p = random_gru(rng, input_dim=3, hidden=4)
-    x = rng.normal(size=(1, 1, 3))
-    seq = sequences(gru_forward(x, p)[0])
-    np.testing.assert_allclose(seq[0, 0], gru_tick(x[0, 0], np.zeros(4), p), atol=1e-15)
+    x = rng.normal(size=(5, 1, 3))
+    np.testing.assert_allclose(gru_sequences(x, p), ref_gru_forward(x, p, np.zeros((5, 4)))[0],
+                               atol=1e-15)
 
 
 def test_gru_sequence_zero_everything_stays_zero():
@@ -114,13 +124,13 @@ def test_gru_sequence_zero_everything_stays_zero():
 
 
 def test_gru_sequence_matches_unrolled_cells(rng):
+    # the state after tick t depends on ticks 0..t only: each window's first
+    # t ticks give its first t states
     p = random_gru(rng, input_dim=2, hidden=3)
-    window = rng.normal(size=(3, 2))
-    seq = sequences(gru_forward(window[None], p)[0])
-    h = np.zeros(3)
-    for t in range(3):
-        h = gru_tick(window[t], h, p)
-        np.testing.assert_allclose(seq[0, t], h, atol=1e-12)
+    x = rng.normal(size=(2, 5, 2))
+    seq = gru_sequences(x, p)
+    for t in range(1, 5):
+        np.testing.assert_array_equal(gru_sequences(x[:, :t], p), seq[:, :t])
 
 
 # --- conv / pool / softmax ----------------------------------------------------
@@ -789,22 +799,19 @@ def test_pool_zero_padding_matches_negative_infinity_padding(rng, window):
 def test_gru_matches_per_step_reference(rng, input_dim, hidden, batch, length):
     p = random_gru(rng, input_dim=input_dim, hidden=hidden)
     x = rng.normal(size=(batch, length, input_dim))
-    h0 = rng.normal(size=(batch, hidden))
-    for start in (None, h0):
-        states, cache = gru_forward(x, p, h0=start)
-        uncached, none = gru_forward(x, p, h0=start, cache=False)
-        assert none is None
-        np.testing.assert_array_equal(uncached, states)
-        ref_seq, ref_cache = ref_gru_forward(
-            x, p, np.zeros((batch, hidden)) if start is None else start)
-        np.testing.assert_allclose(sequences(states), ref_seq, **TOL)
-        dseq = rng.normal(size=ref_seq.shape)
-        grads = gru_backward(dseq.transpose(1, 2, 0), cache, p)
-        ref_grads = ref_gru_backward(dseq, ref_cache, p)
-        assert grads.keys() == ref_grads.keys()
-        for name, want in ref_grads.items():
-            assert grads[name].shape == want.shape
-            np.testing.assert_allclose(grads[name], want, **TOL, err_msg=name)
+    states, cache = gru_forward(x, p)
+    uncached, none = gru_forward(x, p, cache=False)
+    assert none is None
+    np.testing.assert_array_equal(uncached, states)
+    ref_seq, ref_cache = ref_gru_forward(x, p, np.zeros((batch, hidden)))
+    np.testing.assert_allclose(sequences(states), ref_seq, **TOL)
+    dseq = rng.normal(size=ref_seq.shape)
+    grads = gru_backward(dseq.transpose(1, 2, 0), cache, p)
+    ref_grads = ref_gru_backward(dseq, ref_cache, p)
+    assert grads.keys() == ref_grads.keys()
+    for name, want in ref_grads.items():
+        assert grads[name].shape == want.shape
+        np.testing.assert_allclose(grads[name], want, **TOL, err_msg=name)
 
 
 @pytest.mark.parametrize("with_inf", [False, True])
@@ -816,9 +823,8 @@ def test_gru_matches_per_step_reference_with_saturated_gates(rng, with_inf):
     x[0, :4, 0] = [800.0, -800.0, 0.0, -0.0]
     if with_inf:
         x[1, 2, 0], x[2, 5, 0] = np.inf, -np.inf
-    h0 = rng.normal(size=(6, 5))
-    states, cache = gru_forward(x, p, h0=h0)
-    ref_seq, ref_cache = ref_gru_forward(x, p, h0)
+    states, cache = gru_forward(x, p)
+    ref_seq, ref_cache = ref_gru_forward(x, p, np.zeros((6, 5)))
     assert np.isfinite(states).all()
     np.testing.assert_allclose(sequences(states), ref_seq, **TOL)
     dseq = rng.normal(size=ref_seq.shape)
@@ -831,12 +837,6 @@ def test_gru_matches_per_step_reference_with_saturated_gates(rng, with_inf):
     for name in names:
         assert np.isfinite(grads[name]).all(), name
         np.testing.assert_allclose(grads[name], ref_grads[name], **TOL, err_msg=name)
-
-
-def test_gru_initial_state_shape_checked(rng):
-    p = random_gru(rng, input_dim=2, hidden=3)
-    with pytest.raises(DimensionError):
-        gru_forward(np.zeros((2, 4, 2)), p, h0=np.zeros((3, 3)))
 
 
 def test_predict_proba_chunks_match_per_chunk_forward(rng):
