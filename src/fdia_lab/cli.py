@@ -310,8 +310,8 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     onsets = np.flatnonzero(labels)
     onset = int(onsets[0]) if len(onsets) else None
 
-    # the improved filter drives the passive and fused paths and must not
-    # fail; the classic filter is run alongside for the comparison table and
+    # the improved filter drives the passive and fused paths and must not fail
+    # numerically; the classic filter, run alongside for the comparison table,
     # is recorded as diverged if it does. Each filter's row scores the stream
     # the fusion rule consumes: its residual-channel decision.
     _check_phase("signal.omega", cfg.signal.omega, n)
@@ -321,19 +321,17 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     columns, entries = {"t": trace.ticks}, {}
     for variant, tag in ((akf.Variant.IMPROVED, "N"), (akf.Variant.CLASSIC, "C")):
         try:
-            run = akf.run(trace, filter_cfg, variant, obs_rows)
+            v = passive_detect.detect_stream(akf.run(trace, filter_cfg, variant, obs_rows),
+                                             trace.z, obs_rows, cfg.warmup, cfg.threshold_k)
         except NumericalError as exc:
             if variant is akf.Variant.IMPROVED:
                 raise NumericalError(f"{exc} ({variant.value} filter)") from exc
             entries["classic_akf"] = {"diverged": True, "error": str(exc)}
-        else:
-            try:
-                v = passive_detect.detect_stream(run, trace.z, obs_rows, cfg.warmup,
-                                                 cfg.threshold_k)
-            except DataError as exc:
-                raise DataError(f"{trace_path}: {exc}") from exc
-            columns |= {f"d_{tag}": v.euclidean_d, f"r_{tag}": v.residual_r,
-                        f"flag_{tag}": v.residual_flag, f"union_{tag}": v.flag}
+            continue
+        except DataError as exc:
+            raise DataError(f"{trace_path}: {exc}") from exc
+        columns |= {f"d_{tag}": v.euclidean_d, f"r_{tag}": v.residual_r,
+                    f"flag_{tag}": v.residual_flag, f"union_{tag}": v.flag}
 
     # the classifier scores and flags only the ticks that end one of its windows
     columns |= {"p_attack": np.full(n, np.nan), "flag_GC": np.zeros(n, dtype=bool)}

@@ -13,7 +13,8 @@ arrays, and the thresholds are fitted on their warm-up slice.
 ``detect_stream`` then decides every tick of that pass with ``decide``;
 ``evaluate_stream`` decides a run for given thresholds. Row i of a run is
 tick i. ``PassiveVerdicts`` iterates its columns as rows, and ``decide`` on
-one value is the same inclusive rule.
+one value is the same inclusive rule. A non-finite filter state is a failure of
+the filter, a ``NumericalError``; a state of zero norm is a ``DataError``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .akf import FilterRun
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, NumericalError
 
 MIN_CALIBRATION_SAMPLES = 100
 SETTLE_TICKS = 10  # first ticks of the warm-up left out of calibration
@@ -79,8 +80,8 @@ def decide(metric, th: Thresholds):
 
 def _channels(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     """Per-tick signed deviation H x_pred - z and residual metric
-    ||x_pred - x_hat|| / (||x_pred|| * ||x_hat||), as arrays, with a
-    DataError naming the first tick whose state is non-finite or of zero norm.
+    ||x_pred - x_hat|| / (||x_pred|| * ||x_hat||), as arrays. A NumericalError
+    names the first tick whose state is non-finite, a DataError one of zero norm.
     """
     run = FilterRun.from_steps(outputs)
     x, x_hat = run.x_pred, run.x_hat
@@ -92,7 +93,7 @@ def _channels(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     deviations = (h * x).sum(axis=1) - z
     finite = np.isfinite(x).all(axis=1) & np.isfinite(x_hat).all(axis=1)
     if not finite.all():
-        raise DataError(f"filter state is non-finite at tick {np.argmin(finite)}")
+        raise NumericalError(f"filter state is non-finite at tick {np.argmin(finite)}")
     nx = np.sqrt((x * x).sum(axis=1))
     nh = np.sqrt((x_hat * x_hat).sum(axis=1))
     zero = (nx == 0.0) | (nh == 0.0)

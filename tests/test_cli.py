@@ -9,7 +9,7 @@ import pytest
 from fdia_lab import akf, cli, evaluation, fusion, io_utils, nn, passive_detect
 from fdia_lab.cli import main
 from fdia_lab.data_pipeline import apply_standardizer, read_dataset_csv, window
-from fdia_lab.errors import DataError, SingularMatrixError
+from fdia_lab.errors import DataError
 
 BASE_CONFIG = {
     "signal": {"omega": 2 * math.pi / 20, "sigma_process": 1e-3,
@@ -116,25 +116,30 @@ def test_detect_passive_only(tmp_path):
     assert main(["report", "--config", str(cfg_path)]) == 3
 
 
-def failing_variant(monkeypatch, failing):
-    """Make ``akf.run`` raise SingularMatrixError for ``failing``."""
-    run = akf.run
+# traces on which a filter fails: the classic filter at forgetting 0.9, by a
+# non-finite state and, without measurement noise, by a singular innovation
+# variance; the improved filter at forgetting 0.7, by a non-finite state
+CLASSIC_NON_FINITE = {"signal": dict(BASE_CONFIG["signal"], seed=6, n=5000),
+                      "attack": dict(BASE_CONFIG["attack"], onset=4800, duration=200),
+                      "filter": dict(BASE_CONFIG["filter"], forgetting=0.9)}
+CLASSIC_SINGULAR = {"signal": dict(BASE_CONFIG["signal"], seed=1, n=3254, sigma_meas=0.0),
+                    "attack": dict(BASE_CONFIG["attack"], onset=3100, duration=154),
+                    "filter": dict(BASE_CONFIG["filter"], forgetting=0.9)}
+IMPROVED_NON_FINITE = dict(CLASSIC_SINGULAR, signal=dict(CLASSIC_SINGULAR["signal"],
+                                                         sigma_meas=0.002),
+                           filter=dict(BASE_CONFIG["filter"], forgetting=0.7))
 
-    def patched(trace, cfg, variant, obs_rows=None):
-        if variant is failing:
-            raise SingularMatrixError(rcond=0.0)
-        return run(trace, cfg, variant, obs_rows)
 
-    monkeypatch.setattr(akf, "run", patched)
-
-
-def test_detect_records_other_variant_divergence(tmp_path, monkeypatch):
-    cfg_path, out = write_config(tmp_path, out_name="diverged")
+@pytest.mark.parametrize("overrides, error", [
+    (CLASSIC_NON_FINITE, "filter state is non-finite at tick 4589"),
+    (CLASSIC_SINGULAR, "at tick 2636")], ids=["non-finite", "singular"])
+def test_detect_records_other_variant_divergence(tmp_path, capsys, overrides, error):
+    cfg_path, out = write_config(tmp_path, out_name="diverged", **overrides)
     assert main(["simulate", "--config", str(cfg_path)]) == 0
-    failing_variant(monkeypatch, akf.Variant.CLASSIC)
     assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["classic_akf"]["diverged"] is True
+    assert metrics["classic_akf"]["error"].endswith(error)
     assert "recall" in metrics["improved_akf"]
     assert not (out / "verdicts_passive_classic.csv").exists()
     # the manifest lists only the files detect wrote
@@ -142,15 +147,20 @@ def test_detect_records_other_variant_divergence(tmp_path, monkeypatch):
     assert listed == ["metrics.json", "verdicts_active.csv", "verdicts_fused.csv",
                       "verdicts_passive.csv"]
     assert all((out / name).exists() for name in listed)
+    assert main(["train", "--config", str(cfg_path), "--epochs", "0"]) == 0
+    assert main(["detect", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg_path)]) == 0
+    assert re.search(r"^classic_akf +diverged$", capsys.readouterr().out, re.MULTILINE)
 
 
-def test_detect_configured_variant_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
-    cfg_path, out = write_config(tmp_path, out_name="failed")
+def test_detect_configured_variant_failure_is_numerical_error(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path, out_name="failed", **IMPROVED_NON_FINITE)
     assert main(["simulate", "--config", str(cfg_path)]) == 0
-    failing_variant(monkeypatch, akf.Variant.IMPROVED)
     capsys.readouterr()
     assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 4
-    assert "numerical failure: matrix is singular" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numerical failure: filter state is non-finite at tick 1660 (improved filter)\n")
     assert list(out.glob("verdicts_*.csv")) == []
 
 
@@ -943,8 +953,8 @@ def test_passive_only_detect_drops_an_earlier_classifier_entry(tmp_path, capsys)
     assert "run detect without --passive-only" in capsys.readouterr().err
 
 
-def test_detect_removes_verdict_files_it_did_not_write(tmp_path, monkeypatch):
-    cfg_path, out = run_to_report(tmp_path, "rerun")
+def test_detect_removes_verdict_files_it_did_not_write(tmp_path):
+    cfg_path, out = run_to_report(tmp_path, "rerun", filter=CLASSIC_NON_FINITE["filter"])
 
     def detect_lists_its_files(*flags):
         if flags:
@@ -959,8 +969,10 @@ def test_detect_removes_verdict_files_it_did_not_write(tmp_path, monkeypatch):
     assert detect_lists_its_files("--passive-only") == [*verdicts,
                                                         "verdicts_passive_classic.csv"]
     # and a classic filter that diverges takes its file from an earlier run
-    failing_variant(monkeypatch, akf.Variant.CLASSIC)
-    assert detect_lists_its_files("--passive-only") == verdicts
+    diverging, other = write_config(tmp_path, out_name="diverged", **CLASSIC_NON_FINITE)
+    assert main(["simulate", "--config", str(diverging)]) == 0
+    assert detect_lists_its_files("--passive-only", "--trace", str(other / "trace.csv"),
+                                  "--labels", str(other / "labels.csv")) == verdicts
 
 
 @pytest.mark.parametrize("name,row", [("labels.csv", 1), ("trace.csv", 43)])
@@ -992,8 +1004,8 @@ def test_integral_float_is_an_integer_config_value():
     assert type(cfg.scenario.period) is int and cfg.scenario.period == 40
 
 
-def run_to_report(tmp_path, name):
-    cfg_path, out = write_config(tmp_path, out_name=name)
+def run_to_report(tmp_path, name, **overrides):
+    cfg_path, out = write_config(tmp_path, out_name=name, **overrides)
     for stage in ("simulate", "train", "detect"):
         args = [stage, "--config", str(cfg_path)]
         assert main(args + (["--epochs", "0"] if stage == "train" else [])) == 0

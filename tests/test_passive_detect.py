@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdia_lab import akf
-from fdia_lab.errors import DataError
+from fdia_lab.errors import DataError, NumericalError
 from fdia_lab.passive_detect import (SETTLE_TICKS, PassiveVerdict, Thresholds,
                                      calibrate_channels, calibrate_sigma, decide,
                                      detect_stream, evaluate_stream)
@@ -206,6 +206,8 @@ def test_step_list_and_filter_run_give_equal_verdicts():
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+# a non-finite state is the filter's failure; a zero norm leaves the residual
+# metric undefined on valid numbers
 @pytest.mark.parametrize("value, message", [(0.0, "zero-norm state at tick 3"),
                                             (np.nan, "non-finite at tick 3")])
 def test_bad_filter_state_names_the_tick(value, message):
@@ -213,12 +215,13 @@ def test_bad_filter_state_names_the_tick(value, message):
     x_pred = outputs.x_pred.copy()
     x_pred[3] = value
     broken = akf.FilterRun(x_pred, outputs.x_hat, outputs.innovation)
-    with pytest.raises(DataError, match=message):
+    error = DataError if value == 0.0 else NumericalError
+    with pytest.raises(error, match=message):
         evaluate_stream(broken, trace.z, obs, Thresholds(1.0), Thresholds(1.0))
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(error, match=message):
         detect_stream(broken, trace.z, obs, warmup=5)
     # the tick lies after the warm-up, and the fit still checks the whole run
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(error, match=message):
         calibrate_channels(broken, trace.z, obs, warmup=3)
 
 
