@@ -29,10 +29,12 @@ classic`` branches at the same places, so it is bit-identical to ``step``
 wherever numpy's BLAS does not fuse multiply-adds (OpenBLAS's Sandybridge
 kernel, say) and within rounding elsewhere. Its pivot test is not the same
 operations but the oracle's test in closed form: it raises on exactly the
-values of the innovation variance where the oracle raises, including
-+-inf, and never on NaN. It uses no BLAS, so its outputs do not depend on
-the OpenBLAS kernel numpy picks, which matters most for the classic filter:
-it amplifies rounding (a covariance diagonal goes negative at tick 0).
+values of the innovation variance where the oracle raises, and never on
+NaN, and both raise ``_pivot_error``'s NumericalError, which names an
+infinite variance as such and calls any other singular. It uses no BLAS,
+so its outputs do not depend on the OpenBLAS kernel numpy picks, which
+matters most for the classic filter: it amplifies rounding (a covariance
+diagonal goes negative at tick 0).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, SingularMatrixError
+from .errors import ConfigError, DataError, DimensionError, NumericalError, SingularMatrixError
 from .numerics import PIVOT_RTOL, solve
 from .signal_model import SignalParams, Trace, observation_row
 
@@ -138,6 +140,14 @@ def predict(state: FilterState, cfg: FilterConfig) -> tuple[np.ndarray, np.ndarr
     return x_pred, cov_pred
 
 
+def _pivot_error(s: float, tick: int) -> NumericalError:
+    """The error for a scalar innovation variance ``s`` the pivot test refuses:
+    an infinite one is named as such, any other is singular."""
+    if math.isinf(s):
+        return NumericalError(f"innovation variance is {s:+} at tick {tick}")
+    return SingularMatrixError(rcond=abs(s) / max(abs(s), 1e-300), tick=tick)
+
+
 def step(state: FilterState, z_t, cfg: FilterConfig,
          variant: Variant) -> tuple[FilterState, StepOutput]:
     """One adaptive step: predict, update the estimate, then re-estimate the
@@ -166,7 +176,7 @@ def step(state: FilterState, z_t, cfg: FilterConfig,
     if innov_cov.shape == (1, 1):
         s = innov_cov[0, 0]
         if abs(s) <= PIVOT_RTOL * max(abs(s), 1e-300):
-            raise SingularMatrixError(rcond=abs(s) / max(abs(s), 1e-300))
+            raise _pivot_error(s, state.t)
         gain = (cov_pred @ h.T) / s
     else:
         gain = solve(innov_cov, (cov_pred @ h.T).T).T
@@ -273,7 +283,7 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
         hph = hc0 * h0 + hc1 * h1
         s = hph + nc
         if s <= b and s >= -b or s == inf or s == ninf:
-            raise SingularMatrixError(rcond=abs(s) / max(abs(s), 1e-300), tick=len(out) // 5)
+            raise _pivot_error(s, len(out) // 5)
         k0, k1 = hc0 / s, hc1 / s
         g0, g1 = k0 * e, k1 * e
         xn0, xn1 = xp0 + g0, xp1 + g1

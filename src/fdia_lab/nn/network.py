@@ -24,7 +24,14 @@ from .layers import (ConvLayer, DenseLayer, GruParams, conv_backward, conv_forwa
 
 CHECKPOINT_FORMAT = "gru-cnn-checkpoint"
 CHECKPOINT_VERSION = 1
-INFER_CHUNK = 128  # windows per inference forward pass
+# windows per predict_proba forward pass (one GRU run) and per pass of the
+# conv/pool/conv/pool/dense head inside it. On the demo network the block's GRU
+# state map (1.9 MB) must outsize a slice's head (1.4 MB) and stay under 2 MB:
+# glibc gives the top of its heap back to the kernel once it holds more than
+# twice the largest block freed so far, so at 512 windows every block faulted
+# its pages back in, and at 1024 more heap stayed resident after detect
+INFER_BLOCK = 896
+HEAD_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,9 @@ def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None =
     the ReLU. An ``rng`` selects training mode (dropout when the configured
     rate is positive); inference without one is deterministic. With
     ``cache=False`` the GRU and pooling layers build no backward cache, each
-    im2col matrix is freed when its layer returns, and the cache is ``None``.
+    im2col matrix is freed when its layer returns, the cache is ``None``, and
+    the head after the GRU runs on ``HEAD_SLICE``-window slices of its state
+    map, each writing its rows of one preallocated probability array.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3:
@@ -161,22 +170,31 @@ def forward(net: Network, windows: np.ndarray, rng: np.random.Generator | None =
             caches.append(layer_cache)
         return out
 
+    def head(states):
+        """The conv/pool/conv/pool/dense head on a (1, L, H, b) state map:
+        the (b, 2) probabilities and the dense layer's part of the cache."""
+        c1 = keep(conv_forward(states, net.conv1))
+        p1 = keep(pool_forward(c1, cfg.pool, cache))
+        c2 = keep(conv_forward(p1, net.conv2))
+        p2 = keep(pool_forward(c2, cfg.pool, cache))
+        features = p2.transpose(3, 1, 2, 0)  # (b, rows, cols, channels)
+        flat = features.reshape(len(features), -1)
+        mask = None
+        if rng is not None and cfg.dropout > 0.0:
+            dropped, mask = dropout_forward(flat, cfg.dropout, rng)
+        else:
+            dropped = flat
+        probs = softmax(dropped @ net.dense.weights + net.dense.bias)
+        return probs, (features.shape, dropped, mask)
+
     states = keep(gru_forward(windows, net.gru, cache=cache))
-    c1 = keep(conv_forward(states, net.conv1))
-    p1 = keep(pool_forward(c1, cfg.pool, cache))
-    c2 = keep(conv_forward(p1, net.conv2))
-    p2 = keep(pool_forward(c2, cfg.pool, cache))
-    features = p2.transpose(3, 1, 2, 0)  # (B, rows, cols, channels)
-    flat = features.reshape(len(windows), -1)
-    mask = None
-    if rng is not None and cfg.dropout > 0.0:
-        dropped, mask = dropout_forward(flat, cfg.dropout, rng)
-    else:
-        dropped = flat
-    probs = softmax(dropped @ net.dense.weights + net.dense.bias)
-    if not cache:
-        return probs, None
-    return probs, (*caches, features.shape, dropped, mask)
+    if cache:
+        probs, dense_cache = head(states)
+        return probs, (*caches, *dense_cache)
+    probs = np.empty((len(windows), 2))
+    for start in range(0, len(windows), HEAD_SLICE):
+        probs[start:start + HEAD_SLICE] = head(states[..., start:start + HEAD_SLICE])[0]
+    return probs, None
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -221,16 +239,23 @@ def gradients(net: Network, windows: np.ndarray, labels: np.ndarray,
 
 
 def predict_proba(net: Network, windows: np.ndarray) -> np.ndarray:
-    """Class probabilities (B, 2), computed ``INFER_CHUNK`` windows at a time
-    without backward caches, into one preallocated array. Memory beyond the
-    input and output is one chunk's for any B; its largest block is conv1's
-    im2col matrix, (conv1_size**2 + 1) * oh * ow * INFER_CHUNK floats for an
-    oh x ow conv1 output (2.0 MB for the demo network's 14 x 14)."""
+    """Class probabilities (B, 2), computed without backward caches into one
+    preallocated array: one ``forward`` per ``INFER_BLOCK`` windows, whose GRU
+    runs over the whole block (each tick's dozen numpy calls cost about the
+    same at any width) and whose head runs ``HEAD_SLICE`` windows at a time.
+    Memory beyond the input and output is one block's for any B: the GRU's
+    state map (1.9 MB on the demo network) and one slice's head, whose largest
+    array is conv1's im2col matrix, (conv1_size**2 + 1) * oh * ow * HEAD_SLICE
+    floats for an oh x ow conv1 output (1.0 MB for the demo network's
+    14 x 14, small enough to stay in cache while its matmul reads it). That is
+    a tracemalloc peak of 3.5 MiB over 16,000 sliding windows of the demo
+    network; a C-contiguous batch adds the GRU's input projections of every
+    (tick, window) pair, 5.5 MB a block."""
     windows = np.asarray(windows, dtype=float)
     probs = np.empty((len(windows), 2))
-    for start in range(0, len(windows), INFER_CHUNK):
-        probs[start:start + INFER_CHUNK] = forward(
-            net, windows[start:start + INFER_CHUNK], cache=False)[0]
+    for start in range(0, len(windows), INFER_BLOCK):
+        probs[start:start + INFER_BLOCK] = forward(
+            net, windows[start:start + INFER_BLOCK], cache=False)[0]
     return probs
 
 

@@ -13,8 +13,9 @@ arrays, and the thresholds are fitted on their warm-up slice.
 ``detect_stream`` then decides every tick of that pass with ``decide``;
 ``evaluate_stream`` decides a run for given thresholds. Row i of a run is
 tick i. ``PassiveVerdicts`` iterates its columns as rows, and ``decide`` on
-one value is the same inclusive rule. A non-finite filter state is a failure of
-the filter, a ``NumericalError``; a state of zero norm is a ``DataError``.
+one value is the same inclusive rule. A non-finite filter state, or one whose
+norm overflows, is a failure of the filter, a ``NumericalError``; a state of
+zero norm is a ``DataError``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ def decide(metric, th: Thresholds):
 def _channels(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     """Per-tick signed deviation H x_pred - z and residual metric
     ||x_pred - x_hat|| / (||x_pred|| * ||x_hat||), as arrays. A NumericalError
-    names the first tick whose state is non-finite, a DataError one of zero norm.
+    names the first tick whose state, or one of the metric's norms, is
+    non-finite, a DataError one of zero norm.
     """
     run = FilterRun.from_steps(outputs)
     x, x_hat = run.x_pred, run.x_hat
@@ -89,19 +91,22 @@ def _channels(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(zs, dtype=float)
     if len(z) != n:
         raise DimensionError(f"{len(z)} measurements for {n} filter steps")
-    h = np.asarray(obs_rows, dtype=float).reshape(n, -1, x.shape[1])[:, 0, :]
-    deviations = (h * x).sum(axis=1) - z
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(x_hat).all(axis=1)
+    # a state beyond about 1e154 squares to inf: the filter has diverged, and
+    # the metric would read 0 instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx, nh, nd = (np.sqrt((v * v).sum(axis=1)) for v in (x, x_hat, x - x_hat))
+    finite = np.isfinite(nx) & np.isfinite(nh) & np.isfinite(nd)
     if not finite.all():
-        raise NumericalError(f"filter state is non-finite at tick {np.argmin(finite)}")
-    nx = np.sqrt((x * x).sum(axis=1))
-    nh = np.sqrt((x_hat * x_hat).sum(axis=1))
+        t = np.argmin(finite)
+        overflow = np.isfinite(x[t]).all() and np.isfinite(x_hat[t]).all()
+        cause = "state norm overflows" if overflow else "state is non-finite"
+        raise NumericalError(f"filter {cause} at tick {t}")
     zero = (nx == 0.0) | (nh == 0.0)
     if zero.any():
         raise DataError("residual metric undefined for zero-norm state "
                         f"at tick {np.argmax(zero)}")
-    diff = x - x_hat
-    return deviations, np.sqrt((diff * diff).sum(axis=1)) / (nx * nh)
+    h = np.asarray(obs_rows, dtype=float).reshape(n, -1, x.shape[1])[:, 0, :]
+    return (h * x).sum(axis=1) - z, nd / (nx * nh)
 
 
 def _calibrated(outputs, zs, obs_rows, warmup: int,

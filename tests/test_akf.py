@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from fdia_lab import akf
-from fdia_lab.errors import ConfigError, DataError, DimensionError, SingularMatrixError
+from fdia_lab.errors import (ConfigError, DataError, DimensionError, NumericalError,
+                              SingularMatrixError)
 from fdia_lab.numerics import PIVOT_RTOL
 from fdia_lab.signal_model import (SignalParams, SignalState, Trace, observation_row,
                                    observation_rows, simulate)
@@ -497,7 +498,6 @@ def test_nan_measurement_names_the_tick(variant):
 PIVOT_B = PIVOT_RTOL * 1e-300  # below 1e-300 the oracle's pivot bound is this
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the oracle's rcond at inf
 @pytest.mark.parametrize("variant", list(akf.Variant))
 @pytest.mark.parametrize("s", [0.0, -0.0, 5e-324, PIVOT_B, -PIVOT_B,
                                math.nextafter(PIVOT_B, math.inf), 1e-300,
@@ -509,16 +509,22 @@ def test_kernel_pivot_raises_exactly_where_the_oracle_does(variant, s):
                         n0=s, n_fixed=s)
     trace = Trace(ticks=np.arange(1), states=np.zeros((1, 2)), z=np.array([0.5]))
 
-    def raises(run) -> bool:
+    def outcome(run):
         try:
             run()
-        except SingularMatrixError:
-            return True
-        return False
+        except NumericalError as exc:
+            return type(exc), str(exc)
+        return None
 
-    oracle = raises(lambda: akf.step(akf.initial_state(cfg), trace.z[0], cfg, variant))
-    assert raises(lambda: akf.run(trace, cfg, variant)) == oracle
-    assert oracle == (not math.isnan(s) and (abs(s) <= PIVOT_B or math.isinf(s)))
+    oracle = outcome(lambda: akf.step(akf.initial_state(cfg), trace.z[0], cfg, variant))
+    assert outcome(lambda: akf.run(trace, cfg, variant)) == oracle
+    if math.isinf(s):
+        # an infinite variance is named as such, not as a singular one
+        assert oracle == (NumericalError, f"innovation variance is {s:+} at tick 0")
+    elif abs(s) <= PIVOT_B:
+        assert oracle[0] is SingularMatrixError and oracle[1].endswith(" at tick 0")
+    else:
+        assert oracle is None
 
 
 def _dynamic_arch_openblas() -> bool:

@@ -117,8 +117,9 @@ def test_detect_passive_only(tmp_path):
 
 
 # traces on which a filter fails: the classic filter at forgetting 0.9, by a
-# non-finite state and, without measurement noise, by a singular innovation
-# variance; the improved filter at forgetting 0.7, by a non-finite state
+# state whose norm overflows (it turns non-finite a tick later) and, without
+# measurement noise, by a singular innovation variance; the improved filter at
+# forgetting 0.7, by a state whose norm overflows (non-finite from tick 1660)
 CLASSIC_NON_FINITE = {"signal": dict(BASE_CONFIG["signal"], seed=6, n=5000),
                       "attack": dict(BASE_CONFIG["attack"], onset=4800, duration=200),
                       "filter": dict(BASE_CONFIG["filter"], forgetting=0.9)}
@@ -131,7 +132,7 @@ IMPROVED_NON_FINITE = dict(CLASSIC_SINGULAR, signal=dict(CLASSIC_SINGULAR["signa
 
 
 @pytest.mark.parametrize("overrides, error", [
-    (CLASSIC_NON_FINITE, "filter state is non-finite at tick 4589"),
+    (CLASSIC_NON_FINITE, "filter state norm overflows at tick 4588"),
     (CLASSIC_SINGULAR, "at tick 2636")], ids=["non-finite", "singular"])
 def test_detect_records_other_variant_divergence(tmp_path, capsys, overrides, error):
     cfg_path, out = write_config(tmp_path, out_name="diverged", **overrides)
@@ -160,7 +161,27 @@ def test_detect_configured_variant_failure_is_numerical_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 4
     assert capsys.readouterr().err == (
-        "numerical failure: filter state is non-finite at tick 1660 (improved filter)\n")
+        "numerical failure: filter state norm overflows at tick 1652 (improved filter)\n")
+    assert list(out.glob("verdicts_*.csv")) == []
+
+
+# the improved filter at forgetting 0.7 fails on other traces by a state whose
+# norm overflows (its entries stay finite) and by an infinite innovation variance
+@pytest.mark.parametrize("overrides, cause", [
+    ({"signal": dict(BASE_CONFIG["signal"], seed=9),
+      "filter": dict(BASE_CONFIG["filter"], forgetting=0.7)},
+     "filter state norm overflows at tick 1597"),
+    ({"signal": dict(BASE_CONFIG["signal"], n=3254),
+      "attack": dict(BASE_CONFIG["attack"], onset=2310, duration=944),
+      "filter": dict(BASE_CONFIG["filter"], forgetting=0.7)},
+     "innovation variance is +inf at tick 1571"),
+], ids=["norm-overflow", "infinite-variance"])
+def test_a_diverging_improved_filter_names_the_cause(tmp_path, capsys, overrides, cause):
+    cfg_path, out = write_config(tmp_path, out_name="diverging", **overrides)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path), "--passive-only"]) == 4
+    assert capsys.readouterr().err == f"numerical failure: {cause} (improved filter)\n"
     assert list(out.glob("verdicts_*.csv")) == []
 
 

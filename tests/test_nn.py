@@ -14,7 +14,7 @@ from fdia_lab.nn import (AdamState, NetworkConfig, TrainConfig, adam_step,
 from fdia_lab.nn.layers import (ConvLayer, DenseLayer, GruParams, conv_backward,
                                 dropout_forward, gru_backward, gru_forward,
                                 pool_backward, softmax)
-from fdia_lab.nn.network import INFER_CHUNK, cross_entropy
+from fdia_lab.nn.network import HEAD_SLICE, INFER_BLOCK, cross_entropy
 
 TINY = NetworkConfig(input_dim=3, window_len=4, hidden=4, conv1_kernels=2,
                      conv1_size=2, conv2_kernels=2, conv2_size=2, pool=2,
@@ -841,12 +841,12 @@ def test_gru_matches_per_step_reference_with_saturated_gates(rng, with_inf):
 
 def test_predict_proba_chunks_match_per_chunk_forward(rng):
     net = init_network(TINY, seed=12)
-    windows = rng.normal(size=(2 * INFER_CHUNK + 1, 4, 3))
+    windows = rng.normal(size=(2 * INFER_BLOCK + 1, 4, 3))
     probs = predict_proba(net, windows)
-    chunks = [forward(net, windows[start:start + INFER_CHUNK])[0]
-              for start in range(0, len(windows), INFER_CHUNK)]
-    assert [len(c) for c in chunks] == [INFER_CHUNK, INFER_CHUNK, 1]
-    np.testing.assert_allclose(probs, np.concatenate(chunks), **TOL)
+    blocks = [forward(net, windows[start:start + INFER_BLOCK], cache=False)[0]
+              for start in range(0, len(windows), INFER_BLOCK)]
+    assert [len(b) for b in blocks] == [INFER_BLOCK, INFER_BLOCK, 1]
+    assert np.array_equal(probs, np.concatenate(blocks))
     np.testing.assert_allclose(probs, forward(net, windows)[0], **TOL)
 
 
@@ -856,19 +856,20 @@ def test_predict_proba_of_no_windows_is_empty():
 
 
 def test_predict_proba_peak_memory_is_one_chunk(rng):
-    # the demo network's shape; 1024-window chunks peak at about 24 MiB,
-    # 128-window ones at about 3 MiB
+    # the demo network's shape on C-contiguous windows; 896-window blocks peak
+    # at about 7.8 MiB, 5.3 MiB of it the GRU's input projections of every
+    # (tick, window) pair, and one pass over both blocks would need twice that
     cfg = NetworkConfig(input_dim=1, window_len=16, hidden=16, conv1_kernels=4,
                         conv2_kernels=8)
     net = init_network(cfg, seed=5)
-    windows = rng.normal(size=(2048, 16, 1))
+    windows = rng.normal(size=(2 * INFER_BLOCK, 16, 1))
     tracemalloc.start()
     try:
         predict_proba(net, windows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 9 * 2**20
 
 
 # --- overlapping windows: data_pipeline.window's sliding view -------------------
@@ -891,16 +892,31 @@ def window_view(rng, rows, length, width):
 
 
 @pytest.mark.parametrize("cfg,rows", [
-    (DEMO_SHAPED, 2 * INFER_CHUNK + 40),
+    (DEMO_SHAPED, INFER_BLOCK + HEAD_SLICE + 40),
     (DEMO_SHAPED, 16),
-    (TINY, INFER_CHUNK + 9),
-    (ONE_TICK, INFER_CHUNK + 5),
+    (TINY, INFER_BLOCK + 9),
+    (ONE_TICK, INFER_BLOCK + 5),
 ], ids=["partial-last-chunk", "one-window", "three-features", "window-len-1"])
 def test_predict_proba_on_window_view_equals_copy(rng, cfg, rows):
     view = window_view(rng, rows, cfg.window_len, cfg.input_dim)
     net = init_network(cfg, seed=rows)
     assert np.array_equal(predict_proba(net, view),
                           predict_proba(net, np.ascontiguousarray(view)))
+
+
+# window counts on each side of a head slice and of a block, and a block plus
+# a full and a partial slice
+@pytest.mark.parametrize("count", [1, HEAD_SLICE - 1, HEAD_SLICE, HEAD_SLICE + 1,
+                                   INFER_BLOCK - 1, INFER_BLOCK, INFER_BLOCK + 1,
+                                   INFER_BLOCK + HEAD_SLICE + 24])
+def test_predict_proba_blocks_and_slices_match_whole_batch_forward(rng, count):
+    view = window_view(rng, count + DEMO_SHAPED.window_len - 1, DEMO_SHAPED.window_len, 1)
+    net = init_network(DEMO_SHAPED, seed=count)
+    probs = predict_proba(net, view)
+    whole = forward(net, view)[0]
+    np.testing.assert_allclose(probs, whole, **TOL)
+    assert np.array_equal(probs.argmax(axis=1), whole.argmax(axis=1))
+    assert np.array_equal(probs, predict_proba(net, np.ascontiguousarray(view)))
 
 
 @pytest.mark.parametrize("input_dim,length,batch", [(1, 16, 20), (3, 4, 7), (2, 1, 5)])

@@ -225,6 +225,21 @@ def test_bad_filter_state_names_the_tick(value, message):
         calibrate_channels(broken, trace.z, obs, warmup=3)
 
 
+def test_overflowing_state_norm_names_the_tick():
+    # finite entries of 1e200 square to inf, which would make the residual
+    # metric 0; it is the filter's failure instead, and no overflow warning
+    # escapes (the suite turns warnings into errors)
+    trace, outputs, obs = run_filtered_trace(10, seed=1)
+    x_hat = outputs.x_hat.copy()
+    x_hat[4:] = 1e200
+    broken = akf.FilterRun(outputs.x_pred, x_hat, outputs.innovation)
+    message = "^filter state norm overflows at tick 4$"
+    with pytest.raises(NumericalError, match=message):
+        evaluate_stream(broken, trace.z, obs, Thresholds(1.0), Thresholds(1.0))
+    with pytest.raises(NumericalError, match=message):
+        detect_stream(broken, trace.z, obs, warmup=5)
+
+
 @pytest.mark.parametrize("variant", list(akf.Variant))
 def test_one_pass_thresholds_equal_calibrate_channels(variant):
     # detect_stream is calibrate_channels then evaluate_stream armed from the
