@@ -22,8 +22,10 @@ reference oracle. ``run`` filters a whole trace on a kernel written on
 Python floats for the model the pipeline drives (two states, identity
 transition and noise gain, the scalar sinusoidal measurement, symmetric
 initial covariances) and refuses any other config with a ConfigError;
-stack ``step`` for it. It carries only each covariance's distinct entries,
-and its ``FilterRun`` has no tick or gain column: row i is tick i. It
+stack ``step`` for it. It carries only each covariance's distinct entries.
+Its ``FilterRun`` holds the columns x_pred, x_hat, the innovation and the
+deviation H x_pred - z, and no tick or gain column: row i is tick i. The
+observation model is known here alone; the detectors read the deviation. It
 performs the oracle's arithmetic in the oracle's order, with its ``if
 classic`` branches at the same places, so it is bit-identical to ``step``
 wherever numpy's BLAS does not fuse multiply-adds (OpenBLAS's Sandybridge
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,6 +106,7 @@ class StepOutput:
     x_pred: np.ndarray
     x_hat: np.ndarray
     innovation: np.ndarray   # (k,)
+    deviation: np.ndarray    # (k,) H x_pred - z
     gain: np.ndarray         # (n, k)
 
 
@@ -200,7 +203,7 @@ def step(state: FilterState, z_t, cfg: FilterConfig,
                             proc_mean=proc_mean, proc_cov=proc_cov,
                             meas_mean=meas_mean, meas_cov=meas_cov)
     out = StepOutput(t=state.t, x_pred=x_pred, x_hat=x_new,
-                     innovation=innovation, gain=gain)
+                     innovation=innovation, deviation=-resid, gain=gain)
     return new_state, out
 
 
@@ -222,14 +225,14 @@ class FilterRun:
     x_pred: np.ndarray       # (n, states)
     x_hat: np.ndarray        # (n, states)
     innovation: np.ndarray   # (n, k)
+    deviation: np.ndarray    # (n, k) H x_pred - z, the prediction error
 
     @classmethod
     def from_steps(cls, steps: FilterRun | Sequence[StepOutput]) -> FilterRun:
-        """Stack ``StepOutput``s' states and innovations; a FilterRun passes through."""
+        """Stack ``StepOutput``s' fields of these names; a FilterRun passes through."""
         if isinstance(steps, FilterRun):
             return steps
-        return cls(*(np.stack([getattr(s, name) for s in steps])
-                     for name in ("x_pred", "x_hat", "innovation")))
+        return cls(*(np.stack([getattr(s, f.name) for s in steps]) for f in fields(cls)))
 
 
 def _is_scalar_two_state(cfg: FilterConfig) -> bool:
@@ -270,20 +273,20 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
         sm, nc = float(init.meas_mean0[0]), float(init.meas_cov0[0, 0])
     else:
         sm, nc = 0.0, float(cfg.meas_cov_fixed[0, 0])
-    out = []
-    for z, h0, h1, c in zip(zs.tolist(), rows[:, 0, 0].tolist(), rows[:, 0, 1].tolist(),
-                            weights):
+    out, dev = [], []
+    for t, (z, h0, h1, c) in enumerate(zip(zs.tolist(), rows[:, 0, 0].tolist(),
+                                           rows[:, 0, 1].tolist(), weights)):
         # predict
         xp0, xp1 = x0 + pm0, x1 + pm1
         c00, c01, c11 = p00 + m00, p01 + m01, p11 + m11
         # gain and measurement update
-        hx = h0 * xp0 + h1 * xp1
-        e = (z - hx) - sm
+        r = z - (h0 * xp0 + h1 * xp1)
+        e = r - sm
         hc0, hc1 = h0 * c00 + h1 * c01, h0 * c01 + h1 * c11
         hph = hc0 * h0 + hc1 * h1
         s = hph + nc
         if s <= b and s >= -b or s == inf or s == ninf:
-            raise _pivot_error(s, len(out) // 5)
+            raise _pivot_error(s, t)
         k0, k1 = hc0 / s, hc1 / s
         g0, g1 = k0 * e, k1 * e
         xn0, xn1 = xp0 + g0, xp1 + g1
@@ -299,7 +302,7 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
             m00 = oc * m00 + c * ((g0 * g0 + n00) - p00)
             m01 = oc * m01 + c * ((g0 * g1 + n01) - p01)
             m11 = oc * m11 + c * ((g1 * g1 + n11) - p11)
-            sm = oc * sm + c * (z - hx)
+            sm = oc * sm + c * r
             nc = oc * nc + c * (e * e - hph)
         else:
             m00, m01 = oc * m00 + c * (g0 * g0), oc * m01 + c * (g0 * g1)
@@ -307,8 +310,10 @@ def _run_scalar_two_state(zs: np.ndarray, rows: np.ndarray, cfg: FilterConfig,
         x0, x1 = xn0, xn1
         p00, p01, p11 = n00, n01, n11
         out.extend((xp0, xp1, xn0, xn1, e))
+        dev.append(-r)
     cols = np.array(out).reshape(len(zs), 5)
-    return FilterRun(x_pred=cols[:, 0:2], x_hat=cols[:, 2:4], innovation=cols[:, 4:5])
+    return FilterRun(x_pred=cols[:, 0:2], x_hat=cols[:, 2:4], innovation=cols[:, 4:5],
+                     deviation=np.array(dev)[:, None])
 
 
 def run(trace: Trace, cfg: FilterConfig, variant: Variant,

@@ -309,6 +309,9 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     label_flags = labels.astype(bool)
     onsets = np.flatnonzero(labels)
     onset = int(onsets[0]) if len(onsets) else None
+    if onset is not None and onset < cfg.warmup:
+        raise DataError(f"{labels_path}: tick {onset} is labelled attacked, inside the "
+                        f"{cfg.warmup}-tick warm-up the thresholds are fitted on")
 
     # the improved filter drives the passive and fused paths and must not fail
     # numerically; the classic filter, run alongside for the comparison table,
@@ -322,7 +325,7 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     for variant, tag in ((akf.Variant.IMPROVED, "N"), (akf.Variant.CLASSIC, "C")):
         try:
             v = passive_detect.detect_stream(akf.run(trace, filter_cfg, variant, obs_rows),
-                                             trace.z, obs_rows, cfg.warmup, cfg.threshold_k)
+                                             cfg.warmup, cfg.threshold_k)
         except NumericalError as exc:
             if variant is akf.Variant.IMPROVED:
                 raise NumericalError(f"{exc} ({variant.value} filter)") from exc
@@ -354,9 +357,6 @@ def cmd_detect(cfg: ExperimentConfig, trace_path, labels_path, checkpoint_path,
     # the residual flags are already false before the warm-up ends (the
     # threshold does not exist yet), so there only the classifier contributes
     columns["flag_fused"] = fusion.fuse(columns["flag_N"], columns["flag_GC"])
-    if onset is not None and onset < cfg.warmup:
-        raise DataError(f"{labels_path}: tick {onset} is labelled attacked, inside the "
-                        f"{cfg.warmup}-tick warm-up the thresholds are fitted on")
     entries |= {key: evaluation.score(columns[name], label_flags, onset)
                 for key, name in DETECTORS.items()
                 if name in columns and not (passive_only and name == "flag_GC")}

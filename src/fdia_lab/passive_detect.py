@@ -1,7 +1,8 @@
 """Knowledge-driven detection on filter outputs.
 
-Two per-tick metrics with 3-sigma thresholds: the absolute deviation
-between predicted and observed measurement (Euclidean channel) and the
+Two per-tick metrics with 3-sigma thresholds, read from a filter run alone:
+the absolute deviation between predicted and observed measurement, the run's
+own ``deviation`` column H x_pred - z (Euclidean channel), and the
 normalized state residual ||x - x_hat|| / (||x|| * ||x_hat||) where the
 reference x is the one-step prediction (the true state is unavailable in
 live detection). The sigma of each channel is calibrated from signed,
@@ -26,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .akf import FilterRun
-from .errors import ConfigError, DataError, DimensionError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 MIN_CALIBRATION_SAMPLES = 100
 SETTLE_TICKS = 10  # first ticks of the warm-up left out of calibration
@@ -79,18 +80,13 @@ def decide(metric, th: Thresholds):
     return bool(flags) if flags.ndim == 0 else flags
 
 
-def _channels(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tick signed deviation H x_pred - z and residual metric
-    ||x_pred - x_hat|| / (||x_pred|| * ||x_hat||), as arrays. A NumericalError
-    names the first tick whose state, or one of the metric's norms, is
-    non-finite, a DataError one of zero norm.
+def _channels(run: FilterRun) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tick signed deviation H x_pred - z, the run's own ``deviation``
+    column, and residual metric ||x_pred - x_hat|| / (||x_pred|| * ||x_hat||),
+    as arrays. A NumericalError names the first tick whose state, or one of the
+    metric's norms, is non-finite, a DataError one of zero norm.
     """
-    run = FilterRun.from_steps(outputs)
     x, x_hat = run.x_pred, run.x_hat
-    n = len(x)
-    z = np.asarray(zs, dtype=float)
-    if len(z) != n:
-        raise DimensionError(f"{len(z)} measurements for {n} filter steps")
     # a state beyond about 1e154 squares to inf: the filter has diverged, and
     # the metric would read 0 instead
     with np.errstate(over="ignore", invalid="ignore"):
@@ -105,31 +101,28 @@ def _channels(outputs, zs, obs_rows) -> tuple[np.ndarray, np.ndarray]:
     if zero.any():
         raise DataError("residual metric undefined for zero-norm state "
                         f"at tick {np.argmax(zero)}")
-    h = np.asarray(obs_rows, dtype=float).reshape(n, -1, x.shape[1])[:, 0, :]
-    return (h * x).sum(axis=1) - z, nd / (nx * nh)
+    return run.deviation[:, 0], nd / (nx * nh)
 
 
-def _calibrated(outputs, zs, obs_rows, warmup: int,
+def _calibrated(run: FilterRun, warmup: int,
                 k: float) -> tuple[np.ndarray, np.ndarray, Thresholds, Thresholds]:
     """Both channels over the whole run, and both thresholds fitted on their
     warm-up ticks after the first ``SETTLE_TICKS``, which let the filter settle:
     the signed, zero-mean Euclidean deviation H x_pred - z, and the residual
     metric with that deviation's sign."""
-    run = FilterRun.from_steps(outputs)
     if warmup > len(run.x_pred):
         raise DataError(f"warm-up window {warmup} exceeds run length {len(run.x_pred)}")
-    deviations, residuals = _channels(run, zs, obs_rows)
+    deviations, residuals = _channels(run)
     d, r = deviations[SETTLE_TICKS:warmup], residuals[SETTLE_TICKS:warmup]
     signed = np.where(d != 0.0, np.copysign(r, d), r)
     return (deviations, residuals, Thresholds(sigma=calibrate_sigma(d), k=k),
             Thresholds(sigma=calibrate_sigma(signed), k=k))
 
 
-def calibrate_channels(outputs, zs, obs_rows, warmup: int,
-                       k: float = 3.0) -> tuple[Thresholds, Thresholds]:
+def calibrate_channels(outputs, warmup: int, k: float = 3.0) -> tuple[Thresholds, Thresholds]:
     """``detect_stream``'s thresholds. ``outputs`` is a FilterRun or a
     sequence of StepOutput."""
-    return _calibrated(outputs, zs, obs_rows, warmup, k)[2:]
+    return _calibrated(FilterRun.from_steps(outputs), warmup, k)[2:]
 
 
 @dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
@@ -158,19 +151,20 @@ def _verdicts(deviations, residuals, euclid_th: Thresholds, resid_th: Thresholds
                            residual_flag=residual_flag, flag=flag)
 
 
-def evaluate_stream(outputs, zs, obs_rows, euclid_th: Thresholds,
-                    resid_th: Thresholds, armed_from: int = 0) -> PassiveVerdicts:
+def evaluate_stream(outputs, euclid_th: Thresholds, resid_th: Thresholds,
+                    armed_from: int = 0) -> PassiveVerdicts:
     """Per-tick verdicts; the flag is the union of both channel decisions.
 
     Ticks before ``armed_from`` (typically the calibration warm-up window)
     record their metric values but never flag: the thresholds do not exist
     yet while they are being fitted.
     """
-    return _verdicts(*_channels(outputs, zs, obs_rows), euclid_th, resid_th, armed_from)
+    return _verdicts(*_channels(FilterRun.from_steps(outputs)), euclid_th, resid_th,
+                     armed_from)
 
 
-def detect_stream(outputs, zs, obs_rows, warmup: int, k: float = 3.0) -> PassiveVerdicts:
+def detect_stream(outputs, warmup: int, k: float = 3.0) -> PassiveVerdicts:
     """``calibrate_channels`` then ``evaluate_stream`` armed from the warm-up's end,
     on the one channel pass the thresholds are fitted on."""
-    return _verdicts(*_calibrated(outputs, zs, obs_rows, warmup, k), warmup)
+    return _verdicts(*_calibrated(FilterRun.from_steps(outputs), warmup, k), warmup)
 

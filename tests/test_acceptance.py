@@ -193,7 +193,7 @@ def test_criterion_6_false_alarm_rate(clean_long_run):
     params, trace, outputs, _ = clean_long_run
     obs = [signal_model.observation_row(int(t), params.omega)
            for t in trace.ticks]
-    euclid_th, _ = calibrate_channels(outputs, trace.z, obs, warmup=500)
+    euclid_th, _ = calibrate_channels(outputs, warmup=500)
     post = slice(500, None)
     flags = [decide(abs(float((h @ o.x_pred)[0]) - z), euclid_th)
              for o, z, h in zip(outputs[post], trace.z[post], obs[post])]
@@ -204,15 +204,13 @@ def test_criterion_6_false_alarm_rate(clean_long_run):
 @criterion(7, "5% injection flagged within 5 ticks, no later than classic", 10.0)
 def test_criterion_7_injection_latency():
     params, trace = attacked_scenario_trace()
-    obs = [signal_model.observation_row(int(t), params.omega)
-           for t in trace.ticks]
     cfg = akf.config_for_sinusoid(params, float(trace.z[0]))
     latencies = {}
     for variant in (akf.Variant.IMPROVED, akf.Variant.CLASSIC):
         outputs = akf.run(trace, cfg, variant)
-        euclid_th, resid_th = calibrate_channels(outputs, trace.z, obs,
+        euclid_th, resid_th = calibrate_channels(outputs,
                                                  warmup=500)
-        verdicts = evaluate_stream(outputs, trace.z, obs, euclid_th, resid_th,
+        verdicts = evaluate_stream(outputs, euclid_th, resid_th,
                                    armed_from=500)
         residual_flags = np.array([
             v.t >= 500 and decide(v.residual_r, resid_th) for v in verdicts])

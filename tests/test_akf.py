@@ -366,7 +366,7 @@ def test_classic_divergence_witness_high_order():
 
 DEMO = SignalParams(omega=0.3141592653589793, sigma_process=0.001,
                     sigma_meas=0.002, seed=7)
-COLUMNS = ("x_pred", "x_hat", "innovation")
+COLUMNS = ("x_pred", "x_hat", "innovation", "deviation")
 
 
 def oracle_run(trace, cfg, variant):
@@ -480,6 +480,10 @@ def test_run_takes_precomputed_observation_rows():
         own = akf.run(trace, cfg, variant)
         for name in COLUMNS:
             np.testing.assert_array_equal(getattr(given, name), getattr(own, name))
+        # the deviation column is the kernel's z - H x_pred negated, which rounds
+        # exactly as H x_pred - z formed from the rows and the x_pred column
+        np.testing.assert_array_equal(own.deviation[:, 0],
+                                      (rows[:, 0, :] * own.x_pred).sum(axis=1) - trace.z)
     with pytest.raises(DimensionError):
         akf.run(trace, cfg, akf.Variant.IMPROVED, rows[:-1])
 
@@ -546,12 +550,13 @@ params = SignalParams(omega=0.3141592653589793, sigma_process=0.001,
 trace = simulate(params, SignalState(1.0, 0.0), int(sys.argv[1]))
 cfg = akf.config_for_sinusoid(params, float(trace.z[0]))
 for variant in akf.Variant:
-    state = akf.initial_state(cfg)
-    x_hat = []
+    state, steps = akf.initial_state(cfg), []
     for z in trace.z:
         state, out = akf.step(state, z, cfg, variant)
-        x_hat.append(out.x_hat)
-    print(np.stack(x_hat).tobytes().hex())
+        steps.append(out)
+    run = akf.FilterRun.from_steps(steps)
+    for name in sys.argv[2:]:
+        print(getattr(run, name).tobytes().hex())
 """
 
 
@@ -563,11 +568,13 @@ def test_kernel_bit_equals_oracle_without_fma():
     n = 2000
     env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
                PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    out = subprocess.run([sys.executable, "-c", NON_FMA_ORACLE, str(n)], env=env,
+    out = subprocess.run([sys.executable, "-c", NON_FMA_ORACLE, str(n), *COLUMNS], env=env,
                          check=True, capture_output=True, text=True, timeout=300)
-    oracle_hex = out.stdout.split()
+    oracle_hex = iter(out.stdout.split())
     trace = demo_trace(n)
     cfg = akf.config_for_sinusoid(DEMO, float(trace.z[0]))
-    for variant, expected in zip(akf.Variant, oracle_hex, strict=True):
+    for variant in akf.Variant:
         kernel = akf.run(trace, cfg, variant)
-        assert kernel.x_hat.tobytes().hex() == expected, variant
+        for name in COLUMNS:
+            assert getattr(kernel, name).tobytes().hex() == next(oracle_hex), (variant, name)
+    assert next(oracle_hex, None) is None

@@ -217,8 +217,10 @@ def test_detect_missing_checkpoint_is_data_error(tmp_path):
     assert main(["detect", "--config", str(cfg_path)]) == 3
 
 
+# the attack leaves its sensor unselected, so no tick is labelled: a label
+# inside the warm-up would be refused before the trace's own error is reached
 SHORT_RUN = {"signal": dict(BASE_CONFIG["signal"], n=120),
-             "attack": dict(BASE_CONFIG["attack"], onset=60, duration=60)}
+             "attack": dict(BASE_CONFIG["attack"], onset=60, duration=60, sensors=[False])}
 
 
 def test_a_trace_shorter_than_the_warm_up_is_named(tmp_path, capsys):
@@ -256,6 +258,20 @@ def test_a_label_inside_the_warm_up_is_data_error(tmp_path, capsys, onset):
     assert (status, capsys.readouterr().err) == (
         (3, f"data error: {out / 'labels.csv'}: tick 499 is labelled attacked, inside the "
             "500-tick warm-up the thresholds are fitted on\n") if onset == 499 else (0, ""))
+
+
+def test_a_label_inside_the_warm_up_is_refused_before_anything_runs(tmp_path, capsys,
+                                                                     monkeypatch):
+    # no network was trained and the filters may not run: the labels error
+    # comes first, where neither the missing checkpoint nor a filter is reached
+    cfg_path, out = write_config(tmp_path, attack=dict(BASE_CONFIG["attack"], onset=499))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(akf, "run", lambda *args: pytest.fail("a filter ran"))
+    assert main(["detect", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'labels.csv'}: tick 499 is labelled attacked, inside the "
+        "500-tick warm-up the thresholds are fitted on\n")
 
 
 def test_labels_of_another_length_than_the_trace_is_data_error(tmp_path, capsys):

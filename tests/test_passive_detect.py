@@ -8,8 +8,7 @@ from fdia_lab.errors import DataError, NumericalError
 from fdia_lab.passive_detect import (SETTLE_TICKS, PassiveVerdict, Thresholds,
                                      calibrate_channels, calibrate_sigma, decide,
                                      detect_stream, evaluate_stream)
-from fdia_lab.signal_model import (SignalParams, SignalState, observation_row,
-                                   observation_rows, simulate)
+from fdia_lab.signal_model import SignalParams, SignalState, observation_row, simulate
 
 
 def test_calibrate_sigma_rejects_short_window():
@@ -119,17 +118,17 @@ def run_filtered_trace(n, seed, sigma_meas=0.004):
 
 
 def test_stream_false_alarm_rate_on_clean_data():
-    trace, outputs, obs = run_filtered_trace(20_000, seed=3)
-    euclid_th, resid_th = calibrate_channels(outputs, trace.z, obs, warmup=500)
-    verdicts = evaluate_stream(outputs, trace.z, obs, euclid_th, resid_th)
+    _, outputs, _ = run_filtered_trace(20_000, seed=3)
+    euclid_th, resid_th = calibrate_channels(outputs, warmup=500)
+    verdicts = evaluate_stream(outputs, euclid_th, resid_th)
     rate = np.mean([v.flag for v in verdicts])
     assert rate <= 0.005
 
 
 def test_calibration_window_must_fit():
-    trace, outputs, obs = run_filtered_trace(300, seed=3)
+    _, outputs, _ = run_filtered_trace(300, seed=3)
     with pytest.raises(DataError):
-        calibrate_channels(outputs, trace.z, obs, warmup=500)
+        calibrate_channels(outputs, warmup=500)
 
 
 # --- columns against the per-tick detectors ------------------------------------
@@ -137,7 +136,8 @@ def test_calibration_window_must_fit():
 def as_steps(run):
     # a FilterRun has no gain column, and no stage reads a step's gain
     return [akf.StepOutput(t=i, x_pred=run.x_pred[i], x_hat=run.x_hat[i],
-                           innovation=run.innovation[i], gain=np.zeros((2, 1)))
+                           innovation=run.innovation[i], deviation=run.deviation[i],
+                           gain=np.zeros((2, 1)))
             for i in range(len(run.x_pred))]
 
 
@@ -152,7 +152,7 @@ def test_calibrate_channels_matches_per_tick_reference():
         r = residual_metric(outputs.x_pred[i], outputs.x_hat[i])
         ref_devs.append(dev)
         ref_signed.append(math.copysign(r, dev) if dev != 0.0 else r)
-    euclid_th, resid_th = calibrate_channels(outputs, trace.z, obs, warmup=warmup, k=2.0)
+    euclid_th, resid_th = calibrate_channels(outputs, warmup=warmup, k=2.0)
     assert euclid_th.k == resid_th.k == 2.0
     assert euclid_th.sigma == pytest.approx(np.std(ref_devs, ddof=1), rel=1e-12)
     assert resid_th.sigma == pytest.approx(np.std(ref_signed, ddof=1), rel=1e-12)
@@ -164,7 +164,7 @@ def test_evaluate_stream_matches_per_tick_decisions():
     trace, outputs, obs = run_filtered_trace(3000, seed=8)
     euclid_th = Thresholds(sigma=0.002)
     resid_th = Thresholds(sigma=0.001)
-    verdicts = evaluate_stream(outputs, trace.z, obs, euclid_th, resid_th, armed_from=700)
+    verdicts = evaluate_stream(outputs, euclid_th, resid_th, armed_from=700)
     assert len(list(verdicts)) == len(verdicts.flag) == 3000
     for i, v in enumerate(verdicts):
         assert isinstance(v, PassiveVerdict) and v.t == i
@@ -179,29 +179,28 @@ def test_evaluate_stream_matches_per_tick_decisions():
 
 
 def test_stream_limits_are_inclusive_and_armed_from_is_armed():
-    trace, outputs, obs = run_filtered_trace(300, seed=4)
+    _, outputs, _ = run_filtered_trace(300, seed=4)
     off = Thresholds(sigma=1e300)
-    values = evaluate_stream(outputs, trace.z, obs, off, off)
+    values = evaluate_stream(outputs, off, off)
     i = 150
     # k = 1 makes each limit exactly the channel's value at tick i
     at_d = Thresholds(sigma=values.euclidean_d[i], k=1.0)
     at_r = Thresholds(sigma=values.residual_r[i], k=1.0)
-    by_d = evaluate_stream(outputs, trace.z, obs, at_d, off, armed_from=i)
+    by_d = evaluate_stream(outputs, at_d, off, armed_from=i)
     assert by_d.flag[i] and not by_d.residual_flag[i]
-    by_r = evaluate_stream(outputs, trace.z, obs, off, at_r, armed_from=i)
+    by_r = evaluate_stream(outputs, off, at_r, armed_from=i)
     assert by_r.residual_flag[i] and by_r.flag[i]
     for verdicts in (by_d, by_r):
         assert not verdicts.flag[:i].any() and not verdicts.residual_flag[:i].any()
 
 
 def test_step_list_and_filter_run_give_equal_verdicts():
-    trace, outputs, obs = run_filtered_trace(800, seed=2)
-    rows = observation_rows(trace.ticks, 2 * np.pi / 20)
-    th_a = calibrate_channels(outputs, trace.z, rows, warmup=600)
-    th_b = calibrate_channels(as_steps(outputs), trace.z, obs, warmup=600)
+    _, outputs, _ = run_filtered_trace(800, seed=2)
+    th_a = calibrate_channels(outputs, warmup=600)
+    th_b = calibrate_channels(as_steps(outputs), warmup=600)
     assert th_a == th_b
-    a = evaluate_stream(outputs, trace.z, rows, *th_a, armed_from=600)
-    b = evaluate_stream(as_steps(outputs), trace.z, obs, *th_b, armed_from=600)
+    a = evaluate_stream(outputs, *th_a, armed_from=600)
+    b = evaluate_stream(as_steps(outputs), *th_b, armed_from=600)
     for name in ("euclidean_d", "residual_r", "residual_flag", "flag"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -211,48 +210,47 @@ def test_step_list_and_filter_run_give_equal_verdicts():
 @pytest.mark.parametrize("value, message", [(0.0, "zero-norm state at tick 3"),
                                             (np.nan, "non-finite at tick 3")])
 def test_bad_filter_state_names_the_tick(value, message):
-    trace, outputs, obs = run_filtered_trace(10, seed=1)
+    _, outputs, _ = run_filtered_trace(10, seed=1)
     x_pred = outputs.x_pred.copy()
     x_pred[3] = value
-    broken = akf.FilterRun(x_pred, outputs.x_hat, outputs.innovation)
+    broken = akf.FilterRun(x_pred, outputs.x_hat, outputs.innovation, outputs.deviation)
     error = DataError if value == 0.0 else NumericalError
     with pytest.raises(error, match=message):
-        evaluate_stream(broken, trace.z, obs, Thresholds(1.0), Thresholds(1.0))
+        evaluate_stream(broken, Thresholds(1.0), Thresholds(1.0))
     with pytest.raises(error, match=message):
-        detect_stream(broken, trace.z, obs, warmup=5)
+        detect_stream(broken, warmup=5)
     # the tick lies after the warm-up, and the fit still checks the whole run
     with pytest.raises(error, match=message):
-        calibrate_channels(broken, trace.z, obs, warmup=3)
+        calibrate_channels(broken, warmup=3)
 
 
 def test_overflowing_state_norm_names_the_tick():
     # finite entries of 1e200 square to inf, which would make the residual
     # metric 0; it is the filter's failure instead, and no overflow warning
     # escapes (the suite turns warnings into errors)
-    trace, outputs, obs = run_filtered_trace(10, seed=1)
+    _, outputs, _ = run_filtered_trace(10, seed=1)
     x_hat = outputs.x_hat.copy()
     x_hat[4:] = 1e200
-    broken = akf.FilterRun(outputs.x_pred, x_hat, outputs.innovation)
+    broken = akf.FilterRun(outputs.x_pred, x_hat, outputs.innovation, outputs.deviation)
     message = "^filter state norm overflows at tick 4$"
     with pytest.raises(NumericalError, match=message):
-        evaluate_stream(broken, trace.z, obs, Thresholds(1.0), Thresholds(1.0))
+        evaluate_stream(broken, Thresholds(1.0), Thresholds(1.0))
     with pytest.raises(NumericalError, match=message):
-        detect_stream(broken, trace.z, obs, warmup=5)
+        detect_stream(broken, warmup=5)
 
 
 @pytest.mark.parametrize("variant", list(akf.Variant))
 def test_one_pass_thresholds_equal_calibrate_channels(variant):
     # detect_stream is calibrate_channels then evaluate_stream armed from the
     # warm-up's end, column for column, on a FilterRun and on a StepOutput list
-    trace, _, obs = run_filtered_trace(2000, seed=6)
+    trace, _, _ = run_filtered_trace(2000, seed=6)
     params = SignalParams(omega=2 * np.pi / 20, sigma_process=1e-3, sigma_meas=0.004, seed=6)
     run = akf.run(trace, akf.config_for_sinusoid(params, float(trace.z[0])), variant)
-    rows = observation_rows(trace.ticks, params.omega)
     fitted = []
-    for outputs, obs_rows in ((run, rows), (as_steps(run), obs)):
-        one_pass = detect_stream(outputs, trace.z, obs_rows, warmup=600, k=2.5)
-        fitted.append(calibrate_channels(outputs, trace.z, obs_rows, warmup=600, k=2.5))
-        two_pass = evaluate_stream(outputs, trace.z, obs_rows, *fitted[-1], armed_from=600)
+    for outputs in (run, as_steps(run)):
+        one_pass = detect_stream(outputs, warmup=600, k=2.5)
+        fitted.append(calibrate_channels(outputs, warmup=600, k=2.5))
+        two_pass = evaluate_stream(outputs, *fitted[-1], armed_from=600)
         for name in ("euclidean_d", "residual_r", "residual_flag", "flag"):
             np.testing.assert_array_equal(getattr(one_pass, name), getattr(two_pass, name))
         assert one_pass.flag.any() and not one_pass.flag[:600].any()
